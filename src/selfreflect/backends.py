@@ -11,7 +11,9 @@ from __future__ import annotations
 import abc
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,66 +84,158 @@ def logits_at(head: ProjectionHead, hidden, delta=None) -> np.ndarray:
     return head.matrix @ h
 
 
-@dataclass
+def _token_id(token) -> int:
+    """A token id as a Python int. Python and numpy integers only: a float,
+    bool or string is rejected rather than truncated."""
+    if not isinstance(token, bool):
+        try:
+            return operator.index(token)
+        except TypeError:
+            pass
+    raise InputError(f"token id must be an integer, got {token!r}")
+
+
+class _Lineage:
+    """Append-only storage shared by a prefix and every prefix extended from it.
+
+    Entries below len(hidden) never change once written, so a prefix that views
+    the first n of them keeps seeing the same values. `cache` holds
+    backend-private per-position state (the attention backend's keys and
+    values); its rows at and beyond len(hidden) are scratch. `lock` makes
+    "is this prefix the last one? then write after it" one step when two
+    threads extend prefixes of the same lineage.
+    """
+
+    __slots__ = ("tokens", "hidden", "cache", "lock")
+
+    def __init__(self, tokens: list[int], hidden: list[np.ndarray], cache=None):
+        self.tokens = tokens
+        self.hidden = hidden
+        self.cache = cache
+        self.lock = threading.Lock()
+
+    def fork(self, n: int) -> "_Lineage":
+        """A private copy of the first n entries, for extending a prefix that
+        already has a child without overwriting the child's entries."""
+        cache = self.cache.fork(n) if self.cache is not None else None
+        return _Lineage(self.tokens[:n], self.hidden[:n], cache)
+
+
 class PrefixActivations:
     """Cached hidden states for a token prefix.
 
     hidden[i] is the state after consuming tokens[:i+1]; it predicts tokens[i+1]
     (or the next token to be sampled, for i == len(tokens)-1). prompt_len marks
     where the prompt ends and generated tokens begin.
+
+    A value never changes after construction. Backends build it as a view of the
+    first len(self) entries of an append-only lineage, so extending it costs
+    O(1) bookkeeping; `tokens` and `hidden` are materialized on first read.
     """
 
-    tokens: tuple[int, ...]
-    hidden: list[np.ndarray]
-    model_id: str
-    prompt_len: int = field(default=-1)
+    __slots__ = ("model_id", "prompt_len", "_line", "_n", "_tokens", "_hidden")
 
-    def __post_init__(self):
-        self.tokens = tuple(int(t) for t in self.tokens)
-        if len(self.hidden) != len(self.tokens):
+    def __init__(self, tokens, hidden, model_id: str, prompt_len: int = -1):
+        toks = [_token_id(t) for t in tokens]
+        rows = list(hidden)
+        if len(rows) != len(toks):
             raise InputError("need exactly one hidden state per token")
-        if self.prompt_len < 0:
-            self.prompt_len = len(self.tokens)
+        self._set(_Lineage(toks, rows), len(toks), model_id,
+                  prompt_len if prompt_len >= 0 else len(toks))
+
+    @classmethod
+    def _view(cls, line: _Lineage, n: int, model_id: str, prompt_len: int) -> "PrefixActivations":
+        acts = cls.__new__(cls)
+        acts._set(line, n, model_id, prompt_len)
+        return acts
+
+    def _set(self, line, n, model_id, prompt_len) -> None:
+        self._line = line
+        self._n = n
+        self.model_id = model_id
+        self.prompt_len = prompt_len
+        self._tokens = None
+        self._hidden = None
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return self._n
+
+    def __repr__(self) -> str:
+        return (f"PrefixActivations(len={self._n}, prompt_len={self.prompt_len}, "
+                f"model_id={self.model_id!r})")
+
+    @property
+    def tokens(self) -> tuple[int, ...]:
+        if self._tokens is None:
+            self._tokens = tuple(self._line.tokens[:self._n])
+        return self._tokens
+
+    @property
+    def hidden(self) -> tuple[np.ndarray, ...]:
+        if self._hidden is None:
+            self._hidden = tuple(self._line.hidden[:self._n])
+        return self._hidden
 
     @property
     def last_hidden(self) -> np.ndarray:
-        return self.hidden[-1]
+        return self._line.hidden[self._n - 1]
 
 
 class ModelBackend(abc.ABC):
-    """Frozen toy model: maps token prefixes to final hidden states."""
+    """Frozen toy model: maps token prefixes to final hidden states.
+
+    A backend defines one per-token step; `forward_prefix` folds it over the
+    prompt and `append_token` applies it once, so an extended prefix and a fresh
+    forward of the same tokens agree bit for bit.
+    """
 
     vocab: VocabSpec
     head: ProjectionHead
     model_id: str
+    max_len: int | None = None  # longest prefix accepted; None means unbounded
 
-    def _check_tokens(self, tokens) -> tuple[int, ...]:
-        toks = tuple(int(t) for t in tokens)
-        if not toks:
-            raise InputError("prefix must contain at least one token")
-        for t in toks:
-            if not 0 <= t < self.vocab.size:
-                raise InputError(f"token id {t} out of range for vocab of {self.vocab.size}")
-        return toks
+    def _check_token(self, token) -> int:
+        t = _token_id(token)
+        if not 0 <= t < self.vocab.size:
+            raise InputError(f"token id {t} out of range for vocab of {self.vocab.size}")
+        return t
 
     @abc.abstractmethod
-    def _state(self, prefix: tuple[int, ...]) -> np.ndarray:
-        """Hidden state after consuming exactly `prefix`. Pure and deterministic."""
+    def _step(self, line: _Lineage, token: int) -> np.ndarray:
+        """Hidden state after appending `token` to the prefix held in `line`.
+        Deterministic in that prefix and `token`; may write scratch rows of
+        line.cache at position len(line.hidden)."""
+
+    def _push(self, line: _Lineage, token: int) -> None:
+        t = len(line.hidden)
+        if self.max_len is not None and t >= self.max_len:
+            raise InputError(f"prefix length {t + 1} exceeds max_len {self.max_len}")
+        h = _frozen(self._step(line, token))
+        line.tokens.append(token)
+        line.hidden.append(h)
 
     def forward_prefix(self, tokens) -> PrefixActivations:
-        toks = self._check_tokens(tokens)
-        hidden = [_frozen(self._state(toks[: i + 1])) for i in range(len(toks))]
-        return PrefixActivations(toks, hidden, self.model_id)
+        toks = [self._check_token(t) for t in tokens]
+        if not toks:
+            raise InputError("prefix must contain at least one token")
+        line = _Lineage([], [])
+        for tok in toks:
+            self._push(line, tok)
+        return PrefixActivations._view(line, len(toks), self.model_id, len(toks))
 
-    def append_token(self, acts: PrefixActivations, token: int) -> PrefixActivations:
-        """Extend a cached prefix by one token; earlier states are reused untouched."""
-        toks = self._check_tokens(acts.tokens + (int(token),))
-        hidden = list(acts.hidden)
-        hidden.append(_frozen(self._state(toks)))
-        return PrefixActivations(toks, hidden, self.model_id, prompt_len=acts.prompt_len)
+    def append_token(self, acts: PrefixActivations, token) -> PrefixActivations:
+        """Extend a cached prefix by one token; earlier prefixes never change.
+
+        Only the new token is validated. A prefix that already has a child is
+        copied first, so sibling extensions never overwrite each other.
+        """
+        tok = self._check_token(token)
+        line, n = acts._line, len(acts)
+        with line.lock:
+            if len(line.hidden) != n:
+                line = line.fork(n)
+            self._push(line, tok)
+        return PrefixActivations._view(line, n + 1, self.model_id, acts.prompt_len)
 
 
 class ScriptedBackend(ModelBackend):
@@ -157,7 +251,8 @@ class ScriptedBackend(ModelBackend):
         self.vocab = VocabSpec(int(vocab_size), token_names)
         self.by_prefix = {}
         for key, vec in (by_prefix or {}).items():
-            self.by_prefix[tuple(int(t) for t in key)] = _frozen(vec)
+            self.by_prefix[tuple(_token_id(t) for t in key)] = _frozen(vec)
+        self._prefix_lengths = {len(key) for key in self.by_prefix}
         self.by_position = [_frozen(v) for v in (by_position or [])]
         self.fallback = _frozen(fallback) if fallback is not None else None
 
@@ -177,16 +272,17 @@ class ScriptedBackend(ModelBackend):
             raise InputError("head row count must equal vocab size")
         self.model_id = f"scripted-v{self.vocab.size}-d{self.head.hidden_dim}"
 
-    def _state(self, prefix):
-        hit = self.by_prefix.get(prefix)
-        if hit is not None:
-            return hit
-        i = len(prefix) - 1
+    def _step(self, line, token):
+        i = len(line.hidden)
+        if i + 1 in self._prefix_lengths:  # only then can an exact prefix match
+            hit = self.by_prefix.get(tuple(line.tokens) + (token,))
+            if hit is not None:
+                return hit
         if i < len(self.by_position):
             return self.by_position[i]
         if self.fallback is not None:
             return self.fallback
-        raise InputError(f"no scripted hidden state for prefix of length {len(prefix)}")
+        raise InputError(f"no scripted hidden state for prefix of length {i + 1}")
 
 
 class MarkovBackend(ModelBackend):
@@ -214,9 +310,9 @@ class MarkovBackend(ModelBackend):
         self.head = ProjectionHead(np.log(p).T)
         self.model_id = f"markov-v{self.vocab.size}"
 
-    def _state(self, prefix):
+    def _step(self, line, token):
         h = np.zeros(self.vocab.size)
-        h[prefix[-1]] = 1.0
+        h[token] = 1.0
         return h
 
 
@@ -240,6 +336,8 @@ class AttentionBackend(ModelBackend):
             raise InputError("hidden_dim must be positive")
         if max_len < 1:
             raise InputError("max_len must be positive")
+        if seed < 0:
+            raise InputError("seed must be a non-negative integer")
         self.seed = int(seed)
         self.max_len = int(max_len)
         rng = np.random.default_rng(self.seed)
@@ -255,20 +353,69 @@ class AttentionBackend(ModelBackend):
         self.head = ProjectionHead(rng.standard_normal((self.vocab.size, d)) * s)
         self.model_id = f"attention-v{self.vocab.size}-d{d}-s{self.seed}"
 
-    def _state(self, prefix):
-        t = len(prefix)
-        if t > self.max_len:
-            raise InputError(f"prefix length {t} exceeds max_len {self.max_len}")
-        d = self.head.hidden_dim
-        x = self.emb[list(prefix)] + self.pos[:t]
-        q = x[-1] @ self.wq
-        keys = x @ self.wk
-        vals = x @ self.wv
-        scores = keys @ q / math.sqrt(d)
+    def _step(self, line, token):
+        t = len(line.hidden)
+        kv = line.cache
+        if not (isinstance(kv, _KeyValueRows) and kv.owner is self):
+            kv = line.cache = self._project_prefix(line.tokens)
+        x = self.emb[token] + self.pos[t]
+        kv.put(t, x @ self.wk, x @ self.wv)
+        q = x @ self.wq
+        scores = kv.keys[:t + 1] @ q / math.sqrt(self.head.hidden_dim)
         attn = softmax(scores)
-        a = attn @ vals
-        u = x[-1] + a @ self.wo
+        a = attn @ kv.values[:t + 1]
+        u = x + a @ self.wo
         return u + np.tanh(u @ self.w1) @ self.w2
+
+    def _project_prefix(self, tokens) -> "_KeyValueRows":
+        """Keys and values for a prefix this backend did not build (a
+        PrefixActivations made by hand or by another backend), row by row
+        exactly as _step computes them."""
+        kv = _KeyValueRows(self, self.head.hidden_dim, self.max_len)
+        for j, tok in enumerate(tokens):
+            x = self.emb[self._check_token(tok)] + self.pos[j]
+            kv.put(j, x @ self.wk, x @ self.wv)
+        return kv
+
+
+class _KeyValueRows:
+    """An attention backend's projected key and value rows, one per position.
+
+    Storage grows geometrically up to `limit` rows, so a short decode on a
+    backend with a large max_len allocates only what it uses.
+    """
+
+    __slots__ = ("owner", "limit", "keys", "values")
+    MIN_ROWS = 16
+
+    def __init__(self, owner, dim: int, limit: int):
+        self.owner = owner
+        self.limit = limit
+        self.keys = np.empty((0, dim))
+        self.values = np.empty((0, dim))
+
+    def _regrow(self, n: int) -> None:
+        """Move the first n rows into storage with room for row n and more."""
+        rows = min(self.limit, max(self.MIN_ROWS, 2 * (n + 1)))
+        keys = np.empty((rows, self.keys.shape[1]))
+        values = np.empty_like(keys)
+        keys[:n] = self.keys[:n]
+        values[:n] = self.values[:n]
+        self.keys, self.values = keys, values
+
+    def fork(self, n: int) -> "_KeyValueRows":
+        """A private copy of the first n rows."""
+        out = _KeyValueRows(self.owner, self.keys.shape[1], self.limit)
+        out.keys, out.values = self.keys, self.values
+        out._regrow(n)
+        return out
+
+    def put(self, t: int, key: np.ndarray, value: np.ndarray) -> None:
+        """Write row t, growing the storage when t is past its end."""
+        if t >= len(self.keys):
+            self._regrow(t)
+        self.keys[t] = key
+        self.values[t] = value
 
 
 _BACKEND_KEYS = {
@@ -279,12 +426,51 @@ _BACKEND_KEYS = {
 }
 
 
+def _integer(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"backend config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"backend config key {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(key: str, value) -> np.ndarray | None:
+    """A numeric array from a JSON value; None stays None."""
+    if value is None:
+        return None
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError(f"backend config key {key!r} must hold only numbers") from None
+
+
+def _of_type(key: str, value, kind: type, what: str):
+    if value is not None and not isinstance(value, kind):
+        raise ConfigError(f"backend config key {key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _prefix_key(key) -> tuple:
+    """A by_prefix key: "7,3" in JSON files, a tuple of ids from Python."""
+    if isinstance(key, tuple):
+        return key
+    try:
+        return tuple(int(t) for t in str(key).split(","))
+    except ValueError:
+        raise ConfigError(f"backend config key 'by_prefix' has a malformed prefix {key!r}") from None
+
+
 def build_toy_backend(kind: str, config: dict) -> ModelBackend:
     """Construct a backend from a plain definition dict (the JSON file schema).
 
-    Unknown keys are fatal so that typos never silently change a run.
+    Unknown keys are fatal so that typos never silently change a run, and a
+    value of the wrong type is a ConfigError naming its key.
     """
-    if kind not in _BACKEND_KEYS:
+    if not isinstance(kind, str) or kind not in _BACKEND_KEYS:
         raise ConfigError(f"unknown backend kind: {kind!r}")
     allowed = _BACKEND_KEYS[kind]
     for key in config:
@@ -292,24 +478,28 @@ def build_toy_backend(kind: str, config: dict) -> ModelBackend:
             raise ConfigError(f"unknown backend config key: {key!r}")
     cfg = dict(config)
     cfg.pop("kind", None)
-    names = cfg.pop("token_names", None)
+    names = _of_type("token_names", cfg.pop("token_names", None), list, "a list of names")
     if names is not None:
         names = tuple(names)
     try:
         if kind == "scripted":
-            by_prefix = {}
-            for key, vec in (cfg.get("by_prefix") or {}).items():
-                toks = tuple(int(t) for t in str(key).split(",")) if isinstance(key, str) else tuple(key)
-                by_prefix[toks] = vec
+            prefixes = _of_type("by_prefix", cfg.get("by_prefix"), dict, "an object") or {}
+            rows = _of_type("by_position", cfg.get("by_position"), list, "a list") or []
             return ScriptedBackend(
-                cfg["vocab_size"], by_prefix=by_prefix,
-                by_position=cfg.get("by_position"), fallback=cfg.get("fallback"),
-                head=cfg.get("head"), token_names=names)
+                _integer("vocab_size", cfg["vocab_size"]),
+                by_prefix={_prefix_key(k): _numbers("by_prefix", v) for k, v in prefixes.items()},
+                by_position=[_numbers("by_position", v) for v in rows],
+                fallback=_numbers("fallback", cfg.get("fallback")),
+                head=_numbers("head", cfg.get("head")), token_names=names)
         if kind == "markov":
-            return MarkovBackend(cfg["transition"], smoothing=cfg.get("smoothing", 0.0),
+            return MarkovBackend(_numbers("transition", cfg["transition"]),
+                                 smoothing=_number("smoothing", cfg.get("smoothing", 0.0)),
                                  token_names=names)
-        return AttentionBackend(cfg["vocab_size"], cfg["hidden_dim"], cfg["seed"],
-                                max_len=cfg.get("max_len", 512), token_names=names)
+        return AttentionBackend(_integer("vocab_size", cfg["vocab_size"]),
+                                _integer("hidden_dim", cfg["hidden_dim"]),
+                                _integer("seed", cfg["seed"]),
+                                max_len=_integer("max_len", cfg.get("max_len", 512)),
+                                token_names=names)
     except KeyError as exc:
         raise ConfigError(f"backend config missing key: {exc.args[0]!r}") from None
 

@@ -164,6 +164,11 @@ def decode(backend: ModelBackend, prompt, config: DecodeConfig) -> DecodeTrace:
     """
     if config.eos_token is not None and not 0 <= config.eos_token < backend.vocab.size:
         raise InputError(f"eos_token {config.eos_token} out of range")
+    prompt = tuple(prompt)
+    longest = len(prompt) + config.max_tokens - 1  # the last token is never appended
+    if backend.max_len is not None and longest > backend.max_len:
+        raise InputError(f"a prompt of {len(prompt)} tokens plus max_tokens {config.max_tokens} "
+                         f"needs prefixes of {longest} tokens, beyond max_len {backend.max_len}")
     head = backend.head
     acts = backend.forward_prefix(prompt)
     window = EntropyWindow(config.trigger.window_size)

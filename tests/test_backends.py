@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -151,20 +153,37 @@ class TestAttention:
         assert np.array_equal(be.head.matrix, rng.standard_normal((7, 6)) * s)
 
     def test_forward_oracle(self):
-        # independent recomputation with explicit per-position loops
-        be = AttentionBackend(vocab_size=7, hidden_dim=6, seed=3, max_len=32)
-        prefix = (1, 4, 2)
-        t, d = len(prefix), 6
-        x = np.array([be.emb[tok] + be.pos[j] for j, tok in enumerate(prefix)])
-        q = be.wq.T @ x[-1]
-        scores = np.array([np.dot(x[j] @ be.wk, q) for j in range(t)]) / math.sqrt(d)
-        e = np.exp(scores - scores.max())
-        attn = e / e.sum()
-        a = sum(attn[j] * (x[j] @ be.wv) for j in range(t))
-        u = x[-1] + be.wo.T @ a
-        want = u + be.w2.T @ np.tanh(be.w1.T @ u)
-        got = be.forward_prefix(prefix).last_hidden
-        assert np.max(np.abs(got - want)) < 1e-12
+        # independent recomputation with explicit per-position loops, at every
+        # position of a fresh 3-token forward and of a 300-token prefix built
+        # by appends across several growths of the key/value storage
+        be = AttentionBackend(vocab_size=7, hidden_dim=6, seed=3, max_len=512)
+        d = 6
+        for length in (3, 300):
+            prefix = (1, 4, 2) + tuple(np.random.default_rng(5).integers(0, 7, length - 3))
+            if length == 3:
+                acts = be.forward_prefix(prefix)
+            else:
+                acts = be.forward_prefix(prefix[:1])
+                for tok in prefix[1:]:
+                    acts = be.append_token(acts, tok)
+            x = np.array([be.emb[tok] + be.pos[j] for j, tok in enumerate(prefix)])
+            for t in range(1, length + 1):
+                q = be.wq.T @ x[t - 1]
+                scores = np.array([np.dot(x[j] @ be.wk, q) for j in range(t)]) / math.sqrt(d)
+                e = np.exp(scores - scores.max())
+                attn = e / e.sum()
+                a = sum(attn[j] * (x[j] @ be.wv) for j in range(t))
+                u = x[t - 1] + be.wo.T @ a
+                want = u + be.w2.T @ np.tanh(be.w1.T @ u)
+                assert np.max(np.abs(acts.hidden[t - 1] - want)) < 1e-12
+
+    def test_prefix_built_elsewhere_is_range_checked(self):
+        # its keys and values are projected from its tokens on first append
+        be = AttentionBackend(vocab_size=4, hidden_dim=3, seed=0)
+        for bad in (4, -1):
+            by_hand = PrefixActivations((0, bad), [np.zeros(3)] * 2, "other")
+            with pytest.raises(InputError):
+                be.append_token(by_hand, 2)
 
     def test_max_len_enforced(self):
         be = AttentionBackend(vocab_size=4, hidden_dim=3, seed=0, max_len=2)
@@ -172,12 +191,15 @@ class TestAttention:
             be.forward_prefix((0, 1, 2))
 
 
+BACKENDS = [
+    lambda: MarkovBackend(np.full((4, 4), 0.25)),
+    lambda: AttentionBackend(vocab_size=4, hidden_dim=5, seed=9),
+    lambda: ScriptedBackend(4, fallback=np.arange(4.0)),
+]
+
+
 class TestPrefixMechanics:
-    @pytest.mark.parametrize("make", [
-        lambda: MarkovBackend(np.full((4, 4), 0.25)),
-        lambda: AttentionBackend(vocab_size=4, hidden_dim=5, seed=9),
-        lambda: ScriptedBackend(4, fallback=np.arange(4.0)),
-    ])
+    @pytest.mark.parametrize("make", BACKENDS)
     def test_append_matches_fresh_forward(self, make):
         be = make()
         acts = be.forward_prefix((0, 1))
@@ -187,6 +209,90 @@ class TestPrefixMechanics:
         assert acts.tokens == fresh.tokens
         for a, b in zip(acts.hidden, fresh.hidden):
             assert np.array_equal(a, b)  # bitwise prefix stability
+
+    @pytest.mark.parametrize("make", BACKENDS)
+    def test_sibling_appends_leave_parent_unchanged(self, make):
+        be = make()
+        parent = be.forward_prefix((0, 1))
+        first = be.append_token(parent, 2)
+        tokens, hidden = parent.tokens, [h.copy() for h in parent.hidden]
+        last = parent.last_hidden.copy()
+        second = be.append_token(parent, 3)  # parent already has a child
+        again = be.append_token(parent, 2)
+        grandchild = be.append_token(first, 1)
+        assert parent.tokens == tokens == (0, 1)
+        assert len(parent) == len(parent.hidden) == 2
+        for a, b in zip(parent.hidden, hidden):
+            assert np.array_equal(a, b)
+        assert np.array_equal(parent.last_hidden, last)
+        for acts in (first, second, again, grandchild):
+            fresh = be.forward_prefix(acts.tokens)
+            assert len(acts) == len(fresh)
+            for a, b in zip(acts.hidden, fresh.hidden):
+                assert np.array_equal(a, b)
+            assert np.array_equal(acts.last_hidden, fresh.last_hidden)
+
+    @pytest.mark.parametrize("make", BACKENDS)
+    def test_append_to_a_prefix_built_elsewhere(self, make):
+        be = make()
+        by_hand = PrefixActivations((0, 1), [np.zeros(5), np.zeros(5)], "other")
+        fresh = be.forward_prefix((0, 1, 2))
+        assert np.array_equal(be.append_token(by_hand, 2).last_hidden, fresh.last_hidden)
+
+    def test_threads_appending_to_one_parent(self):
+        # every thread extends each parent once, so threads race to be first
+        be = AttentionBackend(vocab_size=4, hidden_dim=5, seed=9)
+        parents = [be.forward_prefix((0, 1)) for _ in range(300)]
+        want = {tok: be.forward_prefix((0, 1, tok)).last_hidden for tok in range(4)}
+        bad = []
+
+        def work(tok):
+            for parent in parents:
+                child = be.append_token(parent, tok)
+                if child.tokens != (0, 1, tok) or not np.array_equal(child.last_hidden, want[tok]):
+                    bad.append(tok)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i % 4,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+        assert all(parent.tokens == (0, 1) for parent in parents)
+
+    def test_key_value_storage_grows_with_the_prefix(self):
+        be = AttentionBackend(vocab_size=4, hidden_dim=5, seed=9, max_len=4096)
+        acts = be.forward_prefix((0, 1, 2))
+        rows = len(acts._line.cache.keys)
+        assert 3 <= rows < 64
+        for _ in range(100):
+            acts = be.append_token(acts, 3)
+        assert 103 <= len(acts._line.cache.keys) < 4096
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, "1", None])
+    def test_prompt_token_ids_must_be_integers(self, bad):
+        be = MarkovBackend(np.full((4, 4), 0.25))
+        with pytest.raises(InputError):
+            be.forward_prefix((0, bad))
+        with pytest.raises(InputError):
+            PrefixActivations((0, bad), [np.zeros(2), np.ones(2)], "m")
+        assert be.forward_prefix((np.int64(0), np.uint8(1))).tokens == (0, 1)
+
+    @pytest.mark.parametrize("make", BACKENDS)
+    @pytest.mark.parametrize("bad", [1.7, 1.0, False, "1", np.float64(2.0)])
+    def test_appended_token_ids_must_be_integers(self, make, bad):
+        be = make()
+        acts = be.forward_prefix((0,))
+        with pytest.raises(InputError):
+            be.append_token(acts, bad)
+        child = be.append_token(acts, np.int32(1))
+        assert child.tokens == (0, 1) and type(child.tokens[1]) is int
 
     def test_forward_is_deterministic(self):
         be = AttentionBackend(vocab_size=5, hidden_dim=4, seed=21)

@@ -102,6 +102,26 @@ class TestDecode:
                            "--prompt", "0,x")
         assert code == 2
 
+    @pytest.mark.parametrize("key,definition", [
+        ("vocab_size", {"kind": "attention", "vocab_size": "abc", "hidden_dim": 4, "seed": 0}),
+        ("max_len", {"kind": "attention", "vocab_size": 4, "hidden_dim": 4, "seed": 0,
+                     "max_len": 2.5}),
+        ("transition", {"kind": "markov", "transition": [[0.5, "x"], [0.5, 0.5]]}),
+        ("smoothing", {"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]],
+                       "smoothing": "lots"}),
+        ("by_prefix", {"kind": "scripted", "vocab_size": 2, "by_prefix": {"0,x": [1, 0]}}),
+        ("by_position", {"kind": "scripted", "vocab_size": 2, "by_position": [[1, 0], ["a", 1]]}),
+        ("token_names", {"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]],
+                         "token_names": 7}),
+    ])
+    def test_malformed_backend_file(self, capsys, tmp_path, key, definition):
+        path = tmp_path / "backend.json"
+        path.write_text(json.dumps(definition))
+        code, _, err = run(capsys, "decode", "--backend", str(path), "--prompt", "0")
+        assert code == 2
+        assert key in err
+        assert "Traceback" not in err
+
     def test_max_tokens_validated(self, capsys, spike_file):
         backend_path, _ = spike_file
         code, _, err = run(capsys, "decode", "--backend", backend_path,

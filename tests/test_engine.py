@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from selfreflect import (AdaptiveWeightConfig, DecodeConfig, InputError,
+from selfreflect import (AdaptiveWeightConfig, AttentionBackend, DecodeConfig, InputError,
                          MarkovBackend, ReflectionConfig, SamplingConfig,
                          ScriptedBackend, TriggerConfig, adapt_lambda,
                          build_spike_backend, decode, entropy_from_logits,
@@ -109,6 +109,17 @@ class TestDecodeBasics:
     def test_eos_out_of_range(self):
         with pytest.raises(InputError):
             decode(uniform_markov(), (0,), DecodeConfig(eos_token=4))
+
+    def test_max_len_checked_before_the_first_forward(self, monkeypatch):
+        backend = AttentionBackend(vocab_size=6, hidden_dim=4, seed=0, max_len=5)
+        assert uniform_markov().max_len is None
+        assert decode(backend, (0, 1), DecodeConfig(max_tokens=4)).output  # prefixes reach 5
+
+        def forward(tokens):
+            raise AssertionError("forward_prefix ran")
+        monkeypatch.setattr(backend, "forward_prefix", forward)
+        with pytest.raises(InputError, match="max_len 5"):
+            decode(backend, (0, 1), DecodeConfig(max_tokens=5))
 
     def test_config_validation(self):
         with pytest.raises(InputError):
