@@ -137,32 +137,72 @@ class Correction:
     aborted: bool = False
 
 
-def _base_logits(acts, head, positions):
+def _context_terms(acts, head, scope):
+    """The parts of the context loss that do not depend on delta: row indices,
+    realized targets and base logits H_scope @ W.T of the in-scope positions.
+    Building them is the one |scope| x V x d product of a correction. An empty
+    scope gives (None, None, None)."""
+    positions = ce_positions(acts, scope)
     if not positions:
-        return None, None
+        return None, None, None
     hs = np.stack([acts.hidden[i] for i in positions])
     targets = np.array([acts.tokens[i + 1] for i in positions])
-    return hs @ head.matrix.T, targets
+    return np.arange(len(positions)), targets, hs @ head.matrix.T
+
+
+def _context_loss(terms, w, delta, grad: bool):
+    """(l_ce, its gradient or None) at delta from precomputed context terms.
+
+    Works in place on one |scope| x V buffer z = base + W @ delta: the target
+    logits are picked, the row max subtracted and the rows exponentiated; for
+    the gradient they are then divided by their sums and 1 is subtracted at
+    the targets, leaving probs - onehot. A non-finite row max gives NaN.
+    """
+    rows, targets, base = terms
+    if base is None:
+        return 0.0, np.zeros(w.shape[1]) if grad else None
+    with np.errstate(invalid="ignore"):  # a huge delta can turn W @ delta into NaN
+        z = base + w @ delta
+    picked = z[rows, targets]
+    m = z.max(axis=1, keepdims=True)
+    if not np.isfinite(m).all():
+        return float("nan"), np.full(w.shape[1], np.nan) if grad else None
+    z -= m
+    np.exp(z, out=z)
+    denom = z.sum(axis=1, keepdims=True)
+    lse = np.log(denom[:, 0]) + m[:, 0]
+    l_ce = float(np.sum(lse - picked))
+    if not grad:
+        return l_ce, None
+    z /= denom
+    z[rows, targets] -= 1.0
+    return l_ce, w.T @ z.sum(axis=0)
+
+
+def _sharpening_loss(w, last_hidden, delta, tau):
+    """(l_aem, its gradient) at delta; NaN for degenerate scaled logits so
+    abort checks can fire."""
+    with np.errstate(invalid="ignore"):
+        ls = log_softmax(w @ (last_hidden + delta), tau)
+    if np.isnan(ls).any():
+        return float("nan"), np.full(w.shape[1], np.nan)
+    q = np.exp(ls)
+    h = float(-np.sum(np.where(q > 0.0, q * ls, 0.0)))
+    gvec = np.where(q > 0.0, -q * (ls + h), 0.0)
+    return h, (w.T @ gvec) / tau
 
 
 def loss_ce(acts: PrefixActivations, head: ProjectionHead, delta,
-            scope: str = "full-prefix") -> float:
+            scope: str = "full-prefix", *, _terms=None) -> float:
     """Negative log-likelihood of the realized prefix under the shifted head.
 
     The same delta is applied to every in-scope cached hidden state. A
     single-token prefix has an empty scope and scores 0.
     """
-    positions = ce_positions(acts, scope)
-    if not positions:
-        return 0.0
-    base, targets = _base_logits(acts, head, positions)
-    z = base + head.matrix @ np.asarray(delta, dtype=np.float64)
-    m = z.max(axis=1, keepdims=True)
-    if not np.all(np.isfinite(m)):
-        return float("nan")
-    lse = np.log(np.exp(z - m).sum(axis=1)) + m[:, 0]
-    picked = z[np.arange(len(positions)), targets]
-    return float(np.sum(lse - picked))
+    if _terms is None:
+        _terms = _context_terms(acts, head, scope)
+    delta = np.asarray(delta, dtype=np.float64)
+    return _context_loss(_terms, head.matrix, delta, grad=False)[0]
 
 
 def loss_aem(acts: PrefixActivations, head: ProjectionHead, delta,
@@ -181,59 +221,29 @@ def loss_aem(acts: PrefixActivations, head: ProjectionHead, delta,
 def loss_gradients(acts: PrefixActivations, head: ProjectionHead, delta,
                    ce_scope: str = "full-prefix", loss_temperature: float = 1.0):
     """(grad of context loss, grad of sharpening loss) at delta, closed form."""
-    _, g_ce, _, g_aem = _grad_parts(
-        acts, head, delta,
-        ReflectionConfig(ce_scope=ce_scope, loss_temperature=loss_temperature))
+    if not loss_temperature > 0:
+        raise InputError("loss_temperature must be positive")
+    delta = np.asarray(delta, dtype=np.float64)
+    terms = _context_terms(acts, head, ce_scope)
+    _, g_ce = _context_loss(terms, head.matrix, delta, grad=True)
+    _, g_aem = _sharpening_loss(head.matrix, acts.last_hidden, delta, loss_temperature)
     return g_ce, g_aem
 
 
-def _grad_parts(acts, head, delta, config):
-    """Analytic gradients of both losses plus their values, one pass."""
-    w = head.matrix
-    delta = np.asarray(delta, dtype=np.float64)
-    positions = ce_positions(acts, config.ce_scope)
-
-    if positions:
-        base, targets = _base_logits(acts, head, positions)
-        with np.errstate(invalid="ignore"):
-            z = base + w @ delta
-        m = z.max(axis=1, keepdims=True)
-        shifted = z - m
-        expz = np.exp(shifted)
-        denom = expz.sum(axis=1, keepdims=True)
-        probs = expz / denom
-        lse = np.log(denom[:, 0]) + m[:, 0]
-        l_ce = float(np.sum(lse - z[np.arange(len(positions)), targets]))
-        resid = probs.copy()
-        resid[np.arange(len(positions)), targets] -= 1.0
-        g_ce = w.T @ resid.sum(axis=0)
-    else:
-        l_ce = 0.0
-        g_ce = np.zeros(head.hidden_dim)
-
-    tau = config.loss_temperature
-    with np.errstate(invalid="ignore"):
-        ls = log_softmax(w @ (acts.last_hidden + delta), tau)
-    if np.isnan(ls).any():
-        # degenerate scaled logits: surface NaN so abort checks can fire
-        return l_ce, g_ce, float("nan"), np.full(head.hidden_dim, np.nan)
-    q = np.exp(ls)
-    h = float(-np.sum(np.where(q > 0.0, q * ls, 0.0)))
-    gvec = np.where(q > 0.0, -q * (ls + h), 0.0)
-    g_aem = (w.T @ gvec) / tau
-    return l_ce, g_ce, h, g_aem
-
-
 def grad_hybrid(acts: PrefixActivations, head: ProjectionHead, delta,
-                config: ReflectionConfig) -> tuple[np.ndarray, HybridLossReport]:
+                config: ReflectionConfig, *, _terms=None) -> tuple[np.ndarray, HybridLossReport]:
     """Exact gradient of the descent objective (blend + quadratic penalty) at delta,
     with a full loss report. Gradient clipping is an optimize_delta concern, not
     applied here, so finite-difference checks see the analytic gradient."""
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape != (head.hidden_dim,):
         raise InputError(f"delta must have shape ({head.hidden_dim},)")
+    if _terms is None:
+        _terms = _context_terms(acts, head, config.ce_scope)
     w = config.entropy_weight
-    l_ce, g_ce, l_aem, g_aem = _grad_parts(acts, head, delta, config)
+    l_ce, g_ce = _context_loss(_terms, head.matrix, delta, grad=True)
+    l_aem, g_aem = _sharpening_loss(head.matrix, acts.last_hidden, delta,
+                                    config.loss_temperature)
     grad = (1.0 - w) * g_ce + w * g_aem
     if config.reg_gamma:
         grad = grad + config.reg_gamma * delta
@@ -264,8 +274,8 @@ def _project(delta, config):
     return delta
 
 
-def _losses_only(acts, head, delta, config):
-    c = loss_ce(acts, head, delta, config.ce_scope)
+def _losses_only(acts, head, delta, config, terms):
+    c = loss_ce(acts, head, delta, config.ce_scope, _terms=terms)
     a = loss_aem(acts, head, delta, config.loss_temperature)
     w = config.entropy_weight
     return (1.0 - w) * c + w * a
@@ -281,9 +291,11 @@ def optimize_delta(acts: PrefixActivations, head: ProjectionHead,
     The direction is norm-clipped at grad_clip; delta is projected back onto
     the trust-region ball after every update. Any non-finite loss aborts the
     whole correction: the caller gets delta = 0 and an abort flag, and decoding
-    proceeds uncorrected.
+    proceeds uncorrected. The context-loss terms, base logits included, are
+    built once and shared by every gradient and every backtracking trial.
     """
     dim = head.hidden_dim
+    terms = _context_terms(acts, head, config.ce_scope)
     delta = np.zeros(dim)
     trajectory: list[HybridLossReport] = []
 
@@ -291,7 +303,7 @@ def optimize_delta(acts: PrefixActivations, head: ProjectionHead,
         return Correction(np.zeros(dim), trajectory,
                           steps_taken=max(0, len(trajectory) - 1), aborted=True)
 
-    grad, report = grad_hybrid(acts, head, delta, config)
+    grad, report = grad_hybrid(acts, head, delta, config, _terms=terms)
     trajectory.append(report)
     if not (math.isfinite(report.l_ce) and math.isfinite(report.l_aem)
             and np.all(np.isfinite(grad))):
@@ -309,7 +321,7 @@ def optimize_delta(acts: PrefixActivations, head: ProjectionHead,
             candidate = None
             for _ in range(_MAX_HALVINGS + 1):
                 trial = _project(delta - step * direction, config)
-                trial_obj = _losses_only(acts, head, trial, config)
+                trial_obj = _losses_only(acts, head, trial, config, terms)
                 if config.reg_gamma:
                     trial_obj += 0.5 * config.reg_gamma * float(trial @ trial)
                 if not math.isfinite(trial_obj):
@@ -321,7 +333,7 @@ def optimize_delta(acts: PrefixActivations, head: ProjectionHead,
             if candidate is None:
                 break  # no non-increasing step inside the budget: stay put
             delta, step, new_obj = candidate
-            grad, report = grad_hybrid(acts, head, delta, config)
+            grad, report = grad_hybrid(acts, head, delta, config, _terms=terms)
             trajectory.append(replace(report, step_size=step))
             if not (math.isfinite(report.l_ce) and math.isfinite(report.l_aem)
                     and np.all(np.isfinite(grad))):
@@ -331,7 +343,7 @@ def optimize_delta(acts: PrefixActivations, head: ProjectionHead,
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 delta = _project(delta - config.learning_rate * direction, config)
-            grad, report = grad_hybrid(acts, head, delta, config)
+            grad, report = grad_hybrid(acts, head, delta, config, _terms=terms)
             trajectory.append(replace(report, step_size=config.learning_rate))
             if not (math.isfinite(report.l_ce) and math.isfinite(report.l_aem)
                     and np.all(np.isfinite(grad))):

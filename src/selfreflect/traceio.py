@@ -119,15 +119,20 @@ def _parse_correction(data) -> CorrectionSummary:
 
 
 def parse_trace(text: str) -> DecodeTrace:
-    lines = [ln for ln in text.split("\n") if ln]
-    if len(lines) < 2:
+    numbered = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln]
+    if len(numbered) < 2:
         raise ConfigError("trace must contain at least a header and a footer")
-    try:
-        records = [json.loads(ln) for ln in lines]
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"trace line is not valid JSON: {exc}") from None
+    records = []
+    for i, ln in numbered:
+        try:
+            rec = json.loads(ln)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"trace line {i} is not valid JSON: {exc}") from None
+        if not isinstance(rec, dict):
+            raise ConfigError(f"trace line {i}: a record must be a JSON object")
+        records.append((i, rec))
 
-    header, footer = records[0], records[-1]
+    (line, header), footer = records[0], records[-1][1]
     if header.get("record") != "header":
         raise ConfigError("first trace record must be the header")
     if header.get("version") != TRACE_VERSION:
@@ -135,30 +140,37 @@ def parse_trace(text: str) -> DecodeTrace:
     if footer.get("record") != "footer":
         raise ConfigError("last trace record must be the footer")
 
-    config = decode_config_from_dict(header["config"], "config")
-    steps = []
-    for rec in records[1:-1]:
-        if rec.get("record") != "step":
-            raise ConfigError(f"unexpected trace record kind: {rec.get('record')!r}")
-        t = rec["trigger"]
-        decision = TriggerDecision(entropy=rec["entropy"], mean=t["mean"], std=t["std"],
-                                   threshold=t["threshold"], fired=t["fired"],
-                                   window_full=t["window_full"])
-        corr = rec.get("correction")
-        steps.append(StepRecord(
-            position=rec["position"], token=rec["token"], entropy=rec["entropy"],
-            trigger=decision, logprob=rec["logprob"], wall_time=rec["wall_time"],
-            correction=None if corr is None else _parse_correction(corr)))
-
-    output = tuple(int(t) for t in footer["output"])
+    try:  # `line` follows the record being read, for the error message
+        config = decode_config_from_dict(header["config"], "config")
+        model_id, prompt, seed = header["model_id"], tuple(header["prompt"]), header["seed"]
+        steps = []
+        for line, rec in records[1:-1]:
+            if rec.get("record") != "step":
+                raise ConfigError(f"unexpected trace record kind: {rec.get('record')!r}")
+            t = rec["trigger"]
+            decision = TriggerDecision(entropy=rec["entropy"], mean=t["mean"], std=t["std"],
+                                       threshold=t["threshold"], fired=t["fired"],
+                                       window_full=t["window_full"])
+            corr = rec.get("correction")
+            steps.append(StepRecord(
+                position=rec["position"], token=rec["token"], entropy=rec["entropy"],
+                trigger=decision, logprob=rec["logprob"], wall_time=rec["wall_time"],
+                correction=None if corr is None else _parse_correction(corr)))
+        line = records[-1][0]
+        output = tuple(int(t) for t in footer["output"])
+        tot = footer["totals"]
+        totals = TraceTotals(n_activations=tot["n_activations"], inner_steps=tot["inner_steps"],
+                             wall_time=tot["wall_time"], baseline_time=tot["baseline_time"])
+    except KeyError as exc:
+        raise ConfigError(f"trace line {line}: missing key {exc.args[0]!r}") from None
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"trace line {line}: malformed record ({exc})") from None
     if len(output) != len(steps) or any(s.token != output[i] for i, s in enumerate(steps)):
         raise ConfigError("trace output does not match its step records")
-    tot = footer["totals"]
-    totals = TraceTotals(n_activations=tot["n_activations"], inner_steps=tot["inner_steps"],
-                         wall_time=tot["wall_time"], baseline_time=tot["baseline_time"])
-    return DecodeTrace(model_id=header["model_id"], prompt=tuple(header["prompt"]),
-                       output=output, steps=steps, totals=totals, config=config,
-                       seed=header["seed"])
+    return DecodeTrace(model_id=model_id, prompt=prompt, output=output, steps=steps,
+                       totals=totals, config=config, seed=seed)
 
 
 def read_trace(path) -> DecodeTrace:

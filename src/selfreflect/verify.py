@@ -37,8 +37,8 @@ from .engine import DecodeConfig, DecodeTrace, SamplingConfig, decode
 from .errors import InputError
 from .harness import build_spike_backend
 from .monitor import TriggerConfig
-from .optimizer import (Correction, ReflectionConfig, loss_aem, loss_ce,
-                        loss_gradients)
+from .optimizer import (Correction, ReflectionConfig, _context_terms, loss_aem,
+                        loss_ce, loss_gradients)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -124,15 +124,8 @@ def prefix_instance(acts: PrefixActivations, head: ProjectionHead,
                     label: str = "prefix") -> LossInstance:
     """The real decode-time losses for one cached prefix, with a vectorized
     batch evaluator built from precomputed base logits."""
-    from .optimizer import ce_positions
-
     w = head.matrix
-    positions = ce_positions(acts, ce_scope)
-    if positions:
-        base = np.stack([acts.hidden[i] for i in positions]) @ w.T
-        targets = np.array([acts.tokens[i + 1] for i in positions])
-    else:
-        base, targets = None, None
+    _, targets, base = _context_terms(acts, head, ce_scope)
     last = w @ acts.last_hidden
     tau = loss_temperature
 
@@ -140,7 +133,7 @@ def prefix_instance(acts: PrefixActivations, head: ProjectionHead,
         shift = deltas @ w.T
         ce = np.zeros(len(deltas))
         if base is not None:
-            for t in range(len(positions)):
+            for t in range(len(base)):
                 z = base[t][None, :] + shift
                 m = z.max(axis=1)
                 lse = np.log(np.exp(z - m[:, None]).sum(axis=1)) + m
@@ -663,15 +656,17 @@ def _paired_overhead(backend, prompt, config, repeats):
 
 
 def run_overhead_suite(seed: int = 0, repeats: int = 5,
-                       vocab_size: int = 512) -> SuiteReport:
+                       vocab_size: int = 1024) -> SuiteReport:
     """Time reflective decodes over a grid of (activation count, inner steps)
     and fit overhead = slope * activations * steps through the origin.
 
     Spike fixtures pin the activation count exactly; the bounded context-loss
     window keeps the per-step optimizer cost flat across the grid, and the
     large vocabulary makes each inner step expensive enough to dwarf timer
-    jitter. Passing needs Pearson r > 0.9, doubling the work roughly doubling
-    the overhead, and a steps=0 configuration costing under 5% of baseline.
+    jitter: with the spike backends' identity head, an inner step costs four
+    V x V matrix-vector products. Passing needs Pearson r > 0.9, doubling the
+    work roughly doubling the overhead, and a steps=0 configuration costing
+    under 5% of baseline.
     """
     started = time.perf_counter()
     spike_counts = (1, 2, 4, 8)

@@ -278,6 +278,35 @@ class TestAnalyze:
                            "--report", "entropy")
         assert code == 2
 
+    @staticmethod
+    def _damaged(trace_dir, tmp_path, damage):
+        """A copy of one trace whose record list `damage` edits in place;
+        records[i] is line i + 1 of the file."""
+        lines = (trace_dir / "s1.jsonl").read_text().splitlines()
+        records = [json.loads(ln) for ln in lines]
+        damage(records)
+        path = tmp_path / "damaged.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        return path
+
+    def test_step_without_trigger_is_a_config_error(self, capsys, trace_dir, tmp_path):
+        path = self._damaged(trace_dir, tmp_path, lambda recs: recs[3].pop("trigger"))
+        code, out, err = run(capsys, "analyze", "--traces", str(path),
+                             "--report", "entropy")
+        assert code == 2 and out == ""
+        assert "trace line 4" in err and "'trigger'" in err
+        assert "Traceback" not in err
+
+    def test_footer_without_inner_steps_is_a_config_error(self, capsys, trace_dir, tmp_path):
+        path = self._damaged(trace_dir, tmp_path,
+                             lambda recs: recs[-1]["totals"].pop("inner_steps"))
+        n_lines = len(path.read_text().splitlines())
+        code, out, err = run(capsys, "analyze", "--traces", str(path),
+                             "--report", "overhead")
+        assert code == 2 and out == ""
+        assert f"trace line {n_lines}" in err and "'inner_steps'" in err
+        assert "Traceback" not in err
+
 
 class TestMakeBackend:
     def test_attention_backend_round_trips(self, capsys, tmp_path):

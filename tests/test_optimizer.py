@@ -1,10 +1,12 @@
 """Hybrid loss, analytic gradients, the inner descent loop, weight adaptation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import selfreflect.optimizer as optimizer
 from selfreflect import (AdaptiveWeightConfig, InputError, MarkovBackend,
                          PrefixActivations, ProjectionHead, ReflectionConfig,
                          adapt_lambda, ce_positions, grad_hybrid, loss_aem,
@@ -272,6 +274,106 @@ class TestOptimizeDelta:
         cfg = ReflectionConfig(entropy_weight=1.0, steps=5, backtracking=True)
         corr = optimize_delta(acts, head, cfg)
         assert corr.steps_taken <= 1 and not corr.aborted
+
+
+def reference_optimize(acts, head, config):
+    """optimize_delta's loop (no trust region, no ridge term) written with
+    public grad_hybrid/loss_ce/loss_aem calls, each of which builds its own
+    context-loss terms."""
+    w = config.entropy_weight
+    delta = np.zeros(head.hidden_dim)
+    grad, report = grad_hybrid(acts, head, delta, config)
+    trajectory = [report]
+    for _ in range(config.steps):
+        direction = grad
+        n = float(np.linalg.norm(direction))
+        if config.grad_clip is not None and n > config.grad_clip:
+            direction = direction * (config.grad_clip / n)
+        step = config.learning_rate
+        if config.backtracking:
+            current = report.f_lambda
+            for _ in range(21):
+                trial = delta - step * direction
+                trial_obj = ((1.0 - w) * loss_ce(acts, head, trial, config.ce_scope)
+                             + w * loss_aem(acts, head, trial, config.loss_temperature))
+                if trial_obj <= current:
+                    break
+                step *= 0.5
+            else:
+                break
+            delta = trial
+        else:
+            delta = delta - step * direction
+        grad, report = grad_hybrid(acts, head, delta, config)
+        trajectory.append(replace(report, step_size=step))
+        if config.backtracking and current - trial_obj <= 1e-12:
+            break
+    return delta, trajectory
+
+
+SCOPES = ("full-prefix", "generated-only", "last-3")
+
+
+class TestSharedContextTerms:
+    """optimize_delta builds the context-loss terms once and shares them; the
+    result must be the same, bit for bit, as recomputing them at every call."""
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    @pytest.mark.parametrize("backtracking", [False, True])
+    def test_trajectory_equals_uncached_reference(self, scope, backtracking):
+        rng = np.random.default_rng(2 * SCOPES.index(scope) + backtracking)
+        for _ in range(4):
+            acts, head = random_case(rng, 6, 11, 9)
+            acts = make_acts(acts.hidden, acts.tokens, prompt_len=4)
+            cfg = ReflectionConfig(entropy_weight=0.3, steps=5, learning_rate=3.0,
+                                   ce_scope=scope, backtracking=backtracking)
+            corr = optimize_delta(acts, head, cfg)
+            delta, trajectory = reference_optimize(acts, head, cfg)
+            assert not corr.aborted
+            assert corr.trajectory == trajectory
+            assert corr.delta.tobytes() == delta.tobytes()
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    def test_loss_ce_equals_grad_hybrid_report(self, scope):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            acts, head = random_case(rng, 5, 8, 7)
+            acts = make_acts(acts.hidden, acts.tokens, prompt_len=3)
+            delta = rng.standard_normal(5)
+            _, report = grad_hybrid(acts, head, delta, ReflectionConfig(ce_scope=scope))
+            assert loss_ce(acts, head, delta, scope) == report.l_ce
+
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    def test_base_projection_once_per_correction(self, monkeypatch, steps):
+        built, trials = [], []
+        build, trial = optimizer._context_terms, optimizer.loss_ce
+
+        def counting_build(*args):
+            built.append(1)
+            return build(*args)
+
+        def counting_trial(*args, **kwargs):
+            trials.append(1)
+            return trial(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "_context_terms", counting_build)
+        monkeypatch.setattr(optimizer, "loss_ce", counting_trial)
+        rng = np.random.default_rng(31)
+        acts, head = random_case(rng, 4, 9, 8)
+        # a long first step forces backtracking to halve, so trials outnumber steps
+        cfg = ReflectionConfig(steps=steps, learning_rate=50.0, backtracking=True)
+        corr = optimize_delta(acts, head, cfg)
+        assert not corr.aborted
+        assert len(built) == 1
+        assert len(trials) > corr.steps_taken or steps == 0
+
+    def test_loss_gradients_validates_its_arguments(self):
+        acts = make_acts(np.zeros((3, 2)), (0, 1, 0))
+        head = ProjectionHead(np.eye(2))
+        with pytest.raises(InputError):
+            loss_gradients(acts, head, np.zeros(2), ce_scope="last-0")
+        with pytest.raises(InputError):
+            loss_gradients(acts, head, np.zeros(2), loss_temperature=0.0)
 
 
 class TestAdaptiveWeight:
