@@ -20,7 +20,7 @@ from .optimizer import (AdaptiveWeightConfig, Correction, HybridLossReport,
                         optimize_delta, parse_ce_scope)
 from .engine import (CorrectionSummary, DecodeConfig, DecodeTrace,
                      SamplingConfig, StepRecord, TraceTotals, decode,
-                     nucleus_distribution, sample)
+                     decode_batch, nucleus_distribution, sample)
 from .config import (RunConfig, decode_config_from_dict, decode_config_to_dict,
                      load_run_config, run_config_from_dict)
 from .traceio import (TRACE_VERSION, parse_trace, read_trace, replay_form,
@@ -58,7 +58,7 @@ __all__ = [
     "backend_from_dict", "backend_to_dict", "build_spike_backend",
     "build_toy_backend", "ce_positions", "check_joint_descent",
     "check_overhead_model", "check_theorem1", "check_tradeoff_bounds",
-    "cons_at_k", "corpus_backend", "critical_tokens", "decode",
+    "cons_at_k", "corpus_backend", "critical_tokens", "decode", "decode_batch",
     "decode_config_from_dict", "decode_config_to_dict", "default_grid",
     "derive_seed", "entropy", "entropy_from_logits", "export_pareto",
     "extract_answer", "gen_corpus", "golden_min", "grad_hybrid",

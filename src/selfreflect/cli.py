@@ -176,7 +176,9 @@ def cmd_bench(args) -> int:
                 "avg_at_k": m.avg_at_k, "pass_at_k": m.pass_at_k,
                 "cons_at_k": m.cons_at_k, "activations": m.activations,
                 "inner_steps": m.inner_steps, "wall_time": m.wall_time,
-                "errors": sum(t.errors for t in m.results)}
+                "errors": sum(t.errors for t in m.results),
+                "first_errors": {t.task_id: t.first_error for t in m.results
+                                 if t.first_error is not None}}
         with open(out_dir / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")

@@ -7,6 +7,13 @@ optimize a transient correction vector and add it to the current hidden state
 for this step's sampling only; the vector is discarded afterwards and cached
 states are never modified, so later steps see the unmodified model. The step's
 pre-correction entropy enters the window after the trigger was consulted.
+
+One loop serves every decode: `decode_batch` advances many decodes in
+lock-step, and `decode` is its one-row case. Logits, entropies, trigger
+statistics, sampling and log-probabilities are array operations over the
+rows, each reducing every row on its own in the order the one-row formulas
+use, so a row's trace does not depend on the rows beside it. Corrections,
+backend appends and random draws stay per row.
 """
 
 from __future__ import annotations
@@ -17,12 +24,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .backends import ModelBackend, logits_at
+from .backends import ModelBackend, PrefixActivations, logits_at
 from .errors import InputError
-from .monitor import EntropyWindow, TriggerConfig, TriggerDecision, should_trigger
+from .monitor import EntropyWindows, TriggerConfig, TriggerDecision, trigger_rows
 from .optimizer import (Correction, HybridLossReport, ReflectionConfig,
                         adapt_lambda, optimize_delta)
-from .utils import entropy_from_logits, log_softmax, softmax
+from .utils import softmax
+# The decode loop computes these on row blocks; the one-row functions stay
+# importable from here because perfbench/tracing.py wraps these names.
+from .monitor import should_trigger  # noqa: F401
+from .utils import entropy_from_logits, log_softmax  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -61,17 +72,57 @@ class DecodeConfig:
             raise InputError("seed must be a non-negative integer")
 
 
+def _nucleus_rows(probs: np.ndarray, top_p: float):
+    """The nucleus filter of each row of a (rows, V) probability block.
+
+    Returns each row's ids in descending probability (equal probabilities by
+    ascending id), their probabilities renormalized over the row's support,
+    and the support sizes; entries of row r from size[r] on are outside it.
+    """
+    rows = np.arange(len(probs))
+    order = (-probs).argsort(axis=1, kind="stable")
+    kept = probs[rows[:, None], order]
+    cum = np.add.accumulate(kept, axis=1)  # np.cumsum, without its wrapper
+    # searchsorted(cum, top_p, "left") of each row; a float shortfall when
+    # top_p ~ 1 keeps the whole row
+    size = np.minimum(np.add.reduce(cum < top_p, axis=1), probs.shape[1] - 1) + 1
+    # np.sum adds fewer than 8 terms left to right, exactly as cumsum does;
+    # a longer support is summed on its own in numpy's pairwise order
+    total = cum[rows, size - 1]
+    if size.max() >= 8:
+        for r in np.flatnonzero(size >= 8):
+            total[r] = kept[r, :size[r]].sum()
+    return order, kept / total[:, None], size
+
+
 def nucleus_distribution(probs, top_p: float) -> tuple[np.ndarray, np.ndarray]:
     """Support ids and renormalized probabilities of the nucleus filter."""
     p = np.asarray(probs, dtype=np.float64)
-    order = np.argsort(-p, kind="stable")  # descending prob, equal probs by ascending id
-    cum = np.cumsum(p[order])
-    cut = int(np.searchsorted(cum, top_p, side="left"))
-    if cut >= len(order):  # float shortfall when top_p ~ 1
-        cut = len(order) - 1
-    support = order[: cut + 1]
-    kept = p[support]
-    return support, kept / kept.sum()
+    order, kept, size = _nucleus_rows(p[None], top_p)
+    return order[0, :size[0]], kept[0, :size[0]]
+
+
+def _nucleus_draw(probs: np.ndarray, top_p: float, draws) -> np.ndarray:
+    """One token per row: the first support id whose cumulative renormalized
+    probability exceeds the row's uniform draw (the last one on a shortfall)."""
+    tokens = probs.argmax(axis=1)
+    # a row whose top probability reaches top_p keeps only its argmax
+    open_rows = np.flatnonzero(probs.max(axis=1) < top_p)
+    if len(open_rows):
+        order, kept, size = _nucleus_rows(probs[open_rows], top_p)
+        # cum never decreases along a row, so counting past the support only
+        # happens when the whole support counts, and the clip below undoes it
+        cum = np.add.accumulate(kept, axis=1)
+        idx = np.add.reduce(cum <= np.asarray(draws)[open_rows, None], axis=1)
+        tokens[open_rows] = order[np.arange(len(open_rows)), np.minimum(idx, size - 1)]
+    return tokens
+
+
+def _check_logits(z: np.ndarray) -> None:
+    if np.any(np.isnan(z)):
+        raise InputError("logits must not contain NaN")
+    if np.max(z) == -math.inf:
+        raise InputError("cannot sample: all logits are -inf")
 
 
 def sample(logits, sampling: SamplingConfig, rng: np.random.Generator) -> int:
@@ -79,19 +130,11 @@ def sample(logits, sampling: SamplingConfig, rng: np.random.Generator) -> int:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1 or z.size < 1:
         raise InputError("logits must be a non-empty 1-d vector")
-    if np.any(np.isnan(z)):
-        raise InputError("logits must not contain NaN")
-    if np.max(z) == -math.inf:
-        raise InputError("cannot sample: all logits are -inf")
+    _check_logits(z)
     if sampling.mode == "greedy":
         return int(np.argmax(z))
     p = softmax(z, sampling.temperature)
-    support, kept = nucleus_distribution(p, sampling.top_p)
-    cum = np.cumsum(kept)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    if idx >= len(support):
-        idx = len(support) - 1
-    return int(support[idx])
+    return int(_nucleus_draw(p[None], sampling.top_p, [rng.random()])[0])
 
 
 @dataclass
@@ -154,80 +197,246 @@ def _summarize(corr: Correction, weight: float, opt_time: float) -> CorrectionSu
     )
 
 
+class _Row:
+    """One decode of a batch: its prefix, random stream, adaptive weight, and
+    the trace it is building."""
+
+    __slots__ = ("config", "prompt", "acts", "rng", "weight", "steps", "output",
+                 "activations", "inner_steps", "wall")
+
+    def __init__(self, backend: ModelBackend, prompt, config: DecodeConfig):
+        if config.eos_token is not None and not 0 <= config.eos_token < backend.vocab.size:
+            raise InputError(f"eos_token {config.eos_token} out of range")
+        prompt = tuple(prompt)
+        longest = len(prompt) + config.max_tokens - 1  # the last token is never appended
+        if backend.max_len is not None and longest > backend.max_len:
+            raise InputError(f"a prompt of {len(prompt)} tokens plus max_tokens {config.max_tokens} "
+                             f"needs prefixes of {longest} tokens, beyond max_len {backend.max_len}")
+        self.config = config
+        self.acts: PrefixActivations = backend.forward_prefix(prompt)
+        self.prompt = self.acts.tokens
+        self.rng = np.random.default_rng(config.seed)
+        self.weight = config.reflection.entropy_weight
+        self.steps: list[StepRecord] = []
+        self.output: list[int] = []
+        self.activations = 0
+        self.inner_steps = 0
+        self.wall = 0.0
+
+    def correct(self, head, reflection: ReflectionConfig):
+        """Run this step's correction: its summary, and the corrected logits
+        (None when nothing changes the step's logits)."""
+        self.activations += 1
+        weight = self.weight
+        refl = replace(reflection, entropy_weight=weight)
+        if refl.steps == 0:
+            # monitor-only fast path: delta stays 0, skip the loss machinery
+            return CorrectionSummary(
+                steps_taken=0, aborted=False, entropy_weight=weight,
+                delta_norm=0.0, final_l_ce=None, final_l_aem=None,
+                final_f_lambda=None, opt_wall_time=0.0), None
+        t_opt = time.perf_counter()
+        corr = optimize_delta(self.acts, head, refl)
+        summary = _summarize(corr, weight, time.perf_counter() - t_opt)
+        self.inner_steps += corr.steps_taken
+        if corr.aborted:
+            return summary, None
+        if refl.adaptive is not None and corr.trajectory:
+            self.weight = adapt_lambda(refl, corr.trajectory[-1].l_ce)
+        return summary, logits_at(head, self.acts.last_hidden, corr.delta)
+
+    def trace(self, backend: ModelBackend) -> DecodeTrace:
+        totals = TraceTotals(n_activations=self.activations, inner_steps=self.inner_steps,
+                             wall_time=self.wall)
+        return DecodeTrace(model_id=backend.model_id, prompt=self.prompt,
+                           output=tuple(self.output), steps=self.steps, totals=totals,
+                           config=self.config, seed=self.config.seed)
+
+
+class _Scaled:
+    """Each row of a logit block divided by a temperature and shifted by its
+    maximum, with the exps, their row sums and math.log of those sums: the
+    intermediates of utils.softmax and utils.log_softmax, row by row. A row
+    whose maximum is not finite is marked not ok; its entries are undefined."""
+
+    __slots__ = ("z", "temperature", "shifted", "exp", "sums", "log_sums", "ok")
+
+    def __init__(self, z: np.ndarray, temperature: float):
+        self.z = z
+        self.temperature = temperature
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted = z / float(temperature)
+            peak = shifted.max(axis=1)
+            shifted -= peak[:, None]
+            self.exp = np.exp(shifted)
+        self.shifted = shifted
+        self.ok = np.isfinite(peak)
+        self.sums = self.exp.sum(axis=1)
+        # math.log, as log_softmax takes it: np.log need not round the same way
+        self.log_sums = np.array([math.log(v) if v > 0 else math.nan
+                                  for v in self.sums.tolist()])
+
+    def entropy(self) -> np.ndarray:
+        """utils.entropy_from_logits of every row (NaN for rows not ok)."""
+        with np.errstate(invalid="ignore"):
+            ls = self.shifted - self.log_sums[:, None]
+            p = np.exp(ls)
+            out = -np.where(p > 0.0, p * ls, 0.0).sum(axis=1)
+        out[~self.ok] = math.nan
+        return out
+
+    def probs(self) -> np.ndarray:
+        """utils.softmax of every row."""
+        return self.exp / self.sums[:, None]
+
+    def log_prob(self, tokens: np.ndarray) -> np.ndarray:
+        """utils.log_softmax of every row, at one token per row."""
+        return self.shifted[np.arange(len(tokens)), tokens] - self.log_sums
+
+
+def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
+    """Decode several (prompt, DecodeConfig) runs in lock-step, one row each.
+
+    Rows may differ in prompt, seed, max_tokens and eos_token; every other
+    config field must be shared, or InputError is raised. Each row stops on
+    its own at EOS or max_tokens, and its trace equals what the row's decode
+    alone records, timings aside. A row's step wall_time is its equal share of
+    the lock-step step plus its own correction time.
+
+    Returns one entry per run, in order: its DecodeTrace, or the exception
+    that ended it, which is what decode raises for that run alone. A failing
+    row stops alone; the other rows continue.
+    """
+    runs = list(runs)
+    if not runs:
+        raise InputError("decode_batch needs at least one run")
+    if not all(isinstance(config, DecodeConfig) for _, config in runs):
+        raise InputError("each run must be a (prompt, DecodeConfig) pair")
+    shared = runs[0][1]
+    for _, config in runs:
+        if (config.trigger, config.reflection, config.sampling, config.reflect) != \
+                (shared.trigger, shared.reflection, shared.sampling, shared.reflect):
+            raise InputError("batched runs may differ only in seed, max_tokens and eos_token")
+
+    results: list[DecodeTrace | Exception] = [None] * len(runs)
+    rows: list[_Row] = []
+    slots: list[int] = []  # rows[i] decodes runs[slots[i]]
+    for index, (prompt, config) in enumerate(runs):
+        try:
+            rows.append(_Row(backend, prompt, config))
+            slots.append(index)
+        except Exception as exc:
+            results[index] = exc
+
+    head = backend.head
+    trigger = shared.trigger
+    windows = EntropyWindows(len(rows), trigger.window_size)
+    while rows:
+        t_step = time.perf_counter()
+        n = len(rows)
+        z = np.empty((n, head.vocab_size))
+        for i, row in enumerate(rows):
+            z[i] = head.matrix @ row.acts.last_hidden  # per-row gemv: a gemm may round differently
+        monitored = _Scaled(z, trigger.temperature)
+        entropy = monitored.entropy()
+        mean, std, threshold, fired = trigger_rows(windows, entropy, trigger)
+        failed: dict[int, Exception] = {}
+        if not monitored.ok.all():
+            for i in np.flatnonzero(~monitored.ok).tolist():
+                failed[i] = InputError("step entropy must be finite")
+        summaries: dict[int, CorrectionSummary] = {}
+        own: dict[int, float] = {}  # seconds each correcting row spent on its own
+        if not shared.reflect:
+            fired[:] = False
+        elif fired.any():
+            z = z.copy()  # the sampling logits; monitored keeps the uncorrected block
+            for i in np.flatnonzero(fired).tolist():
+                t_corr = time.perf_counter()
+                try:
+                    summaries[i], z_fix = rows[i].correct(head, shared.reflection)
+                    if z_fix is not None:
+                        _check_logits(z_fix)
+                        z[i] = z_fix
+                except Exception as exc:
+                    failed[i] = exc
+                own[i] = time.perf_counter() - t_corr
+        tokens, logprob = _sample_rows(z, monitored, rows, failed, shared.sampling)
+
+        stepped = max(n - len(failed), 1)  # rows that record this step
+        corrections = sum(own.values())
+        share = (time.perf_counter() - t_step - corrections) / stepped
+        columns = zip(rows, tokens, logprob, entropy.tolist(), mean.tolist(), std.tolist(),
+                      threshold.tolist(), fired.tolist())
+        for i, (row, token, lp, h, m, sd, thr, fire) in enumerate(columns):
+            if i in failed:
+                continue
+            row.steps.append(StepRecord(
+                position=len(row.output), token=token, entropy=h,
+                trigger=TriggerDecision(entropy=h, mean=m, std=sd, threshold=thr,
+                                        fired=fire, window_full=windows.full),
+                logprob=lp, wall_time=share + own.get(i, 0.0), correction=summaries.get(i)))
+            row.output.append(token)
+        windows.push(entropy)  # pre-correction entropies, after consultation
+
+        finished = []
+        for i, (row, token) in enumerate(zip(rows, tokens)):
+            if i in failed:
+                continue
+            if token == row.config.eos_token or len(row.output) >= row.config.max_tokens:
+                finished.append(i)
+                continue
+            try:
+                row.acts = backend.append_token(row.acts, token)
+            except Exception as exc:
+                failed[i] = exc
+        share = (time.perf_counter() - t_step - corrections) / stepped
+        for i, row in enumerate(rows):
+            row.wall += share + own.get(i, 0.0)
+
+        if finished or failed:
+            for i in finished:
+                results[slots[i]] = rows[i].trace(backend)
+            for i, exc in failed.items():
+                results[slots[i]] = exc
+            live = np.ones(n, dtype=bool)
+            live[finished + list(failed)] = False
+            windows.keep(live)
+            rows = [row for row, alive in zip(rows, live) if alive]
+            slots = [slot for slot, alive in zip(slots, live) if alive]
+    return results
+
+
+def _sample_rows(z: np.ndarray, monitored: _Scaled, rows: list[_Row], failed: dict,
+                 sampling: SamplingConfig) -> tuple[list[int], list[float]]:
+    """sample() and the log-probability of the sampled token, for every row of
+    the sampling logits z; rows in `failed` draw no randomness. The monitor's
+    intermediates are reused when they are the ones sampling needs."""
+    greedy = sampling.mode == "greedy"
+    temperature = 1.0 if greedy else sampling.temperature
+    scaled = monitored
+    if failed or z is not monitored.z or temperature != monitored.temperature:
+        if failed:
+            z = z.copy()
+            z[list(failed)] = 0.0  # keeps the block finite; these rows are dropped
+        scaled = _Scaled(z, temperature)
+    if greedy:
+        tokens = z.argmax(axis=1)
+    else:
+        draws = [0.0 if i in failed else row.rng.random() for i, row in enumerate(rows)]
+        tokens = _nucleus_draw(scaled.probs(), sampling.top_p, draws)
+    return tokens.tolist(), scaled.log_prob(tokens).tolist()
+
+
 def decode(backend: ModelBackend, prompt, config: DecodeConfig) -> DecodeTrace:
     """Generate until EOS or max_tokens, recording one StepRecord per token.
 
-    With reflect=False the monitor still runs (entropies and thresholds are
-    recorded) but the trigger is disabled: decisions carry fired=False, no
-    corrections happen, and token-for-token output matches plain sampling
-    under the same seed since randomness is only consumed by sample().
+    The one-row case of decode_batch. With reflect=False the monitor still
+    runs (entropies and thresholds are recorded) but the trigger is disabled:
+    decisions carry fired=False, no corrections happen, and token-for-token
+    output matches plain sampling under the same seed since randomness is only
+    consumed by sampling.
     """
-    if config.eos_token is not None and not 0 <= config.eos_token < backend.vocab.size:
-        raise InputError(f"eos_token {config.eos_token} out of range")
-    prompt = tuple(prompt)
-    longest = len(prompt) + config.max_tokens - 1  # the last token is never appended
-    if backend.max_len is not None and longest > backend.max_len:
-        raise InputError(f"a prompt of {len(prompt)} tokens plus max_tokens {config.max_tokens} "
-                         f"needs prefixes of {longest} tokens, beyond max_len {backend.max_len}")
-    head = backend.head
-    acts = backend.forward_prefix(prompt)
-    window = EntropyWindow(config.trigger.window_size)
-    rng = np.random.default_rng(config.seed)
-    weight = config.reflection.entropy_weight
-    lp_temp = (config.sampling.temperature
-               if config.sampling.mode == "temperature" else 1.0)
-
-    steps: list[StepRecord] = []
-    output: list[int] = []
-    activations = 0
-    inner_steps = 0
-    t_start = time.perf_counter()
-
-    while True:
-        t_step = time.perf_counter()
-        z = logits_at(head, acts.last_hidden)
-        step_entropy = entropy_from_logits(z, config.trigger.temperature)
-        decision = should_trigger(window, step_entropy, config.trigger)
-        if decision.fired and not config.reflect:
-            decision = replace(decision, fired=False)
-
-        summary = None
-        z_sample = z
-        if decision.fired:
-            activations += 1
-            refl = replace(config.reflection, entropy_weight=weight)
-            if refl.steps == 0:
-                # monitor-only fast path: delta stays 0, skip the loss machinery
-                summary = CorrectionSummary(
-                    steps_taken=0, aborted=False, entropy_weight=weight,
-                    delta_norm=0.0, final_l_ce=None, final_l_aem=None,
-                    final_f_lambda=None, opt_wall_time=0.0)
-            else:
-                t_opt = time.perf_counter()
-                corr = optimize_delta(acts, head, refl)
-                opt_time = time.perf_counter() - t_opt
-                summary = _summarize(corr, weight, opt_time)
-                inner_steps += corr.steps_taken
-                if not corr.aborted:
-                    z_sample = logits_at(head, acts.last_hidden, corr.delta)
-                    if refl.adaptive is not None and corr.trajectory:
-                        weight = adapt_lambda(refl, corr.trajectory[-1].l_ce)
-
-        token = sample(z_sample, config.sampling, rng)
-        logprob = float(log_softmax(z_sample, lp_temp)[token])
-        steps.append(StepRecord(
-            position=len(output), token=token, entropy=step_entropy,
-            trigger=decision, logprob=logprob,
-            wall_time=time.perf_counter() - t_step, correction=summary))
-        output.append(token)
-        window.observe(step_entropy)  # pre-correction entropy, after consultation
-
-        if token == config.eos_token or len(output) >= config.max_tokens:
-            break
-        acts = backend.append_token(acts, token)
-
-    totals = TraceTotals(n_activations=activations, inner_steps=inner_steps,
-                         wall_time=time.perf_counter() - t_start)
-    return DecodeTrace(model_id=backend.model_id, prompt=acts.tokens[:acts.prompt_len],
-                       output=tuple(output), steps=steps, totals=totals,
-                       config=config, seed=config.seed)
+    result, = decode_batch(backend, [(prompt, config)])
+    if isinstance(result, Exception):
+        raise result
+    return result

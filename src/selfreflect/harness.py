@@ -26,7 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .backends import MarkovBackend, ModelBackend, ScriptedBackend, VocabSpec
-from .engine import DecodeConfig, DecodeTrace, decode
+from .engine import DecodeConfig, DecodeTrace, decode_batch
+from .engine import decode  # noqa: F401  (perfbench/tracing.py patches harness.decode)
 from .errors import ConfigError, InputError
 from .utils import two_point_logits
 
@@ -37,6 +38,11 @@ _RECALL_SLOT = 4
 _RECALL_CHAIN_START = 5
 _RECALL_REPEATS = 5
 _RECALL_SMOOTHING = 1e-9
+
+# The most samples run_benchmark decodes at once. A wider batch spreads each
+# lock-step step's fixed cost over more rows; the cap bounds the live prefixes
+# held in memory.
+_LIVE_ROWS = 64
 
 _MOD_BASE = 10
 _MOD_ADD = 10
@@ -313,6 +319,7 @@ class TaskResult:
     vote_correct: bool
     seeds: list[int]
     errors: int = 0
+    first_error: str | None = None  # "<type>: <message>" of the first failed sample
 
 
 @dataclass
@@ -349,8 +356,10 @@ def run_benchmark(backend: ModelBackend, tasks, config: DecodeConfig, k: int,
 
     `seeds` gives one base seed per sample index (defaults to 0..k-1); the
     per-decode seed is derived from (seeds[j], task_index) so arms sharing
-    `seeds` are paired sample-for-sample. A decode failure counts as an
-    invalid sample rather than killing the run.
+    `seeds` are paired sample-for-sample. Samples are decoded in lock-step
+    batches of at most _LIVE_ROWS rows, in task-then-sample order. A decode
+    that raises any Exception counts as an invalid sample rather than killing
+    the run; the task keeps the first such error's message.
     """
     tasks = list(tasks)
     if not tasks:
@@ -367,43 +376,48 @@ def run_benchmark(backend: ModelBackend, tasks, config: DecodeConfig, k: int,
     if arm is None:
         arm = "reflect" if reflect else "baseline"
 
-    results: list[TaskResult] = []
     traces: list[tuple[str, int, DecodeTrace]] = []
     activations = 0
     inner_steps = 0
     started = time.perf_counter()
 
+    runs = []  # (task index, sample index, prompt, config), task by task
+    used_seeds: list[list[int]] = []
     for index, task in enumerate(tasks):
-        extracted_list: list[tuple[int, ...] | None] = []
-        correct: list[bool] = []
-        used_seeds: list[int] = []
-        errors = 0
-        for j in range(k):
-            run_seed = derive_seed(seeds[j], index)
-            used_seeds.append(run_seed)
+        used_seeds.append([derive_seed(s, index) for s in seeds])
+        for j, run_seed in enumerate(used_seeds[index]):
             run_config = replace(config, seed=run_seed, reflect=reflect)
             if task.max_tokens is not None:
                 run_config = replace(run_config, max_tokens=task.max_tokens)
-            try:
-                trace = decode(backend, task.prompt, run_config)
-            except (InputError, FloatingPointError):
-                errors += 1
-                extracted_list.append(None)
-                correct.append(False)
+            runs.append((index, j, task.prompt, run_config))
+    extracted: list[list] = [[] for _ in tasks]
+    failures: list[list[str]] = [[] for _ in tasks]
+    for start in range(0, len(runs), _LIVE_ROWS):
+        chunk = runs[start:start + _LIVE_ROWS]
+        outcomes = decode_batch(backend, [(prompt, cfg) for _, _, prompt, cfg in chunk])
+        for (index, j, _, _), trace in zip(chunk, outcomes):
+            if isinstance(trace, Exception):
+                extracted[index].append(None)
+                failures[index].append(f"{type(trace).__name__}: {trace}")
                 continue
-            extracted = extract_answer(trace.output, task.alphabet)
-            extracted_list.append(extracted)
-            correct.append(extracted == task.answer)
+            extracted[index].append(extract_answer(trace.output, tasks[index].alphabet))
             activations += trace.totals.n_activations
             inner_steps += trace.totals.inner_steps
             if keep_traces:
-                traces.append((task.task_id, j, trace))
-        vote = plurality_vote(extracted_list)
+                traces.append((tasks[index].task_id, j, trace))
+
+    results: list[TaskResult] = []
+    for index, task in enumerate(tasks):
+        truth = _vote_key(task.answer)
+        samples = [_vote_key(e) for e in extracted[index]]
+        vote = plurality_vote(extracted[index])
         results.append(TaskResult(
-            task_id=task.task_id, answer=_vote_key(task.answer),
-            samples=[_vote_key(e) for e in extracted_list], correct=correct,
-            vote=vote, vote_correct=vote == _vote_key(task.answer),
-            seeds=used_seeds, errors=errors))
+            task_id=task.task_id, answer=truth, samples=samples,
+            correct=[e == task.answer for e in extracted[index]],
+            vote=vote, vote_correct=vote == truth,
+            seeds=used_seeds[index],
+            errors=len(failures[index]),
+            first_error=failures[index][0] if failures[index] else None))
 
     outcomes = [r.correct for r in results]
     metrics = RunMetrics(

@@ -97,6 +97,62 @@ class EntropyWindow:
         return float(np.std(self._buf))
 
 
+class EntropyWindows:
+    """The entropy windows of a batch of decodes that advance in lock-step.
+
+    Every row receives one entropy per step, so all windows hold the same
+    number of entries. Row r holds them right-aligned in values[r], oldest
+    first: the entries an EntropyWindow would hold, in the same order, so each
+    row's statistics reduce the same numbers in numpy's same summation order
+    and equal EntropyWindow.mean()/std() bit for bit. Columns left of the
+    filled part are never read: a sum over them would change that order.
+    """
+
+    def __init__(self, rows: int, capacity: int):
+        if capacity < 2:
+            raise InputError("window capacity must be at least 2")
+        self.capacity = int(capacity)
+        self.values = np.zeros((rows, self.capacity))
+        self.count = 0
+
+    @property
+    def full(self) -> bool:
+        return self.count == self.capacity
+
+    def push(self, entropies) -> None:
+        """Append one entropy per row, evicting each row's oldest when full."""
+        v = self.values
+        v[:, :-1] = v[:, 1:]
+        v[:, -1] = entropies
+        self.count = min(self.count + 1, self.capacity)
+
+    def keep(self, rows) -> None:
+        """Drop every row not selected by the boolean mask `rows`."""
+        self.values = self.values[rows]
+
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and population std of each row's window, NaN while empty."""
+        n = self.count
+        if n == 0:
+            mean = np.full(len(self.values), math.nan)
+            return mean, mean.copy()
+        block = self.values[:, -n:]
+        mean = block.sum(axis=1) / n
+        dev = block - mean[:, None]
+        dev *= dev
+        return mean, np.sqrt(dev.sum(axis=1) / n)
+
+
+def trigger_rows(windows: EntropyWindows, entropies: np.ndarray, config: TriggerConfig):
+    """should_trigger for every row of a batch at once: each row's window
+    mean, std, threshold and fired flag, equal to what should_trigger
+    decides for that row's window and entropy (window_full is windows.full)."""
+    mean, std = windows.moments()
+    threshold = mean + config.sensitivity * std
+    fired = entropies > threshold if windows.full else np.zeros(len(entropies), dtype=bool)
+    return mean, std, threshold, fired
+
+
 def should_trigger(window: EntropyWindow, step_entropy: float,
                    config: TriggerConfig) -> TriggerDecision:
     """Consult the trigger for the current step. Never inserts step_entropy:

@@ -171,6 +171,20 @@ class TestBench:
         assert run(capsys, *rerun_args)[0] == 0
         assert (rerun_dir / "metrics.csv").read_text() == metrics
 
+    def test_summary_names_each_failing_tasks_first_error(self, capsys, tmp_path, spike_file):
+        # a one-spike script is 40 steps long; two-spike tasks decode 70 tokens
+        backend_path, length = spike_file
+        out_dir = tmp_path / "results"
+        code, _, _ = run(capsys, "bench", "--corpus", "spike-fixture:count=2:difficulty=2",
+                         "--backend", backend_path, "--k", "2", "--out", str(out_dir))
+        assert code == 1
+        arm = json.loads((out_dir / "summary.json").read_text())["arms"]["reflect"]
+        assert arm["errors"] == 4
+        assert arm["first_errors"] == {
+            f"spike-fixture-0-000{i}":
+                f"InputError: no scripted hidden state for prefix of length {length + 1}"
+            for i in range(2)}
+
     def test_baseline_only_arm(self, capsys):
         code, out, _ = run(capsys, "bench", "--corpus",
                            "modular-chain:count=2", "--k", "1", "--no-reflect")
