@@ -150,6 +150,8 @@ def gen_corpus(family: str, seed: int, count: int, difficulty: int = 1) -> list[
         raise InputError("count must be at least 1")
     if difficulty < 0 or int(difficulty) != difficulty:
         raise InputError("difficulty must be a non-negative integer")
+    if seed < 0 or int(seed) != seed:
+        raise InputError("corpus seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     tasks: list[Task] = []
 
@@ -250,6 +252,8 @@ def parse_corpus_spec(spec: str) -> tuple[str, dict]:
             options[key] = int(value)
         except ValueError:
             raise ConfigError(f"corpus option {key!r} needs an integer, got {value!r}")
+    if options.get("seed", 0) < 0:
+        raise ConfigError(f"corpus option 'seed' must be non-negative, got {options['seed']}")
     return family, options
 
 

@@ -37,8 +37,11 @@ from .engine import DecodeConfig, DecodeTrace, SamplingConfig, decode
 from .errors import InputError
 from .harness import build_spike_backend
 from .monitor import TriggerConfig
-from .optimizer import (Correction, ReflectionConfig, _context_terms, loss_aem,
-                        loss_ce, loss_gradients)
+# loss_gradients is not called here; it stays importable as
+# verify.loss_gradients, a name perfbench/tracing.py wraps
+from .optimizer import (Correction, ReflectionConfig, _context_loss,
+                        _context_terms, _sharpening_loss, loss_aem, loss_ce,
+                        loss_gradients)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -61,6 +64,10 @@ class LossInstance:
     g_aem: Callable[[np.ndarray], np.ndarray] | None = None
     batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     label: str = "instance"
+
+    def __post_init__(self):
+        if not _is_int(self.dim) or self.dim < 1:
+            raise InputError(f"loss instance needs dim >= 1, got {self.dim!r}")
 
     def ce(self, delta) -> float:
         return float(self.f_ce(np.asarray(delta, dtype=np.float64)))
@@ -87,6 +94,10 @@ class LossInstance:
         ce = np.array([self.ce(d) for d in deltas])
         aem = np.array([self.aem(d) for d in deltas])
         return ce, aem
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _central_diff(f, x, h):
@@ -122,10 +133,17 @@ def prefix_instance(acts: PrefixActivations, head: ProjectionHead,
                     loss_temperature: float = 1.0,
                     ce_scope: str = "full-prefix",
                     label: str = "prefix") -> LossInstance:
-    """The real decode-time losses for one cached prefix, with a vectorized
-    batch evaluator built from precomputed base logits."""
+    """The real decode-time losses for one cached prefix.
+
+    The context-loss terms (targets and base logits) are built once, here, and
+    shared by the scalar losses, their gradients and the vectorized batch
+    evaluator, which evaluate them with the optimizer's own kernels.
+    """
+    if not loss_temperature > 0:
+        raise InputError("loss_temperature must be positive")
     w = head.matrix
-    _, targets, base = _context_terms(acts, head, ce_scope)
+    terms = _context_terms(acts, head, ce_scope)
+    _, targets, base = terms
     last = w @ acts.last_hidden
     tau = loss_temperature
 
@@ -145,16 +163,12 @@ def prefix_instance(acts: PrefixActivations, head: ProjectionHead,
         aem = -np.sum(np.where(p > 0.0, p * ls, 0.0), axis=1)
         return ce, aem
 
-    def grads(delta):
-        return loss_gradients(acts, head, delta, ce_scope=ce_scope,
-                              loss_temperature=tau)
-
     return LossInstance(
         dim=head.hidden_dim,
-        f_ce=lambda d: loss_ce(acts, head, d, ce_scope),
+        f_ce=lambda d: loss_ce(acts, head, d, ce_scope, _terms=terms),
         f_aem=lambda d: loss_aem(acts, head, d, tau),
-        g_ce=lambda d: grads(d)[0],
-        g_aem=lambda d: grads(d)[1],
+        g_ce=lambda d: _context_loss(terms, w, d, grad=True)[1],
+        g_aem=lambda d: _sharpening_loss(w, acts.last_hidden, d, tau)[1],
         batch=batch, label=label)
 
 
@@ -183,10 +197,16 @@ class GridSpec:
     points: int = 101
 
     def __post_init__(self):
+        numbers = all(isinstance(b, (int, float, np.integer, np.floating))
+                      for b in (self.lo, self.hi))
+        if not (numbers and math.isfinite(self.lo) and math.isfinite(self.hi - self.lo)):
+            raise InputError(f"grid bounds must be finite numbers with a finite "
+                             f"width, got lo={self.lo!r}, hi={self.hi!r}")
         if not self.hi > self.lo:
             raise InputError("grid needs hi > lo")
-        if self.points < 2:
-            raise InputError("grid needs at least 2 points per axis")
+        if not _is_int(self.points) or self.points < 2:
+            raise InputError(f"grid needs an integer of at least 2 points per axis, "
+                             f"got {self.points!r}")
 
     @property
     def step(self) -> float:
@@ -205,6 +225,8 @@ class GridSpec:
 
 def default_grid(dim: int) -> GridSpec:
     """Densest square grid with at least 10^4 candidates for small dims."""
+    if not _is_int(dim) or dim < 1:
+        raise InputError(f"grid dimension must be an integer >= 1, got {dim!r}")
     points = {1: 10001, 2: 101, 3: 22}.get(dim)
     if points is None:
         points = max(2, math.ceil(10 ** (4.0 / dim)))
@@ -254,6 +276,23 @@ def _refine(instance: LossInstance, weight: float, start: np.ndarray,
     return best
 
 
+def _evaluate_grid(instance, grid):
+    """(candidates, ce, aem) over the grid; weight-free, so one evaluation
+    serves every blend weight a check minimizes."""
+    cand = grid.candidates(instance.dim)
+    ce, aem = instance.batch_eval(cand)
+    return cand, ce, aem
+
+
+def _grid_minimizer(instance, weight, evaluated, grid, refine_sweeps):
+    cand, ce, aem = evaluated
+    blend = (1.0 - weight) * ce + weight * aem
+    start = cand[int(np.argmin(blend))]
+    if refine_sweeps > 0:
+        return _refine(instance, weight, start, grid.step, sweeps=refine_sweeps)
+    return np.array(start, dtype=np.float64)
+
+
 # --- theorem checks ---------------------------------------------------------
 
 @dataclass
@@ -285,14 +324,9 @@ def check_theorem1(instance: LossInstance, entropy_weight: float,
         raise InputError("theorem check needs entropy_weight in (0, 1]")
     if grid is None:
         grid = default_grid(instance.dim)
-    cand = grid.candidates(instance.dim)
-    ce, aem = instance.batch_eval(cand)
-    blend = (1.0 - entropy_weight) * ce + entropy_weight * aem
-    best = int(np.argmin(blend))
-    delta_star = cand[best]
-    if refine_sweeps > 0:
-        delta_star = _refine(instance, entropy_weight, delta_star, grid.step,
-                             sweeps=refine_sweeps)
+    cand, ce, aem = evaluated = _evaluate_grid(instance, grid)
+    delta_star = _grid_minimizer(instance, entropy_weight, evaluated, grid,
+                                 refine_sweeps)
     epsilon = instance.ce(delta_star)
     aem_star = instance.aem(delta_star)
 
@@ -325,16 +359,6 @@ class TradeoffReport:
     passed: bool
 
 
-def _grid_minimizer(instance, weight, grid, refine_sweeps):
-    cand = grid.candidates(instance.dim)
-    ce, aem = instance.batch_eval(cand)
-    blend = (1.0 - weight) * ce + weight * aem
-    start = cand[int(np.argmin(blend))]
-    if refine_sweeps > 0:
-        return _refine(instance, weight, start, grid.step, sweeps=refine_sweeps)
-    return np.array(start, dtype=np.float64)
-
-
 def check_tradeoff_bounds(instance: LossInstance, w1: float, w2: float,
                           grid: GridSpec | None = None,
                           tolerance: float = 1e-6,
@@ -353,8 +377,9 @@ def check_tradeoff_bounds(instance: LossInstance, w1: float, w2: float,
         raise InputError("tradeoff bounds need 0 < w1 < w2 < 1")
     if grid is None:
         grid = default_grid(instance.dim)
-    d1 = _grid_minimizer(instance, w1, grid, refine_sweeps)
-    d2 = _grid_minimizer(instance, w2, grid, refine_sweeps)
+    evaluated = _evaluate_grid(instance, grid)
+    d1 = _grid_minimizer(instance, w1, evaluated, grid, refine_sweeps)
+    d2 = _grid_minimizer(instance, w2, evaluated, grid, refine_sweeps)
     # cross-check so F_{w1}(d1) <= F_{w1}(d2) and vice versa hold exactly
     if instance.hybrid(d2, w1) < instance.hybrid(d1, w1):
         d1 = d2
@@ -391,6 +416,10 @@ def check_joint_descent(instance: LossInstance, delta,
     """When the loss gradients are acutely aligned (cosine > 0), some step
     along the blended descent direction strictly decreases both losses. Not
     applicable (and vacuously passing) when the cosine is non-positive."""
+    if not (learning_rate > 0 and math.isfinite(learning_rate)):
+        raise InputError("learning_rate must be positive and finite")
+    if not _is_int(max_halvings) or max_halvings < 0:
+        raise InputError("max_halvings must be a non-negative integer")
     delta = np.asarray(delta, dtype=np.float64)
     g1, g2 = instance.gradients(delta)
     n1, n2 = float(np.linalg.norm(g1)), float(np.linalg.norm(g2))
@@ -490,6 +519,12 @@ class SuiteReport:
         return f"[{status}] {self.name} (seed={self.seed}, {self.elapsed:.2f}s)"
 
 
+def _suite_rng(seed):
+    if not _is_int(seed) or seed < 0:
+        raise InputError(f"suite seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def run_gradient_suite(seed: int = 0, count: int = 200,
                        tolerance: float = 1e-5,
                        fd_step: float = 1e-6) -> SuiteReport:
@@ -499,7 +534,7 @@ def run_gradient_suite(seed: int = 0, count: int = 200,
     from .optimizer import grad_hybrid
 
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(seed)
     weights = [0.0, 0.05, 0.5, 1.0]
     worst = 0.0
     worst_case = None
@@ -516,10 +551,12 @@ def run_gradient_suite(seed: int = 0, count: int = 200,
                                  "synthetic")
         config = ReflectionConfig(entropy_weight=w, reg_gamma=gamma)
         delta = 0.1 * rng.standard_normal(dim)
-        grad, _ = grad_hybrid(acts, head, delta, config)
+        terms = _context_terms(acts, head, config.ce_scope)
+        grad, _ = grad_hybrid(acts, head, delta, config, _terms=terms)
 
         def objective(d):
-            val = (1.0 - w) * loss_ce(acts, head, d) + w * loss_aem(acts, head, d)
+            val = ((1.0 - w) * loss_ce(acts, head, d, _terms=terms)
+                   + w * loss_aem(acts, head, d))
             return val + 0.5 * gamma * float(d @ d)
 
         fd = _central_diff(objective, delta, fd_step)
@@ -540,7 +577,7 @@ def run_theorem1_suite(seed: int = 0, count: int = 100) -> SuiteReport:
     """Constrained-optimality brute force over random instances of dim 1-3,
     each searched over at least 10^4 candidates."""
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(seed)
     violations = 0
     tested = 0
     degenerate = 0
@@ -567,7 +604,7 @@ def run_theorem1_suite(seed: int = 0, count: int = 100) -> SuiteReport:
 def run_tradeoff_suite(seed: int = 0, count: int = 50,
                        w1: float = 0.2, w2: float = 0.8) -> SuiteReport:
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(seed)
     failures = 0
     worst_slack = math.inf
     for i in range(count):
@@ -592,7 +629,7 @@ def run_joint_descent_suite(seed: int = 0, count: int = 50) -> SuiteReport:
     """Random acute-gradient instances must admit a joint descent step; a
     constructed opposed-gradient case must come back not applicable."""
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(seed)
     failures = 0
     applicable = 0
     skipped = 0
@@ -768,13 +805,15 @@ def lambda_sweep(instance: LossInstance, weights,
                  grid: GridSpec | None = None,
                  refine_sweeps: int = 2) -> list[ParetoPoint]:
     """Loss pair at the blend minimizer for each weight: the achievable front."""
+    weights = list(weights)
+    if not all(0.0 < w < 1.0 for w in weights):
+        raise InputError("sweep weights must lie strictly inside (0, 1)")
     if grid is None:
         grid = default_grid(instance.dim)
+    evaluated = _evaluate_grid(instance, grid)
     points = []
     for w in weights:
-        if not 0.0 < w < 1.0:
-            raise InputError("sweep weights must lie strictly inside (0, 1)")
-        d = _grid_minimizer(instance, w, grid, refine_sweeps)
+        d = _grid_minimizer(instance, w, evaluated, grid, refine_sweeps)
         points.append(ParetoPoint(float(w), 0, instance.ce(d), instance.aem(d),
                                   "lambda-sweep"))
     return points

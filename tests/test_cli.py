@@ -139,6 +139,13 @@ class TestBench:
         code, _, err = run(capsys, "bench", "--corpus", "haiku:count=2")
         assert code == 2
 
+    def test_negative_corpus_seed(self, capsys):
+        code, _, err = run(capsys, "bench", "--corpus", "copy-recall:seed=-1:count=2",
+                           "--k", "1")
+        assert code == 2
+        assert "'seed'" in err
+        assert "Traceback" not in err
+
     def test_writes_metrics_summary_traces(self, capsys, tmp_path):
         out_dir = tmp_path / "results"
         args = ("bench", "--corpus", "copy-recall:seed=1:count=3", "--k", "2",
@@ -201,6 +208,14 @@ class TestVerify:
         assert out.startswith("[PASS] gradients")
         payload = json.loads(report_path.read_text())
         assert payload["name"] == "gradients" and payload["passed"]
+
+    def test_negative_seed_is_an_input_error(self, capsys):
+        # exit 1 would read as a failing suite
+        code, out, err = run(capsys, "verify", "--suite", "theorem1", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+        assert "Traceback" not in err
 
     def test_unknown_suite_rejected_by_argparse(self):
         with pytest.raises(SystemExit):

@@ -88,6 +88,8 @@ class TestCorpora:
             gen_corpus("copy-recall", seed=0, count=0)
         with pytest.raises(InputError):
             gen_corpus("copy-recall", seed=0, count=1, difficulty=-1)
+        with pytest.raises(InputError, match="seed"):
+            gen_corpus("copy-recall", seed=-1, count=1)
 
 
 class TestCorpusSpec:
@@ -107,6 +109,8 @@ class TestCorpusSpec:
             parse_corpus_spec("copy-recall:depth=3")
         with pytest.raises(ConfigError):
             parse_corpus_spec("copy-recall:count=lots")
+        with pytest.raises(ConfigError, match="'seed'"):
+            parse_corpus_spec("copy-recall:seed=-1:count=2")
 
 
 class TestVoting:

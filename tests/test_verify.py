@@ -1,10 +1,13 @@
 """Verification harness: instances, grids, theorem checks, Pareto exports."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from selfreflect import optimizer, verify
 from selfreflect import (DecodeConfig, GridSpec, InputError, MarkovBackend,
                          ParetoPoint, ReflectionConfig, SamplingConfig,
                          TriggerConfig, build_spike_backend, check_joint_descent,
@@ -16,6 +19,7 @@ from selfreflect import (DecodeConfig, GridSpec, InputError, MarkovBackend,
                          random_prefix_instance, run_gradient_suite,
                          run_joint_descent_suite, run_theorem1_suite,
                          run_tradeoff_suite)
+from selfreflect.verify import LossInstance
 
 
 def small_prefix_instance(seed=0, dim=2, vocab=5, prefix_len=3):
@@ -77,6 +81,20 @@ class TestGrids:
         with pytest.raises(InputError):
             GridSpec(-1.0, 1.0, 1)
 
+    def test_fractional_point_count_rejected_at_entry(self):
+        with pytest.raises(InputError, match="points"):
+            GridSpec(points=2.5)
+
+    @pytest.mark.parametrize("bounds", [dict(lo=-math.inf), dict(hi=math.inf),
+                                        dict(lo=-1e308, hi=1e308)])
+    def test_unbounded_grid_rejected(self, bounds):
+        with pytest.raises(InputError):
+            GridSpec(**bounds)
+
+    def test_default_grid_needs_a_dimension(self):
+        with pytest.raises(InputError):
+            default_grid(0)
+
     def test_default_grid_sizes(self):
         assert default_grid(1).points == 10001
         assert default_grid(2).points == 101
@@ -126,6 +144,10 @@ class TestTheorem1:
         with pytest.raises(InputError):
             check_theorem1(inst, 1.2)
 
+    def test_zero_dimensional_instance_rejected(self):
+        with pytest.raises(InputError):
+            check_theorem1(quadratic_instance([], []), 0.5)
+
 
 class TestTradeoff:
     def test_quadratic_bounds_hold(self):
@@ -168,6 +190,14 @@ class TestJointDescent:
         rep = check_joint_descent(inst, (1.0, 0.0))
         assert not rep.applicable and rep.passed
 
+    @pytest.mark.parametrize("kwargs", [dict(learning_rate=0.0),
+                                        dict(learning_rate=-0.01),
+                                        dict(max_halvings=-1)])
+    def test_step_settings_rejected_at_entry(self, kwargs):
+        inst = quadratic_instance((1.0, 0.0), (0.5, 0.5))
+        with pytest.raises(InputError):
+            check_joint_descent(inst, (-1.0, -1.0), **kwargs)
+
 
 class TestSuitesSmoke:
     def test_gradient_suite(self):
@@ -191,6 +221,70 @@ class TestSuitesSmoke:
         assert rep.passed
         assert rep.details["applicable"] > 0
         assert rep.details["opposed_case_not_applicable"] is True
+
+    @pytest.mark.parametrize("suite", [run_gradient_suite, run_theorem1_suite,
+                                       run_tradeoff_suite, run_joint_descent_suite])
+    def test_negative_seed_rejected(self, suite):
+        with pytest.raises(InputError, match="seed"):
+            suite(seed=-1, count=1)
+
+
+# sha256 of json.dumps([passed, details], sort_keys=True, default=repr) for the
+# seed-0 suite reports, recorded before the loss terms were shared per instance
+SUITE_PINS = {
+    "gradients": "a47b69575b3f1406271e3a8e390414dae2dbe390c4d221b9bc959af0b1ddd3a9",
+    "theorem1": "51db0c0e57ab5c1330e23e9c86f852f4756a6dc87267f29b33340a20b9ea6a5f",
+    "tradeoff": "ce54b719bd4e2a1b419a21b3c91974eb74feca2e99439360dbb807f6477e581f",
+    "joint-descent": "32a709677a7a406a55fa908ffa01712a8c71073b90365ad5b1871ec9d4c18aff",
+}
+
+
+class TestSharedLossTerms:
+    @pytest.mark.parametrize("name", sorted(SUITE_PINS))
+    def test_seed0_suite_report_is_pinned(self, name):
+        report = verify.SUITES[name](seed=0)
+        text = json.dumps([report.passed, report.details], sort_keys=True, default=repr)
+        assert hashlib.sha256(text.encode()).hexdigest() == SUITE_PINS[name]
+
+    @staticmethod
+    def count_calls(monkeypatch, owners, attr):
+        calls = []
+        original = getattr(owners[0], attr)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for owner in owners:
+            monkeypatch.setattr(owner, attr, counted)
+        return calls
+
+    def test_context_terms_built_once_per_prefix_instance(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, (optimizer, verify), "_context_terms")
+        for dim in (1, 2):
+            before = len(calls)
+            inst = small_prefix_instance(seed=dim, dim=dim, prefix_len=4)
+            check_theorem1(inst, 0.4, GridSpec(-2.0, 2.0, 41))
+            assert len(calls) - before == 1
+
+    def test_gradients_build_no_context_terms(self, monkeypatch):
+        inst = small_prefix_instance(seed=3)
+        calls = self.count_calls(monkeypatch, (optimizer, verify), "_context_terms")
+        check_joint_descent(inst, (0.3, -0.2))
+        assert calls == []
+
+    def test_grid_evaluated_once_for_every_weight(self, monkeypatch):
+        inst = small_prefix_instance(seed=21)
+        calls = self.count_calls(monkeypatch, (LossInstance,), "batch_eval")
+        check_tradeoff_bounds(inst, 0.2, 0.8, GridSpec(-3.0, 3.0, 61))
+        assert len(calls) == 1
+        lambda_sweep(inst, [0.1, 0.5, 0.9], GridSpec(-3.0, 3.0, 61))
+        assert len(calls) == 2
+
+    def test_gradient_suite_builds_terms_once_per_instance(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, (optimizer, verify), "_context_terms")
+        run_gradient_suite(seed=0, count=6)
+        assert len(calls) == 6
 
 
 class TestOverheadChecker:
