@@ -31,11 +31,9 @@ from .harness import (FAMILIES, BenchmarkResult, RunMetrics, Task, TaskResult,
                       extract_answer, gen_corpus, parse_corpus_spec,
                       pass_at_k, plurality_vote, run_benchmark)
 from .verify import (SUITES, GridSpec, JointDescentReport, LossInstance,
-                     OverheadReport, ParetoPoint, SuiteReport,
-                     TheoremCheckReport, TradeoffReport,
-                     check_joint_descent, check_overhead_model,
-                     check_theorem1, check_tradeoff_bounds, default_grid,
-                     export_pareto, golden_min, lambda_sweep,
+                     ParetoPoint, SuiteReport, TheoremCheckReport,
+                     TradeoffReport, check_joint_descent, check_theorem1,
+                     check_tradeoff_bounds, default_grid, export_pareto, golden_min, lambda_sweep,
                      pareto_from_correction, pareto_from_trace,
                      prefix_instance, quadratic_instance,
                      random_prefix_instance, run_gradient_suite,
@@ -49,7 +47,7 @@ __all__ = [
     "ConfigError", "Correction", "CorrectionSummary", "DecodeConfig",
     "DecodeTrace", "EntropyWindow", "FAMILIES", "GridSpec",
     "HybridLossReport", "InputError", "JointDescentReport", "LossInstance",
-    "MarkovBackend", "ModelBackend", "OverheadReport", "ParetoPoint",
+    "MarkovBackend", "ModelBackend", "ParetoPoint",
     "PrefixActivations", "ProjectionHead", "ReflectionConfig", "RunConfig",
     "RunMetrics", "SUITES", "SamplingConfig", "ScriptedBackend", "StepRecord",
     "SuiteReport", "TRACE_VERSION", "Task", "TaskResult", "TheoremCheckReport",
@@ -57,7 +55,7 @@ __all__ = [
     "TriggerDecision", "VocabSpec", "adapt_lambda", "avg_at_k",
     "backend_from_dict", "backend_to_dict", "build_spike_backend",
     "build_toy_backend", "ce_positions", "check_joint_descent",
-    "check_overhead_model", "check_theorem1", "check_tradeoff_bounds",
+    "check_theorem1", "check_tradeoff_bounds",
     "cons_at_k", "corpus_backend", "critical_tokens", "decode", "decode_batch",
     "decode_config_from_dict", "decode_config_to_dict", "default_grid",
     "derive_seed", "entropy", "entropy_from_logits", "export_pareto",

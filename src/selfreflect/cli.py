@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +69,7 @@ def cmd_decode(args) -> int:
     if args.max_tokens is not None:
         if args.max_tokens < 1:
             raise ConfigError("--max-tokens must be at least 1")
-        cfg.max_tokens = args.max_tokens
+        cfg.decode = replace(cfg.decode, max_tokens=args.max_tokens)
     backend = load_backend(args.backend)
     prompt = _parse_prompt(args.prompt)
     if args.seed is not None:
@@ -78,7 +78,7 @@ def cmd_decode(args) -> int:
         seed = cfg.seed
     else:
         seed = _draw_seed()
-    reflect = False if args.no_reflect else cfg.reflect
+    reflect = False if args.no_reflect else cfg.decode.reflect
     trace = decode(backend, prompt, cfg.decode_config(seed, reflect=reflect))
     if reflect:
         baseline = decode(backend, prompt, cfg.decode_config(seed, reflect=False))

@@ -1,218 +1,188 @@
 """Run configuration files: strict JSON parsing with documented defaults.
 
-Missing keys fall back to the package defaults; unknown keys are fatal and the
-error names the offending key, so a typo like "lamda" can never silently run
-with defaults.
+One walker over each config dataclass's fields reads and writes every
+section, so a key's name, type and default live only in its dataclass. A
+missing or null key takes the field's default, and null gives None for an
+optional field. A string key must be a string, and a field without a default
+(the `adaptive` keys) is required. Unknown keys are fatal and the error names
+the full key path, so a typo like "lamda" can never silently run with
+defaults.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
-from .engine import DecodeConfig, SamplingConfig
+from .engine import DecodeConfig
 from .errors import ConfigError
-from .monitor import TriggerConfig
-from .optimizer import AdaptiveWeightConfig, ReflectionConfig
 
 
-def _check_keys(data: dict, allowed, where: str) -> None:
+def _path(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _as_int(v):
+    return v if isinstance(v, int) and not isinstance(v, bool) else None
+
+
+def _as_float(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        v = float(v)
+    except OverflowError:  # an integer literal beyond float range
+        return None
+    return v if math.isfinite(v) else None
+
+
+def _as_int_list(v):
+    ok = isinstance(v, list) and v and all(_as_int(s) is not None for s in v)
+    return list(v) if ok else None
+
+
+def _as_bool(v):
+    return v if isinstance(v, bool) else None
+
+
+def _as_str(v):
+    return v if isinstance(v, str) else None
+
+
+# type -> (converter returning None on a bad value, what the error says it must be)
+_LEAVES = {
+    int: (_as_int, "an integer"),
+    float: (_as_float, "a finite number"),
+    bool: (_as_bool, "true or false"),
+    str: (_as_str, "a string"),
+    list[int]: (_as_int_list, "a non-empty list of integers"),
+}
+
+
+class _Field(typing.NamedTuple):
+    name: str
+    section: type | None  # the dataclass of a nested section
+    convert: typing.Callable | None  # a leaf's converter
+    expected: str
+    optional: bool  # null gives None
+    required: bool  # no default
+    flat: bool  # a section whose keys sit at this level
+
+
+class _Plan(typing.NamedTuple):
+    fields: tuple[_Field, ...]
+    own: frozenset[str]  # keys of this class's own fields
+    keys: frozenset[str]  # every key accepted at this level
+    sections: tuple[tuple[str, type | None], ...]  # (name, section) per field, for _write
+
+
+@functools.cache
+def _plan(cls) -> _Plan:
+    """The fields of a config dataclass with their types resolved, built once
+    per class: resolving type hints costs far more than a parse."""
+    hints = typing.get_type_hints(cls)
+    out, keys = [], set()
+    for f in fields(cls):
+        tp = hints[f.name]
+        args = typing.get_args(tp)
+        optional = type(None) in args
+        if optional:
+            (tp,) = [a for a in args if a is not type(None)]
+        flat = f.metadata.get("flat", False)
+        section = tp if is_dataclass(tp) else None
+        convert, expected = (None, "an object") if section else _LEAVES[tp]
+        if optional:
+            expected += " or null"
+        required = f.default is MISSING and f.default_factory is MISSING
+        out.append(_Field(f.name, section, convert, expected, optional, required, flat))
+        keys.update(_plan(tp).keys if flat else (f.name,))
+    own = frozenset(f.name for f in out if not f.flat)
+    sections = tuple((f.name, f.section) for f in out)
+    return _Plan(tuple(out), own, frozenset(keys), sections)
+
+
+def _read(cls, data, where: str):
+    """Build cls from one config section, checking every key against its field."""
     if not isinstance(data, dict):
         raise ConfigError(f"config section {where or '<root>'} must be an object")
+    plan = _plan(cls)
     for key in data:
-        if key not in allowed:
-            path = f"{where}.{key}" if where else key
-            raise ConfigError(f"unknown config key: {path}")
+        if key not in plan.keys:
+            raise ConfigError(f"unknown config key: {_path(where, key)}")
+    kwargs = {}
+    for name, section, convert, expected, optional, required, flat in plan.fields:
+        if flat:  # its keys share this level; the outer class's own keys win
+            kwargs[name] = _read(section, {k: v for k, v in data.items()
+                                           if k not in plan.own}, where)
+            continue
+        v = data.get(name)
+        if v is None:
+            if required:
+                raise ConfigError(f"config key {_path(where, name)} is required")
+            if name not in data:
+                continue
+            if optional:
+                kwargs[name] = None
+                continue
+            if convert is not _as_str:
+                continue  # null means the default, except for a string key
+        if section is not None:
+            kwargs[name] = _read(section, v, _path(where, name))
+            continue
+        value = convert(v)
+        if value is None:
+            raise ConfigError(f"config key {_path(where, name)} must be {expected}")
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
-def _num(data, key, default, where):
-    v = data.get(key, default)
-    if v is None:
-        return default
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        path = f"{where}.{key}" if where else key
-        raise ConfigError(f"config key {path} must be a finite number")
-    return float(v)
-
-
-def _int(data, key, default, where):
-    v = data.get(key, default)
-    if v is None:
-        return default
-    if isinstance(v, bool) or not isinstance(v, int):
-        path = f"{where}.{key}" if where else key
-        raise ConfigError(f"config key {path} must be an integer")
-    return v
-
-
-def _bool(data, key, default, where):
-    v = data.get(key, default)
-    if v is None:
-        return default
-    if not isinstance(v, bool):
-        path = f"{where}.{key}" if where else key
-        raise ConfigError(f"config key {path} must be true or false")
-    return v
-
-
-def _opt_num(data, key, where):
-    v = data.get(key)
-    if v is None:
-        return None
-    return _num(data, key, None, where)
-
-
-def trigger_from_dict(data: dict, where: str = "trigger") -> TriggerConfig:
-    _check_keys(data, {"window_size", "sensitivity", "temperature"}, where)
-    return TriggerConfig(
-        window_size=_int(data, "window_size", 25, where),
-        sensitivity=_num(data, "sensitivity", 4.0, where),
-        temperature=_num(data, "temperature", 0.6, where))
-
-
-def reflection_from_dict(data: dict, where: str = "reflection") -> ReflectionConfig:
-    _check_keys(data, {"entropy_weight", "steps", "learning_rate", "loss_temperature",
-                       "ce_scope", "trust_radius", "reg_gamma", "backtracking",
-                       "grad_clip", "adaptive"}, where)
-    adaptive = None
-    if data.get("adaptive") is not None:
-        sub = data["adaptive"]
-        sub_where = f"{where}.adaptive"
-        _check_keys(sub, {"target", "rate", "min_weight", "max_weight"}, sub_where)
-        for key in ("target", "rate", "min_weight", "max_weight"):
-            if key not in sub:
-                raise ConfigError(f"config key {sub_where}.{key} is required")
-        adaptive = AdaptiveWeightConfig(
-            target=_num(sub, "target", None, sub_where),
-            rate=_num(sub, "rate", None, sub_where),
-            min_weight=_num(sub, "min_weight", None, sub_where),
-            max_weight=_num(sub, "max_weight", None, sub_where))
-    scope = data.get("ce_scope", "full-prefix")
-    if not isinstance(scope, str):
-        raise ConfigError(f"config key {where}.ce_scope must be a string")
-    grad_clip = data.get("grad_clip", 100.0)
-    return ReflectionConfig(
-        entropy_weight=_num(data, "entropy_weight", 0.05, where),
-        steps=_int(data, "steps", 3, where),
-        learning_rate=_num(data, "learning_rate", 0.01, where),
-        loss_temperature=_num(data, "loss_temperature", 1.0, where),
-        ce_scope=scope,
-        trust_radius=_opt_num(data, "trust_radius", where),
-        reg_gamma=_num(data, "reg_gamma", 0.0, where),
-        backtracking=_bool(data, "backtracking", False, where),
-        grad_clip=None if grad_clip is None else _num(data, "grad_clip", 100.0, where),
-        adaptive=adaptive)
-
-
-def sampling_from_dict(data: dict, where: str = "sampling") -> SamplingConfig:
-    _check_keys(data, {"mode", "temperature", "top_p"}, where)
-    mode = data.get("mode", "temperature")
-    if not isinstance(mode, str):
-        raise ConfigError(f"config key {where}.mode must be a string")
-    return SamplingConfig(
-        mode=mode,
-        temperature=_num(data, "temperature", 0.6, where),
-        top_p=_num(data, "top_p", 0.95, where))
-
-
-_DECODE_KEYS = {"trigger", "reflection", "sampling", "max_tokens", "eos_token",
-                "seed", "reflect"}
+def _write(obj) -> dict:
+    """One config section as a dict, in field order."""
+    out = {}
+    for name, section in _plan(type(obj)).sections:
+        v = getattr(obj, name)
+        out[name] = v if section is None or v is None else _write(v)
+    return out
 
 
 def decode_config_from_dict(data: dict, where: str = "") -> DecodeConfig:
-    _check_keys(data, _DECODE_KEYS, where)
-    sub = lambda name: data.get(name) or {}
-    w = lambda name: f"{where}.{name}" if where else name
-    eos = data.get("eos_token")
-    if eos is not None and (isinstance(eos, bool) or not isinstance(eos, int)):
-        raise ConfigError(f"config key {w('eos_token')} must be an integer or null")
-    return DecodeConfig(
-        trigger=trigger_from_dict(sub("trigger"), w("trigger")),
-        reflection=reflection_from_dict(sub("reflection"), w("reflection")),
-        sampling=sampling_from_dict(sub("sampling"), w("sampling")),
-        max_tokens=_int(data, "max_tokens", 4096, where),
-        eos_token=eos,
-        seed=_int(data, "seed", 0, where),
-        reflect=_bool(data, "reflect", True, where))
+    return _read(DecodeConfig, data, where)
 
 
 def decode_config_to_dict(cfg: DecodeConfig) -> dict:
-    refl = cfg.reflection
-    adaptive = None
-    if refl.adaptive is not None:
-        a = refl.adaptive
-        adaptive = {"target": a.target, "rate": a.rate,
-                    "min_weight": a.min_weight, "max_weight": a.max_weight}
-    return {
-        "trigger": {"window_size": cfg.trigger.window_size,
-                    "sensitivity": cfg.trigger.sensitivity,
-                    "temperature": cfg.trigger.temperature},
-        "reflection": {"entropy_weight": refl.entropy_weight, "steps": refl.steps,
-                       "learning_rate": refl.learning_rate,
-                       "loss_temperature": refl.loss_temperature,
-                       "ce_scope": refl.ce_scope, "trust_radius": refl.trust_radius,
-                       "reg_gamma": refl.reg_gamma, "backtracking": refl.backtracking,
-                       "grad_clip": refl.grad_clip, "adaptive": adaptive},
-        "sampling": {"mode": cfg.sampling.mode,
-                     "temperature": cfg.sampling.temperature,
-                     "top_p": cfg.sampling.top_p},
-        "max_tokens": cfg.max_tokens,
-        "eos_token": cfg.eos_token,
-        "seed": cfg.seed,
-        "reflect": cfg.reflect,
-    }
+    return _write(cfg)
 
 
 @dataclass
 class RunConfig:
-    """Decode settings plus benchmark-level wiring from one config file."""
+    """Decode settings plus benchmark-level wiring from one config file.
 
-    trigger: TriggerConfig = field(default_factory=TriggerConfig)
-    reflection: ReflectionConfig = field(default_factory=ReflectionConfig)
-    sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    max_tokens: int = 4096
-    eos_token: int | None = None
-    seed: int | None = None  # None: the CLI draws one and records it
-    reflect: bool = True
+    The file is flat: the decode keys sit beside the bench keys. Its `seed`
+    is the run's, where None lets the CLI draw one and record it.
+    """
+
+    decode: DecodeConfig = field(default_factory=DecodeConfig, metadata={"flat": True})
+    seed: int | None = None
     backend: str | None = None
     corpus: str | None = None
     k: int = 5
     seeds: list[int] | None = None
     out: str | None = None
 
+    def __post_init__(self):
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("config key seed must be a non-negative integer or null")
+
     def decode_config(self, seed: int, reflect: bool | None = None) -> DecodeConfig:
-        return DecodeConfig(
-            trigger=self.trigger, reflection=self.reflection, sampling=self.sampling,
-            max_tokens=self.max_tokens, eos_token=self.eos_token, seed=seed,
-            reflect=self.reflect if reflect is None else reflect)
-
-
-_RUN_KEYS = _DECODE_KEYS | {"backend", "corpus", "k", "seeds", "out"}
+        return replace(self.decode, seed=seed,
+                       reflect=self.decode.reflect if reflect is None else reflect)
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    _check_keys(data, _RUN_KEYS, "")
-    decode_part = {k: v for k, v in data.items() if k in _DECODE_KEYS}
-    seed = decode_part.pop("seed", None)
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
-        raise ConfigError("config key seed must be a non-negative integer or null")
-    base = decode_config_from_dict(decode_part)
-    seeds = data.get("seeds")
-    if seeds is not None:
-        if (not isinstance(seeds, list) or not seeds
-                or any(isinstance(s, bool) or not isinstance(s, int) for s in seeds)):
-            raise ConfigError("config key seeds must be a non-empty list of integers")
-        seeds = list(seeds)
-    for key in ("backend", "corpus", "out"):
-        v = data.get(key)
-        if v is not None and not isinstance(v, str):
-            raise ConfigError(f"config key {key} must be a string")
-    return RunConfig(
-        trigger=base.trigger, reflection=base.reflection, sampling=base.sampling,
-        max_tokens=base.max_tokens, eos_token=base.eos_token, seed=seed,
-        reflect=base.reflect, backend=data.get("backend"), corpus=data.get("corpus"),
-        k=_int(data, "k", 5, ""), seeds=seeds, out=data.get("out"))
+    return _read(RunConfig, data, "")
 
 
 def load_run_config(path) -> RunConfig:

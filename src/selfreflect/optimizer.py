@@ -113,9 +113,7 @@ def ce_positions(acts: PrefixActivations, scope: str) -> list[int]:
 class HybridLossReport:
     """Loss diagnostics at one point of an optimization trajectory.
 
-    implied_alpha is the constraint multiplier (1-w)/w equivalent to the blend
-    weight (math.inf at w=0); implied_epsilon is the context-loss level l_ce,
-    i.e. the fidelity budget certified if this point is the minimizer.
+    entropy_weight is the blend weight w the losses were blended with.
     step_size is the accepted step that arrived here (0.0 for the start point).
     """
 
@@ -124,9 +122,21 @@ class HybridLossReport:
     f_lambda: float
     grad_norm: float
     grad_cos: float
-    implied_alpha: float
-    implied_epsilon: float
+    entropy_weight: float
     step_size: float = 0.0
+
+    @property
+    def implied_alpha(self) -> float:
+        """The constraint multiplier (1-w)/w equivalent to the blend weight
+        (math.inf at w=0)."""
+        w = self.entropy_weight
+        return (1.0 - w) / w if w > 0 else math.inf
+
+    @property
+    def implied_epsilon(self) -> float:
+        """The context-loss level l_ce: the fidelity budget certified if this
+        point is the minimizer."""
+        return self.l_ce
 
 
 @dataclass
@@ -179,15 +189,21 @@ def _context_loss(terms, w, delta, grad: bool):
     return l_ce, w.T @ z.sum(axis=0)
 
 
-def _sharpening_loss(w, last_hidden, delta, tau):
-    """(l_aem, its gradient) at delta; NaN for degenerate scaled logits so
-    abort checks can fire."""
-    with np.errstate(invalid="ignore"):
+def _sharpening_loss(w, last_hidden, delta, tau, grad: bool = True):
+    """(l_aem, its gradient or None) at delta; NaN for degenerate scaled
+    logits so abort checks can fire. The value-only path is loss_aem's: it
+    skips the gradient gemv and the errstate guard around the logits."""
+    if grad:
+        with np.errstate(invalid="ignore"):
+            ls = log_softmax(w @ (last_hidden + delta), tau)
+    else:
         ls = log_softmax(w @ (last_hidden + delta), tau)
     if np.isnan(ls).any():
-        return float("nan"), np.full(w.shape[1], np.nan)
+        return float("nan"), np.full(w.shape[1], np.nan) if grad else None
     q = np.exp(ls)
     h = float(-np.sum(np.where(q > 0.0, q * ls, 0.0)))
+    if not grad:
+        return h, None
     gvec = np.where(q > 0.0, -q * (ls + h), 0.0)
     return h, (w.T @ gvec) / tau
 
@@ -210,12 +226,9 @@ def loss_aem(acts: PrefixActivations, head: ProjectionHead, delta,
     """Entropy in nats of the corrected next-token distribution at loss_temperature."""
     if not loss_temperature > 0:
         raise InputError("loss_temperature must be positive")
-    z = head.matrix @ (acts.last_hidden + np.asarray(delta, dtype=np.float64))
-    ls = log_softmax(z, loss_temperature)
-    if np.isnan(ls).any():
-        return float("nan")
-    p = np.exp(ls)
-    return float(-np.sum(np.where(p > 0.0, p * ls, 0.0)))
+    delta = np.asarray(delta, dtype=np.float64)
+    return _sharpening_loss(head.matrix, acts.last_hidden, delta, loss_temperature,
+                            grad=False)[0]
 
 
 def loss_gradients(acts: PrefixActivations, head: ProjectionHead, delta,
@@ -252,9 +265,7 @@ def grad_hybrid(acts: PrefixActivations, head: ProjectionHead, delta,
     cos = float(g_ce @ g_aem / (n_ce * n_aem)) if n_ce > 0 and n_aem > 0 else 0.0
     report = HybridLossReport(
         l_ce=l_ce, l_aem=l_aem, f_lambda=(1.0 - w) * l_ce + w * l_aem,
-        grad_norm=float(np.linalg.norm(grad)), grad_cos=cos,
-        implied_alpha=(1.0 - w) / w if w > 0 else math.inf,
-        implied_epsilon=l_ce)
+        grad_norm=float(np.linalg.norm(grad)), grad_cos=cos, entropy_weight=w)
     return grad, report
 
 

@@ -11,7 +11,6 @@ timings are the one thing an otherwise deterministic decode cannot reproduce.
 from __future__ import annotations
 
 import json
-import math
 import os
 
 from .config import decode_config_from_dict, decode_config_to_dict
@@ -102,12 +101,10 @@ def write_trace(trace: DecodeTrace, path) -> None:
 
 def _parse_correction(data) -> CorrectionSummary:
     w = data["entropy_weight"]
-    alpha = (1.0 - w) / w if w > 0 else math.inf
     trajectory = [
         HybridLossReport(l_ce=r["l_ce"], l_aem=r["l_aem"], f_lambda=r["f_lambda"],
                          grad_norm=r["grad_norm"], grad_cos=r["grad_cos"],
-                         implied_alpha=alpha, implied_epsilon=r["l_ce"],
-                         step_size=r["step_size"])
+                         entropy_weight=w, step_size=r["step_size"])
         for r in data["trajectory"]
     ]
     return CorrectionSummary(

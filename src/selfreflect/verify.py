@@ -14,8 +14,6 @@ against synthetic quadratics with known minimizers:
     exchange rate between the losses at their respective minimizers.
   * check_joint_descent: when the two loss gradients are acutely aligned, a
     small enough blended step strictly decreases both losses at once.
-  * check_overhead_model: reflective decoding costs baseline plus roughly
-    (inner steps taken) x (a constant per-step optimizer cost).
 
 Suites wrap these checks over seeded batches of random instances and return
 SuiteReports the CLI can render and gate on.
@@ -441,67 +439,6 @@ def check_joint_descent(instance: LossInstance, delta,
         step *= 0.5
     return JointDescentReport(applicable=True, grad_cos=cos, step_size=0.0,
                               ce_drop=0.0, aem_drop=0.0, passed=False)
-
-
-# --- overhead model ---------------------------------------------------------
-
-@dataclass
-class OverheadReport:
-    prompts: int
-    repeats: int
-    n_activations: int
-    inner_steps: int
-    unit_cost: float
-    predicted_overhead: float
-    measured_overhead: float
-    relative_error: float
-    inconclusive: bool
-
-
-def check_overhead_model(backend: ModelBackend, prompts, config: DecodeConfig,
-                         repeats: int = 3) -> OverheadReport:
-    """Fit measured reflective overhead against inner_steps x unit cost.
-
-    Greedy sampling is required so both arms decode the same tokens; at least
-    10 prompts keep the medians meaningful. The unit cost is the median
-    optimizer wall time per inner step observed in the reflective traces.
-    """
-    prompts = list(prompts)
-    if len(prompts) < 10:
-        raise InputError("overhead check needs at least 10 prompts")
-    if config.sampling.mode != "greedy":
-        raise InputError("overhead check requires greedy sampling")
-    if repeats < 1:
-        raise InputError("repeats must be at least 1")
-
-    refl_cfg = replace(config, reflect=True)
-    measured = 0.0
-    activations = 0
-    inner_steps = 0
-    unit_costs: list[float] = []
-    for prompt in prompts:
-        diff_med, _, trace = _paired_overhead(backend, prompt, refl_cfg, repeats)
-        measured += diff_med
-        activations += trace.totals.n_activations
-        inner_steps += trace.totals.inner_steps
-        for step in trace.steps:
-            corr = step.correction
-            if corr is not None and corr.steps_taken >= 1:
-                unit_costs.append(corr.opt_wall_time / corr.steps_taken)
-
-    inconclusive = not unit_costs
-    unit = float(np.median(unit_costs)) if unit_costs else 0.0
-    predicted = unit * inner_steps
-    if inconclusive or measured <= 0.0:
-        rel = math.inf
-        inconclusive = True
-    else:
-        rel = abs(predicted - measured) / measured
-    return OverheadReport(prompts=len(prompts), repeats=repeats,
-                          n_activations=activations, inner_steps=inner_steps,
-                          unit_cost=unit, predicted_overhead=predicted,
-                          measured_overhead=measured, relative_error=rel,
-                          inconclusive=inconclusive)
 
 
 # --- suites -----------------------------------------------------------------

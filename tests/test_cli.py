@@ -96,6 +96,16 @@ class TestDecode:
         assert code == 2
         assert "reflextion" in err
 
+    def test_falsy_non_object_config_section(self, capsys, tmp_path, spike_file):
+        backend_path, _ = spike_file
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"sampling": ""}')
+        code, _, err = run(capsys, "decode", "--backend", backend_path,
+                           "--prompt", "0", "--config", str(cfg))
+        assert code == 2
+        assert "sampling" in err
+        assert "Traceback" not in err
+
     def test_bad_prompt(self, capsys, spike_file):
         backend_path, _ = spike_file
         code, _, err = run(capsys, "decode", "--backend", backend_path,

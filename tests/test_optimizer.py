@@ -108,6 +108,15 @@ class TestLossAEM:
         flat = loss_aem(acts, head, np.zeros(3), loss_temperature=4.0)
         assert sharp < flat
 
+    def test_equals_the_gradient_path_value_bitwise(self):
+        rng = np.random.default_rng(12)
+        acts, head = random_case(rng, 3, 6, 4)
+        cfg = ReflectionConfig(entropy_weight=0.3, loss_temperature=0.7)
+        for _ in range(5):
+            delta = rng.standard_normal(3)
+            _, rep = grad_hybrid(acts, head, delta, cfg)
+            assert loss_aem(acts, head, delta, 0.7) == rep.l_aem
+
 
 class TestGradients:
     def test_uniform_entropy_gradient_is_zero(self):

@@ -2,14 +2,16 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from selfreflect import (AdaptiveWeightConfig, ConfigError, DecodeConfig,
-                         ReflectionConfig, SamplingConfig, TriggerConfig,
+                         ReflectionConfig, RunConfig, SamplingConfig, TriggerConfig,
                          build_spike_backend, decode, decode_config_from_dict,
                          decode_config_to_dict, parse_trace, read_trace,
-                         replay_form, serialize_trace, trace_files, write_trace)
+                         replay_form, run_config_from_dict, serialize_trace,
+                         trace_files, write_trace)
 
 
 def spike_trace(seed=0, **kwargs):
@@ -149,33 +151,128 @@ class TestParseErrors:
             parse_trace("")
 
 
+def rich_config():
+    return DecodeConfig(
+        trigger=TriggerConfig(window_size=7, sensitivity=1.5, temperature=0.9),
+        reflection=ReflectionConfig(
+            entropy_weight=0.4, steps=5, learning_rate=0.2,
+            loss_temperature=0.8, ce_scope="last-12", trust_radius=2.0,
+            reg_gamma=0.05, backtracking=True, grad_clip=None,
+            adaptive=AdaptiveWeightConfig(target=0.3, rate=0.2,
+                                          min_weight=0.05, max_weight=0.8)),
+        sampling=SamplingConfig(mode="greedy", temperature=1.0, top_p=0.5),
+        max_tokens=17, eos_token=3, seed=12345, reflect=False)
+
+
+def nested(path, value):
+    """{"a": {"b": value}} from the dotted path "a.b"."""
+    *outer, last = path.split(".")
+    data = {last: value}
+    for key in reversed(outer):
+        data = {key: data}
+    return data
+
+
+ADAPTIVE = {"target": 0.3, "rate": 0.2, "min_weight": 0.05, "max_weight": 0.8}
+
+INT_KEYS = ["trigger.window_size", "reflection.steps", "max_tokens", "eos_token", "seed"]
+FLOAT_KEYS = ["trigger.sensitivity", "trigger.temperature", "reflection.entropy_weight",
+              "reflection.learning_rate", "reflection.loss_temperature",
+              "reflection.trust_radius", "reflection.reg_gamma", "reflection.grad_clip",
+              "sampling.temperature", "sampling.top_p"]
+
+# decode_config_to_dict text of DecodeConfig() and rich_config(), as written
+# by every earlier release: trace headers must not change by a byte
+DEFAULT_TEXT = (
+    '{"trigger":{"window_size":25,"sensitivity":4.0,"temperature":0.6},'
+    '"reflection":{"entropy_weight":0.05,"steps":3,"learning_rate":0.01,'
+    '"loss_temperature":1.0,"ce_scope":"full-prefix","trust_radius":null,'
+    '"reg_gamma":0.0,"backtracking":false,"grad_clip":100.0,"adaptive":null},'
+    '"sampling":{"mode":"temperature","temperature":0.6,"top_p":0.95},'
+    '"max_tokens":4096,"eos_token":null,"seed":0,"reflect":true}')
+RICH_TEXT = (
+    '{"trigger":{"window_size":7,"sensitivity":1.5,"temperature":0.9},'
+    '"reflection":{"entropy_weight":0.4,"steps":5,"learning_rate":0.2,'
+    '"loss_temperature":0.8,"ce_scope":"last-12","trust_radius":2.0,'
+    '"reg_gamma":0.05,"backtracking":true,"grad_clip":null,'
+    '"adaptive":{"target":0.3,"rate":0.2,"min_weight":0.05,"max_weight":0.8}},'
+    '"sampling":{"mode":"greedy","temperature":1.0,"top_p":0.5},'
+    '"max_tokens":17,"eos_token":3,"seed":12345,"reflect":false}')
+
+
 class TestConfigDicts:
     def test_default_round_trip(self):
         cfg = DecodeConfig()
         assert decode_config_from_dict(decode_config_to_dict(cfg)) == cfg
 
     def test_rich_round_trip(self):
-        cfg = DecodeConfig(
-            trigger=TriggerConfig(window_size=7, sensitivity=1.5,
-                                  temperature=0.9),
-            reflection=ReflectionConfig(
-                entropy_weight=0.4, steps=5, learning_rate=0.2,
-                loss_temperature=0.8, ce_scope="last-12", trust_radius=2.0,
-                reg_gamma=0.05, backtracking=True, grad_clip=None,
-                adaptive=AdaptiveWeightConfig(target=0.3, rate=0.2,
-                                              min_weight=0.05, max_weight=0.8)),
-            sampling=SamplingConfig(mode="greedy", temperature=1.0, top_p=0.5),
-            max_tokens=17, eos_token=3, seed=12345, reflect=False)
+        cfg = rich_config()
         assert decode_config_from_dict(decode_config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("cfg, text", [(DecodeConfig(), DEFAULT_TEXT),
+                                           (rich_config(), RICH_TEXT)])
+    def test_serialized_text_is_pinned(self, cfg, text):
+        assert json.dumps(decode_config_to_dict(cfg), separators=(",", ":")) == text
 
     def test_empty_dict_gives_defaults(self):
         assert decode_config_from_dict({}) == DecodeConfig()
+
+    @pytest.mark.parametrize("path", [
+        "trigger", "reflection", "sampling",
+        "trigger.window_size", "trigger.sensitivity", "trigger.temperature",
+        "reflection.entropy_weight", "reflection.steps", "reflection.learning_rate",
+        "reflection.loss_temperature", "reflection.reg_gamma", "reflection.backtracking",
+        "sampling.temperature", "sampling.top_p", "max_tokens", "seed", "reflect"])
+    def test_null_gives_the_default(self, path):
+        assert decode_config_from_dict(nested(path, None)) == DecodeConfig()
+
+    @pytest.mark.parametrize("path", ["reflection.ce_scope", "sampling.mode"])
+    def test_null_string_key_is_rejected(self, path):
+        with pytest.raises(ConfigError, match=path):
+            decode_config_from_dict(nested(path, None))
+
+    @pytest.mark.parametrize("path", ["reflection.trust_radius", "reflection.grad_clip",
+                                      "eos_token", "reflection.adaptive"])
+    def test_null_gives_none_for_optional_keys(self, path):
+        cfg = decode_config_from_dict(nested(path, None))
+        section, _, name = path.rpartition(".")
+        assert getattr(getattr(cfg, section) if section else cfg, name) is None
+
+    def test_absent_grad_clip_keeps_its_default(self):
+        assert decode_config_from_dict({}).reflection.grad_clip == 100.0
+
+    @pytest.mark.parametrize("key", sorted(ADAPTIVE))
+    def test_every_adaptive_key_is_required(self, key):
+        adaptive = {k: v for k, v in ADAPTIVE.items() if k != key}
+        with pytest.raises(ConfigError, match=f"reflection.adaptive.{key}"):
+            decode_config_from_dict({"reflection": {"adaptive": adaptive}})
+        with pytest.raises(ConfigError, match=f"reflection.adaptive.{key}"):
+            decode_config_from_dict({"reflection": {"adaptive": dict(adaptive, **{key: None})}})
+
+    @pytest.mark.parametrize("path", INT_KEYS + FLOAT_KEYS)
+    def test_true_is_not_a_number(self, path):
+        with pytest.raises(ConfigError, match=path):
+            decode_config_from_dict(nested(path, True))
+
+    @pytest.mark.parametrize("literal", ["1e400", "1" + "0" * 400])
+    @pytest.mark.parametrize("path", FLOAT_KEYS)
+    def test_overflowing_float_is_rejected(self, path, literal):
+        with pytest.raises(ConfigError, match=path):
+            decode_config_from_dict(json.loads(json.dumps(nested(path, "X")).replace(
+                '"X"', literal)))
 
     def test_unknown_key_is_named_in_the_error(self):
         with pytest.raises(ConfigError, match="reflection.lamda"):
             decode_config_from_dict({"reflection": {"lamda": 0.5}})
         with pytest.raises(ConfigError, match="window"):
             decode_config_from_dict({"window": 5})
+
+    def test_unknown_key_is_named_at_depth_three(self):
+        data = {"reflection": {"adaptive": dict(ADAPTIVE, x=1)}}
+        with pytest.raises(ConfigError, match=r"reflection\.adaptive\.x"):
+            decode_config_from_dict(data)
+        with pytest.raises(ConfigError, match=r"config\.reflection\.adaptive\.x"):
+            decode_config_from_dict(data, "config")
 
     def test_type_errors_are_config_errors(self):
         with pytest.raises(ConfigError):
@@ -184,6 +281,69 @@ class TestConfigDicts:
             decode_config_from_dict({"trigger": {"window_size": 2.5}})
         with pytest.raises(ConfigError):
             decode_config_from_dict({"sampling": "greedy"})
+
+    @pytest.mark.parametrize("data", [{"sampling": ""}, {"trigger": []},
+                                      {"reflection": 0}, {"trigger": False}])
+    def test_falsy_non_object_section_is_rejected(self, data):
+        (section,) = data
+        with pytest.raises(ConfigError, match=f"section {section} must be an object"):
+            decode_config_from_dict(data)
+        with pytest.raises(ConfigError, match=section):
+            run_config_from_dict(data)
+
+
+class TestRunConfigDicts:
+    def test_empty_dict_gives_defaults(self):
+        assert run_config_from_dict({}) == RunConfig()
+
+    def test_decode_keys_and_bench_keys_share_one_level(self):
+        cfg = run_config_from_dict({"reflection": {"steps": 2}, "eos_token": 3, "seed": 4,
+                                    "k": 3, "seeds": [1, 2], "backend": "b.json",
+                                    "corpus": "copy-recall", "out": "o"})
+        assert (cfg.k, cfg.seeds, cfg.backend, cfg.corpus, cfg.out, cfg.seed) == \
+            (3, [1, 2], "b.json", "copy-recall", "o", 4)
+        decode_cfg = cfg.decode_config(7)
+        assert decode_cfg == DecodeConfig(reflection=ReflectionConfig(steps=2),
+                                          eos_token=3, seed=7)
+
+    @pytest.mark.parametrize("key", ["seed", "backend", "corpus", "seeds", "out", "k"])
+    def test_null_gives_the_default(self, key):
+        assert run_config_from_dict({key: None}) == RunConfig()
+
+    def test_null_seed_lets_the_caller_draw_one(self):
+        assert run_config_from_dict({"seed": None}).seed is None
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            run_config_from_dict({"seed": seed})
+
+    @pytest.mark.parametrize("seeds", [[], [1, True], 3, [1.0], "1,2", {}])
+    def test_seeds_must_be_a_non_empty_list_of_ints(self, seeds):
+        with pytest.raises(ConfigError, match="seeds"):
+            run_config_from_dict({"seeds": seeds})
+
+    @pytest.mark.parametrize("key, value", [
+        ("backend", 3), ("corpus", []), ("out", False), ("k", True), ("k", 2.0),
+        ("k", "5"), ("seeds", "0")])
+    def test_bench_keys_are_type_checked(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            run_config_from_dict({key: value})
+
+    def test_unknown_key_is_named_in_the_error(self):
+        with pytest.raises(ConfigError, match="reflection.adaptive.x"):
+            run_config_from_dict({"reflection": {"adaptive": dict(ADAPTIVE, x=1)}})
+        with pytest.raises(ConfigError, match="seedz"):
+            run_config_from_dict({"seedz": [1]})
+
+
+def test_readme_config_block_is_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Configuration"):]
+    block = section[section.index("```json") + len("```json"):section.index("```\n", 8)]
+    data = json.loads(block)
+    assert data == dict(decode_config_to_dict(DecodeConfig()), seed=None)
+    assert run_config_from_dict(data) == RunConfig()
 
 
 class TestTraceFiles:

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from selfreflect import optimizer, verify
-from selfreflect import (DecodeConfig, GridSpec, InputError, MarkovBackend,
-                         ParetoPoint, ReflectionConfig, SamplingConfig,
-                         TriggerConfig, build_spike_backend, check_joint_descent,
-                         check_overhead_model, check_theorem1,
-                         check_tradeoff_bounds, decode, default_grid,
-                         export_pareto, golden_min, lambda_sweep,
+from selfreflect import (DecodeConfig, GridSpec, InputError, ParetoPoint,
+                         ReflectionConfig, SamplingConfig, TriggerConfig,
+                         build_spike_backend, check_joint_descent,
+                         check_theorem1, check_tradeoff_bounds, decode,
+                         default_grid, export_pareto, golden_min, lambda_sweep,
                          optimize_delta, pareto_from_correction,
                          pareto_from_trace, quadratic_instance,
                          random_prefix_instance, run_gradient_suite,
@@ -285,27 +284,6 @@ class TestSharedLossTerms:
         calls = self.count_calls(monkeypatch, (optimizer, verify), "_context_terms")
         run_gradient_suite(seed=0, count=6)
         assert len(calls) == 6
-
-
-class TestOverheadChecker:
-    def test_input_validation(self):
-        backend = MarkovBackend(np.full((4, 4), 0.25))
-        greedy = DecodeConfig(sampling=SamplingConfig(mode="greedy"),
-                              max_tokens=5)
-        with pytest.raises(InputError):
-            check_overhead_model(backend, [(0,)] * 9, greedy)
-        with pytest.raises(InputError):
-            check_overhead_model(backend, [(0,)] * 10, DecodeConfig(max_tokens=5))
-        with pytest.raises(InputError):
-            check_overhead_model(backend, [(0,)] * 10, greedy, repeats=0)
-
-    def test_no_activations_is_inconclusive(self):
-        backend = MarkovBackend(np.full((4, 4), 0.25))
-        cfg = DecodeConfig(sampling=SamplingConfig(mode="greedy"), max_tokens=8)
-        rep = check_overhead_model(backend, [(0,)] * 10, cfg, repeats=1)
-        assert rep.inconclusive
-        assert rep.n_activations == 0
-        assert rep.relative_error == math.inf
 
 
 class TestPareto:
