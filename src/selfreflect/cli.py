@@ -403,10 +403,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 from .engine import DecodeConfig
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 
 
 def _path(where: str, key: str) -> str:
@@ -136,7 +136,12 @@ def _read(cls, data, where: str):
         if value is None:
             raise ConfigError(f"config key {_path(where, name)} must be {expected}")
         kwargs[name] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except InputError as exc:  # a range check of the dataclass: name its section
+        if not where:
+            raise
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _write(obj) -> dict:

@@ -11,9 +11,11 @@ pre-correction entropy enters the window after the trigger was consulted.
 One loop serves every decode: `decode_batch` advances many decodes in
 lock-step, and `decode` is its one-row case. Logits, entropies, trigger
 statistics, sampling and log-probabilities are array operations over the
-rows, each reducing every row on its own in the order the one-row formulas
-use, so a row's trace does not depend on the rows beside it. Corrections,
-backend appends and random draws stay per row.
+rows (utils.ScaledRows, monitor.trigger_rows), each reducing every row on
+its own, so a row's trace does not depend on the rows beside it; the
+one-row helpers (softmax, entropy_from_logits, should_trigger) are the
+one-row case of the same code. Corrections, backend appends and random
+draws stay per row.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import InputError
 from .monitor import EntropyWindows, TriggerConfig, TriggerDecision, trigger_rows
 from .optimizer import (Correction, HybridLossReport, ReflectionConfig,
                         adapt_lambda, optimize_delta)
-from .utils import softmax
+from .utils import ScaledRows
 # The decode loop computes these on row blocks; the one-row functions stay
 # importable from here because perfbench/tracing.py wraps these names.
 from .monitor import should_trigger  # noqa: F401
@@ -121,8 +123,11 @@ def _nucleus_draw(probs: np.ndarray, top_p: float, draws) -> np.ndarray:
 def _check_logits(z: np.ndarray) -> None:
     if np.any(np.isnan(z)):
         raise InputError("logits must not contain NaN")
-    if np.max(z) == -math.inf:
+    top = np.max(z)
+    if top == -math.inf:
         raise InputError("cannot sample: all logits are -inf")
+    if top == math.inf:
+        raise InputError("logits must not contain +inf")
 
 
 def sample(logits, sampling: SamplingConfig, rng: np.random.Generator) -> int:
@@ -133,8 +138,8 @@ def sample(logits, sampling: SamplingConfig, rng: np.random.Generator) -> int:
     _check_logits(z)
     if sampling.mode == "greedy":
         return int(np.argmax(z))
-    p = softmax(z, sampling.temperature)
-    return int(_nucleus_draw(p[None], sampling.top_p, [rng.random()])[0])
+    probs = ScaledRows(z[None], sampling.temperature).probs()
+    return int(_nucleus_draw(probs, sampling.top_p, [rng.random()])[0])
 
 
 @dataclass
@@ -253,47 +258,6 @@ class _Row:
                            config=self.config, seed=self.config.seed)
 
 
-class _Scaled:
-    """Each row of a logit block divided by a temperature and shifted by its
-    maximum, with the exps, their row sums and math.log of those sums: the
-    intermediates of utils.softmax and utils.log_softmax, row by row. A row
-    whose maximum is not finite is marked not ok; its entries are undefined."""
-
-    __slots__ = ("z", "temperature", "shifted", "exp", "sums", "log_sums", "ok")
-
-    def __init__(self, z: np.ndarray, temperature: float):
-        self.z = z
-        self.temperature = temperature
-        with np.errstate(over="ignore", invalid="ignore"):
-            shifted = z / float(temperature)
-            peak = shifted.max(axis=1)
-            shifted -= peak[:, None]
-            self.exp = np.exp(shifted)
-        self.shifted = shifted
-        self.ok = np.isfinite(peak)
-        self.sums = self.exp.sum(axis=1)
-        # math.log, as log_softmax takes it: np.log need not round the same way
-        self.log_sums = np.array([math.log(v) if v > 0 else math.nan
-                                  for v in self.sums.tolist()])
-
-    def entropy(self) -> np.ndarray:
-        """utils.entropy_from_logits of every row (NaN for rows not ok)."""
-        with np.errstate(invalid="ignore"):
-            ls = self.shifted - self.log_sums[:, None]
-            p = np.exp(ls)
-            out = -np.where(p > 0.0, p * ls, 0.0).sum(axis=1)
-        out[~self.ok] = math.nan
-        return out
-
-    def probs(self) -> np.ndarray:
-        """utils.softmax of every row."""
-        return self.exp / self.sums[:, None]
-
-    def log_prob(self, tokens: np.ndarray) -> np.ndarray:
-        """utils.log_softmax of every row, at one token per row."""
-        return self.shifted[np.arange(len(tokens)), tokens] - self.log_sums
-
-
 def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
     """Decode several (prompt, DecodeConfig) runs in lock-step, one row each.
 
@@ -337,8 +301,8 @@ def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
         z = np.empty((n, head.vocab_size))
         for i, row in enumerate(rows):
             z[i] = head.matrix @ row.acts.last_hidden  # per-row gemv: a gemm may round differently
-        monitored = _Scaled(z, trigger.temperature)
-        entropy = monitored.entropy()
+        monitored = ScaledRows(z, trigger.temperature)
+        entropy, _, _ = monitored.entropy()
         mean, std, threshold, fired = trigger_rows(windows, entropy, trigger)
         failed: dict[int, Exception] = {}
         if not monitored.ok.all():
@@ -406,7 +370,7 @@ def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
     return results
 
 
-def _sample_rows(z: np.ndarray, monitored: _Scaled, rows: list[_Row], failed: dict,
+def _sample_rows(z: np.ndarray, monitored: ScaledRows, rows: list[_Row], failed: dict,
                  sampling: SamplingConfig) -> tuple[list[int], list[float]]:
     """sample() and the log-probability of the sampled token, for every row of
     the sampling logits z; rows in `failed` draw no randomness. The monitor's
@@ -418,7 +382,7 @@ def _sample_rows(z: np.ndarray, monitored: _Scaled, rows: list[_Row], failed: di
         if failed:
             z = z.copy()
             z[list(failed)] = 0.0  # keeps the block finite; these rows are dropped
-        scaled = _Scaled(z, temperature)
+        scaled = ScaledRows(z, temperature)
     if greedy:
         tokens = z.argmax(axis=1)
     else:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,61 +57,22 @@ def entropy(probs) -> float:
     return float(-terms.sum())
 
 
-class EntropyWindow:
-    """Fixed-capacity ring buffer of recent step entropies."""
-
-    def __init__(self, capacity: int):
-        if capacity < 2:
-            raise InputError("window capacity must be at least 2")
-        self.capacity = int(capacity)
-        self._buf = deque(maxlen=self.capacity)
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    @property
-    def full(self) -> bool:
-        return len(self._buf) == self.capacity
-
-    def values(self) -> list[float]:
-        return list(self._buf)
-
-    def observe(self, value: float) -> None:
-        """Push one entropy, evicting the oldest when full. Rejects non-finite
-        or negative values rather than letting them poison the statistics."""
-        v = float(value)
-        if not math.isfinite(v) or v < 0:
-            raise InputError(f"entropy observations must be finite and non-negative, got {v}")
-        self._buf.append(v)
-
-    def mean(self) -> float:
-        if not self._buf:
-            return math.nan
-        return float(np.mean(self._buf))
-
-    def std(self) -> float:
-        # population standard deviation (divide by n), matching the trigger rule
-        if not self._buf:
-            return math.nan
-        return float(np.std(self._buf))
-
-
 class EntropyWindows:
     """The entropy windows of a batch of decodes that advance in lock-step.
 
     Every row receives one entropy per step, so all windows hold the same
-    number of entries. Row r holds them right-aligned in values[r], oldest
-    first: the entries an EntropyWindow would hold, in the same order, so each
-    row's statistics reduce the same numbers in numpy's same summation order
-    and equal EntropyWindow.mean()/std() bit for bit. Columns left of the
-    filled part are never read: a sum over them would change that order.
+    number of entries. Row r holds them right-aligned in its block row,
+    oldest first, and its statistics reduce only the filled part along the
+    row's contiguous last axis: a row's statistics do not depend on the rows
+    beside it, and a one-row block is an EntropyWindow. Columns left of the
+    filled part are never read: a sum over them would change the order.
     """
 
     def __init__(self, rows: int, capacity: int):
         if capacity < 2:
             raise InputError("window capacity must be at least 2")
         self.capacity = int(capacity)
-        self.values = np.zeros((rows, self.capacity))
+        self.block = np.zeros((rows, self.capacity))
         self.count = 0
 
     @property
@@ -121,32 +81,62 @@ class EntropyWindows:
 
     def push(self, entropies) -> None:
         """Append one entropy per row, evicting each row's oldest when full."""
-        v = self.values
+        v = self.block
         v[:, :-1] = v[:, 1:]
         v[:, -1] = entropies
         self.count = min(self.count + 1, self.capacity)
 
     def keep(self, rows) -> None:
         """Drop every row not selected by the boolean mask `rows`."""
-        self.values = self.values[rows]
+        self.block = self.block[rows]
 
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean and population std of each row's window, NaN while empty."""
         n = self.count
         if n == 0:
-            mean = np.full(len(self.values), math.nan)
+            mean = np.full(len(self.block), math.nan)
             return mean, mean.copy()
-        block = self.values[:, -n:]
+        block = self.block[:, -n:]
         mean = block.sum(axis=1) / n
         dev = block - mean[:, None]
         dev *= dev
         return mean, np.sqrt(dev.sum(axis=1) / n)
 
 
+class EntropyWindow(EntropyWindows):
+    """The window of one decode: a one-row EntropyWindows that checks each
+    entropy it receives."""
+
+    def __init__(self, capacity: int):
+        super().__init__(1, capacity)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def values(self) -> list[float]:
+        return self.block[0, self.capacity - self.count:].tolist()
+
+    def observe(self, value: float) -> None:
+        """Push one entropy, evicting the oldest when full. Rejects non-finite
+        or negative values rather than letting them poison the statistics."""
+        v = float(value)
+        if not math.isfinite(v) or v < 0:
+            raise InputError(f"entropy observations must be finite and non-negative, got {v}")
+        self.push(v)
+
+    def mean(self) -> float:
+        return float(self.moments()[0][0])
+
+    def std(self) -> float:
+        # population standard deviation (divide by n), matching the trigger rule
+        return float(self.moments()[1][0])
+
+
 def trigger_rows(windows: EntropyWindows, entropies: np.ndarray, config: TriggerConfig):
-    """should_trigger for every row of a batch at once: each row's window
-    mean, std, threshold and fired flag, equal to what should_trigger
-    decides for that row's window and entropy (window_full is windows.full)."""
+    """The trigger rule for every row of a batch at once: each row's window
+    mean, std, threshold (mean + sensitivity * std) and fired flag, which is
+    set only on full windows, by strict inequality (window_full is
+    windows.full)."""
     mean, std = windows.moments()
     threshold = mean + config.sensitivity * std
     fired = entropies > threshold if windows.full else np.zeros(len(entropies), dtype=bool)
@@ -155,16 +145,15 @@ def trigger_rows(windows: EntropyWindows, entropies: np.ndarray, config: Trigger
 
 def should_trigger(window: EntropyWindow, step_entropy: float,
                    config: TriggerConfig) -> TriggerDecision:
-    """Consult the trigger for the current step. Never inserts step_entropy:
-    the caller pushes it afterwards, so the step is judged against history only.
-    Fires only on a full window, with strict inequality against the threshold.
+    """Consult the trigger for the current step: the one-row case of
+    trigger_rows. Never inserts step_entropy: the caller pushes it
+    afterwards, so the step is judged against history only. Fires only on a
+    full window, with strict inequality against the threshold.
     """
     h = float(step_entropy)
     if not math.isfinite(h):
         raise InputError("step entropy must be finite")
-    mean = window.mean()
-    std = window.std()
-    threshold = mean + config.sensitivity * std
-    fired = bool(window.full and h > threshold)
-    return TriggerDecision(entropy=h, mean=mean, std=std, threshold=threshold,
-                           fired=fired, window_full=window.full)
+    mean, std, threshold, fired = trigger_rows(window, np.array([h]), config)
+    return TriggerDecision(entropy=h, mean=float(mean[0]), std=float(std[0]),
+                           threshold=float(threshold[0]), fired=bool(fired[0]),
+                           window_full=window.full)

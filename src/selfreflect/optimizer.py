@@ -23,7 +23,7 @@ import numpy as np
 
 from .backends import PrefixActivations, ProjectionHead
 from .errors import InputError
-from .utils import log_softmax
+from .utils import ScaledRows
 
 _EARLY_STOP = 1e-12
 _MAX_HALVINGS = 20
@@ -195,13 +195,14 @@ def _sharpening_loss(w, last_hidden, delta, tau, grad: bool = True):
     skips the gradient gemv and the errstate guard around the logits."""
     if grad:
         with np.errstate(invalid="ignore"):
-            ls = log_softmax(w @ (last_hidden + delta), tau)
+            z = w @ (last_hidden + delta)
     else:
-        ls = log_softmax(w @ (last_hidden + delta), tau)
-    if np.isnan(ls).any():
+        z = w @ (last_hidden + delta)
+    scaled = ScaledRows(z[None], tau)
+    if not scaled.ok[0]:
         return float("nan"), np.full(w.shape[1], np.nan) if grad else None
-    q = np.exp(ls)
-    h = float(-np.sum(np.where(q > 0.0, q * ls, 0.0)))
+    h, ls, q = scaled.entropy()
+    h, ls, q = float(h[0]), ls[0], q[0]
     if not grad:
         return h, None
     gvec = np.where(q > 0.0, -q * (ls + h), 0.0)

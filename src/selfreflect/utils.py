@@ -9,27 +9,71 @@ import numpy as np
 from .errors import InputError
 
 
+class ScaledRows:
+    """The package's one softmax / log-softmax / entropy kernel over a
+    (rows, V) logit block: each row divided by a temperature and shifted by
+    its maximum, with the exps, their row sums and math.log of those sums.
+    Each row is reduced on its own along its last axis, so it does not depend
+    on the rows beside it; softmax, log_softmax and entropy_from_logits are
+    the one-row case. A row whose maximum is not finite (all -inf, a +inf or
+    a NaN) is marked not ok; its entries are undefined."""
+
+    __slots__ = ("z", "temperature", "shifted", "exp", "sums", "log_sums", "ok")
+
+    def __init__(self, z: np.ndarray, temperature: float):
+        self.z = z
+        self.temperature = temperature
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted = z / float(temperature)
+            peak = shifted.max(axis=1)
+            shifted -= peak[:, None]
+            self.exp = np.exp(shifted)
+        self.shifted = shifted
+        self.ok = np.isfinite(peak)
+        self.sums = self.exp.sum(axis=1)
+        # math.log rather than np.log, which need not round the same way
+        self.log_sums = np.array([math.log(v) if v > 0 else math.nan
+                                  for v in self.sums.tolist()])
+
+    def probs(self) -> np.ndarray:
+        """softmax of every row."""
+        return self.exp / self.sums[:, None]
+
+    def log_probs(self) -> np.ndarray:
+        """log_softmax of every row."""
+        return self.shifted - self.log_sums[:, None]
+
+    def log_prob(self, tokens: np.ndarray) -> np.ndarray:
+        """log_softmax of every row, at one token per row."""
+        return self.shifted[np.arange(len(tokens)), tokens] - self.log_sums
+
+    def entropy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's entropy in nats with 0*log(0) = 0 (NaN for rows not
+        ok), with the log-probabilities and their exps it sums."""
+        with np.errstate(invalid="ignore"):
+            ls = self.log_probs()
+            p = np.exp(ls)
+            h = -np.where(p > 0.0, p * ls, 0.0).sum(axis=1)
+        h[~self.ok] = math.nan
+        return h, ls, p
+
+
+def _one_row(logits, temperature, part) -> np.ndarray:
+    z = np.asarray(logits, dtype=np.float64)
+    scaled = ScaledRows(z.reshape(1, -1), temperature)
+    if not scaled.ok[0]:
+        return np.full_like(z, np.nan)
+    return part(scaled).reshape(z.shape)
+
+
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     """Temperature-scaled softmax with max-subtraction. NaN poisons the output
     instead of raising so optimizer abort paths can detect it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = np.asarray(logits, dtype=np.float64) / float(temperature)
-    m = np.max(z)
-    if not np.isfinite(m):
-        # all -inf, +inf present, or NaN: hand back NaNs, callers decide
-        return np.full_like(z, np.nan)
-    e = np.exp(z - m)
-    return e / np.sum(e)
+    return _one_row(logits, temperature, ScaledRows.probs)
 
 
 def log_softmax(logits, temperature: float = 1.0) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = np.asarray(logits, dtype=np.float64) / float(temperature)
-    m = np.max(z)
-    if not np.isfinite(m):
-        return np.full_like(z, np.nan)
-    shifted = z - m
-    return shifted - math.log(np.sum(np.exp(shifted)))
+    return _one_row(logits, temperature, ScaledRows.log_probs)
 
 
 def entropy_from_logits(logits, temperature: float = 1.0) -> float:
@@ -38,12 +82,9 @@ def entropy_from_logits(logits, temperature: float = 1.0) -> float:
     NaN when the scaled logits are degenerate (poisoned log_softmax), so the
     failure is visible to abort checks rather than masked as zero entropy.
     """
-    ls = log_softmax(logits, temperature)
-    if np.isnan(ls).any():
-        return float("nan")
-    p = np.exp(ls)
-    terms = np.where(p > 0.0, p * ls, 0.0)
-    return float(-np.sum(terms))
+    z = np.asarray(logits, dtype=np.float64)
+    h, _, _ = ScaledRows(z.reshape(1, -1), temperature).entropy()
+    return float(h[0])
 
 
 def two_point_logits(target_entropy: float, size: int, hot: int = 0,

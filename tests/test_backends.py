@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -387,6 +388,12 @@ class TestSoftmaxUtils:
         p = softmax(z, 2.0)
         want = np.exp(z / 2.0) / np.exp(z / 2.0).sum()
         assert np.max(np.abs(p - want)) < 1e-15
+
+    def test_negative_infinite_logit_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = entropy_from_logits(np.array([-math.inf, 0.0, 1.0]))
+        assert h == entropy_from_logits(np.array([0.0, 1.0]))
 
     def test_entropy_from_logits_matches_direct(self):
         rng = np.random.default_rng(2)

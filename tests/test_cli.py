@@ -106,6 +106,16 @@ class TestDecode:
         assert "sampling" in err
         assert "Traceback" not in err
 
+    def test_config_range_error_names_its_key_path(self, capsys, tmp_path, spike_file):
+        backend_path, _ = spike_file
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"trigger": {"window_size": 1}}')
+        code, _, err = run(capsys, "decode", "--backend", backend_path,
+                           "--prompt", "0", "--config", str(cfg))
+        assert code == 2
+        assert "trigger: window_size must be at least 2" in err
+        assert "Traceback" not in err
+
     def test_bad_prompt(self, capsys, spike_file):
         backend_path, _ = spike_file
         code, _, err = run(capsys, "decode", "--backend", backend_path,

@@ -38,6 +38,12 @@ class TestSample:
         sample(np.array([0.0, 2.0]), GREEDY, rng)
         assert rng.random() == np.random.default_rng(5).random()
 
+    @pytest.mark.parametrize("mode", ["greedy", "temperature"])
+    def test_rejects_a_positive_infinite_logit(self, mode):
+        with pytest.raises(InputError, match=r"\+inf"):
+            sample(np.array([0.0, math.inf, 0.0]), SamplingConfig(mode=mode),
+                   np.random.default_rng(0))
+
     def test_nucleus_support_and_renormalization(self):
         support, kept = nucleus_distribution([0.5, 0.3, 0.15, 0.05], 0.8)
         assert list(support) == [0, 1]

@@ -2,11 +2,12 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
-from selfreflect import (AdaptiveWeightConfig, ConfigError, DecodeConfig,
+from selfreflect import (AdaptiveWeightConfig, ConfigError, DecodeConfig, InputError,
                          ReflectionConfig, RunConfig, SamplingConfig, TriggerConfig,
                          build_spike_backend, decode, decode_config_from_dict,
                          decode_config_to_dict, parse_trace, read_trace,
@@ -273,6 +274,20 @@ class TestConfigDicts:
             decode_config_from_dict(data)
         with pytest.raises(ConfigError, match=r"config\.reflection\.adaptive\.x"):
             decode_config_from_dict(data, "config")
+
+    @pytest.mark.parametrize("data, section, message", [
+        ({"trigger": {"window_size": 1}}, "trigger", "window_size must be at least 2"),
+        ({"reflection": {"entropy_weight": 2}}, "reflection",
+         "entropy_weight must lie in [0, 1]"),
+        ({"reflection": {"adaptive": dict(ADAPTIVE, min_weight=0.9)}}, "reflection.adaptive",
+         "adaptive bounds must satisfy 0 < min <= max < 1")])
+    def test_range_errors_name_their_section(self, data, section, message):
+        with pytest.raises(InputError) as err:
+            decode_config_from_dict(data, "config")
+        assert type(err.value) is InputError
+        assert str(err.value) == f"config.{section}: {message}"
+        with pytest.raises(InputError, match=re.escape(f"{section}: {message}")):
+            run_config_from_dict(data)
 
     def test_type_errors_are_config_errors(self):
         with pytest.raises(ConfigError):
