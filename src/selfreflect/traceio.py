@@ -22,8 +22,8 @@ from .optimizer import HybridLossReport
 TRACE_VERSION = 1
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), allow_nan=True)
+# one compact encoder for every record: json.dumps would build a new one per call
+_dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=True).encode
 
 
 def _correction_dict(c: CorrectionSummary, zero_times: bool) -> dict:

@@ -24,9 +24,10 @@ from __future__ import annotations
 import io
 import csv
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,18 @@ from .monitor import TriggerConfig
 from .optimizer import (Correction, ReflectionConfig, _context_loss,
                         _context_terms, _sharpening_loss, loss_aem, loss_ce,
                         loss_gradients)
+from .utils import ScaledRows
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_TOL, _MAX_ITER = 1e-10, 200  # golden_min's defaults, which the polish uses
+# check_theorem1 holds each instance's grid losses (~170 KB) until its
+# delta* is polished, so the suites check at most this many instances of a
+# dim at once
+_GRID_CHUNK = 6
+# numpy sums up to this many terms left to right (8 or more go through its
+# unrolled pairwise sum), so zeros padded onto the end of a row this short
+# leave its sum bitwise unchanged
+_SUM_BLOCK = 7
 
 
 # --- loss instances ---------------------------------------------------------
@@ -53,6 +64,8 @@ class LossInstance:
     `batch` vectorizes evaluation over a (C, dim) array of candidates and
     returns (ce values, aem values); when absent a Python loop stands in.
     `g_ce`/`g_aem` are analytic gradients; central differences stand in.
+    `prefix` holds a prefix instance's loss terms for the lock-step polish's
+    probe kernel; without it the polish calls `hybrid` row by row.
     """
 
     dim: int
@@ -62,6 +75,7 @@ class LossInstance:
     g_aem: Callable[[np.ndarray], np.ndarray] | None = None
     batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     label: str = "instance"
+    prefix: PrefixTerms | None = None
 
     def __post_init__(self):
         if not _is_int(self.dim) or self.dim < 1:
@@ -94,8 +108,27 @@ class LossInstance:
         return ce, aem
 
 
+class PrefixTerms(NamedTuple):
+    """A prefix instance's delta-free terms: head, last hidden state, in-scope
+    targets and base logits (None for an empty scope), loss temperature."""
+
+    w: np.ndarray
+    last_hidden: np.ndarray
+    targets: np.ndarray | None
+    base: np.ndarray | None
+    tau: float
+
+    @property
+    def scope(self) -> int:
+        return 0 if self.base is None else len(self.base)
+
+
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def _central_diff(f, x, h):
@@ -167,7 +200,8 @@ def prefix_instance(acts: PrefixActivations, head: ProjectionHead,
         f_aem=lambda d: loss_aem(acts, head, d, tau),
         g_ce=lambda d: _context_loss(terms, w, d, grad=True)[1],
         g_aem=lambda d: _sharpening_loss(w, acts.last_hidden, d, tau)[1],
-        batch=batch, label=label)
+        batch=batch, label=label,
+        prefix=PrefixTerms(w, acts.last_hidden, targets, base, tau))
 
 
 def random_prefix_instance(rng: np.random.Generator, dim: int, vocab: int,
@@ -231,64 +265,185 @@ def default_grid(dim: int) -> GridSpec:
     return GridSpec(points=points)
 
 
-def golden_min(f: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Golden-section line search; returns the midpoint of the final bracket."""
-    a, b = float(lo), float(hi)
+class _PrefixBlend:
+    """The blend (1-w)*l_ce + w*l_aem of many prefix-instance rows (one weight
+    and one point each), bitwise equal to each row's scalar `hybrid`.
+
+    The rows are padded to one (rows, V, dim) head block and one (rows, S, V)
+    base-logit block. Padded logit columns are set to -inf by a mask and
+    padded scope rows are masked to 0, so they add exact zeros to each row's
+    sums as long as padded lengths stay within _SUM_BLOCK (the suites have
+    V <= 5, |scope| <= 3). The stacked gemv `W @ x[:, :, None]` rounds like
+    the per-instance one.
+    """
+
+    def __init__(self, terms: list[PrefixTerms], weights):
+        rows, dim = len(terms), terms[0].w.shape[1]
+        vocab = max(t.w.shape[0] for t in terms)
+        scope = max(t.scope for t in terms)
+        self.w = np.zeros((rows, vocab, dim))
+        self.last = np.array([t.last_hidden for t in terms])
+        self.base = np.zeros((rows, scope, vocab))
+        targets = np.zeros((rows, scope), dtype=np.intp)
+        self.in_scope = np.zeros((rows, scope), dtype=bool)
+        self.padded = np.ones((rows, vocab), dtype=bool)
+        for r, t in enumerate(terms):
+            v = t.w.shape[0]
+            self.w[r, :v] = t.w
+            self.padded[r, :v] = False
+            if t.scope:
+                self.base[r, :t.scope, :v] = t.base
+                targets[r, :t.scope] = t.targets
+                self.in_scope[r, :t.scope] = True
+        # each target logit's index in the flat (rows, S, V) block
+        self.picks = np.arange(rows * scope).reshape(rows, scope) * vocab + targets
+        self.tau = terms[0].tau
+        self.weights = np.asarray(weights, dtype=np.float64)
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        """(rows,) blend values at a (rows, dim) block of points."""
+        z = self.base + (self.w @ points[:, :, None]).transpose(0, 2, 1)
+        np.copyto(z, -np.inf, where=self.padded[:, None, :])
+        picked = z.ravel()[self.picks]
+        m = z.max(axis=2)
+        z -= m[:, :, None]
+        np.exp(z, out=z)
+        # a non-finite max makes its row's term NaN, as in the scalar loss
+        ce = np.where(self.in_scope, np.log(z.sum(axis=2)) + m - picked, 0.0).sum(axis=1)
+        logits = (self.w @ (self.last + points)[:, :, None])[:, :, 0]
+        np.copyto(logits, -np.inf, where=self.padded)
+        aem = ScaledRows(logits, self.tau).entropy()[0]
+        return (1.0 - self.weights) * ce + self.weights * aem
+
+
+def _pads_exactly(lengths) -> bool:
+    return len(set(lengths)) == 1 or max(lengths) <= _SUM_BLOCK
+
+
+def _blend_rows(instances, weights) -> Callable[[np.ndarray], np.ndarray]:
+    """The blend of each (instance, weight) row at a (rows, dim) block of
+    points: the probe kernel when every row is a prefix instance of one loss
+    temperature and padding is exact, else each row's `hybrid` in a loop."""
+    terms = [inst.prefix for inst in instances]
+    if (all(t is not None for t in terms) and len({t.tau for t in terms}) == 1
+            and _pads_exactly([t.w.shape[0] for t in terms])
+            and _pads_exactly([t.scope for t in terms])):
+        return _PrefixBlend(terms, weights)
+    return lambda points: np.array([inst.hybrid(p, w) for inst, p, w
+                                    in zip(instances, points, weights)])
+
+
+def _golden_rows(f, lo: np.ndarray, hi: np.ndarray, tol: float,
+                 max_iter: int) -> np.ndarray:
+    """Golden-section line searches of many rows in lock-step; f maps a
+    (rows,) array of abscissae to their (rows,) values. Each row stops on its
+    own `b - a <= tol` test, so rows may take different iteration counts;
+    rows that stopped are still probed but no longer updated. Returns the
+    midpoint of each row's final bracket."""
+    a, b = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(max_iter):
-        if b - a <= tol:
+        live = ~(b - a <= tol)
+        if not live.any():
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
+        left = fc < fd  # the minimum lies in [a, d]: shrink from the right
+        right = live & ~left
+        left &= live
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, d, fc, fd = (np.where(right, d, c), np.where(left, c, d),
+                        np.where(right, fd, fc), np.where(left, fc, fd))
+        step = _GOLDEN * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = f(x)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
     return 0.5 * (a + b)
+
+
+def golden_min(f: Callable[[float], float], lo: float, hi: float,
+               tol: float = _TOL, max_iter: int = _MAX_ITER) -> float:
+    """Golden-section line search; returns the midpoint of the final bracket.
+    The one-row case of the polish's lock-step search."""
+    if not (_is_finite(lo) and _is_finite(hi)):
+        raise InputError(f"golden_min needs finite bounds, got lo={lo!r}, hi={hi!r}")
+    if not (_is_finite(tol) and tol > 0):
+        raise InputError(f"golden_min needs a positive finite tol, got {tol!r}")
+    if not _is_int(max_iter) or max_iter < 0:
+        raise InputError(f"golden_min needs a non-negative integer max_iter, "
+                         f"got {max_iter!r}")
+    x = _golden_rows(lambda xs: np.array([f(float(xs[0]))], dtype=np.float64),
+                     np.array([lo]), np.array([hi]), tol, max_iter)
+    return float(x[0])
+
+
+def _polish(blend, starts: np.ndarray, radius: float, sweeps: int) -> np.ndarray:
+    """Coordinate-wise golden-section polish of many rows in lock-step; blend
+    maps a (rows, dim) block of points to their (rows,) blend values. A row
+    never accepts a worse point, so each result keeps its grid argmin's
+    blend-optimality over all candidates."""
+    best = np.array(starts, dtype=np.float64)
+    best_val = blend(best)
+    for _ in range(sweeps):
+        for j in range(best.shape[1]):
+            probe = best.copy()
+
+            def along(x, j=j):
+                probe[:, j] = x
+                return blend(probe)
+
+            x = _golden_rows(along, best[:, j] - radius, best[:, j] + radius,
+                             _TOL, _MAX_ITER)
+            val = along(x)
+            better = val < best_val
+            best_val = np.where(better, val, best_val)
+            best[better, j] = x[better]
+    return best
 
 
 def _refine(instance: LossInstance, weight: float, start: np.ndarray,
             radius: float, sweeps: int = 2) -> np.ndarray:
-    """Coordinate-wise golden-section polish; never accepts a worse point, so
-    the result keeps the grid argmin's blend-optimality over all candidates."""
-    best = np.array(start, dtype=np.float64)
-    best_val = instance.hybrid(best, weight)
-    for _ in range(sweeps):
-        for j in range(instance.dim):
-            def along(x, j=j):
-                probe = best.copy()
-                probe[j] = x
-                return instance.hybrid(probe, weight)
-
-            x = golden_min(along, best[j] - radius, best[j] + radius)
-            val = along(x)
-            if val < best_val:
-                best_val = val
-                best = best.copy()
-                best[j] = x
-    return best
+    """The one-row case of the polish."""
+    starts = np.array(start, dtype=np.float64)[None]
+    return _polish(_blend_rows([instance], [weight]), starts, radius, sweeps)[0]
 
 
-def _evaluate_grid(instance, grid):
-    """(candidates, ce, aem) over the grid; weight-free, so one evaluation
-    serves every blend weight a check minimizes."""
+def _evaluate_grid(instance, grid, weights):
+    """The grid argmin of each weight's blend as (weights, dim) copies, and
+    the grid's (ce, aem). The losses are weight-free, so one evaluation
+    serves every weight; the copies let the candidate array go."""
     cand = grid.candidates(instance.dim)
     ce, aem = instance.batch_eval(cand)
-    return cand, ce, aem
+    starts = np.array([cand[int(np.argmin((1.0 - w) * ce + w * aem))]
+                       for w in weights])
+    return starts, ce, aem
 
 
-def _grid_minimizer(instance, weight, evaluated, grid, refine_sweeps):
-    cand, ce, aem = evaluated
-    blend = (1.0 - weight) * ce + weight * aem
-    start = cand[int(np.argmin(blend))]
+def _minimizers(instances, weights, starts, grid, refine_sweeps) -> np.ndarray:
+    """Each (instance, weight) row's blend minimizer from its grid start; the
+    rows share one dim."""
     if refine_sweeps > 0:
-        return _refine(instance, weight, start, grid.step, sweeps=refine_sweeps)
-    return np.array(start, dtype=np.float64)
+        return _polish(_blend_rows(instances, weights), starts, grid.step,
+                       refine_sweeps)
+    return starts
+
+
+def _groups(rows, size=None):
+    """Batches of (index, row) pairs, rows being (instance, ...) tuples, whose
+    instances share a dim and a loss temperature (one grid and one probe
+    kernel), in input order. A batch is yielded as soon as `size` rows of its
+    group have arrived, and the rest at the end, so a lazy iterable of rows
+    is only drawn as far as needed."""
+    pending: dict = {}
+    for n, row in enumerate(rows):
+        inst = row[0]
+        key = (inst.dim, None if inst.prefix is None else inst.prefix.tau)
+        batch = pending.setdefault(key, [])
+        batch.append((n, row))
+        if len(batch) == size:
+            yield pending.pop(key)
+    yield from pending.values()
 
 
 # --- theorem checks ---------------------------------------------------------
@@ -318,28 +473,48 @@ def check_theorem1(instance: LossInstance, entropy_weight: float,
     `tolerance`. The degenerate flag marks instances where every candidate is
     feasible, i.e. the constraint never binds and the check is vacuous.
     """
-    if not 0.0 < entropy_weight <= 1.0:
+    return _theorem1_reports([(instance, entropy_weight)], grid, tolerance,
+                             refine_sweeps)[0]
+
+
+def _theorem1_reports(rows, grid: GridSpec | None = None,
+                      tolerance: float = 1e-9,
+                      refine_sweeps: int = 2) -> list[TheoremCheckReport]:
+    """check_theorem1 for each (instance, weight) row, in input order. A
+    group's rows are checked together, _GRID_CHUNK at a time, as they
+    arrive, so rows drawn lazily keep at most that many instances and grids
+    per group alive."""
+    reports = {}
+    for batch in _groups(rows, _GRID_CHUNK):
+        order, instances, weights = zip(*((n, inst, w) for n, (inst, w) in batch))
+        reports.update(zip(order, _theorem1_chunk(instances, weights, grid,
+                                                  tolerance, refine_sweeps)))
+    return [reports[n] for n in range(len(reports))]
+
+
+def _theorem1_chunk(instances, weights, grid, tolerance, refine_sweeps):
+    # the chunk's grid losses live until this returns
+    if not all(0.0 < w <= 1.0 for w in weights):
         raise InputError("theorem check needs entropy_weight in (0, 1]")
     if grid is None:
-        grid = default_grid(instance.dim)
-    cand, ce, aem = evaluated = _evaluate_grid(instance, grid)
-    delta_star = _grid_minimizer(instance, entropy_weight, evaluated, grid,
-                                 refine_sweeps)
-    epsilon = instance.ce(delta_star)
-    aem_star = instance.aem(delta_star)
-
-    feasible = ce <= epsilon
-    margin = aem_star - aem[feasible]
-    violations = int(np.sum(margin > tolerance))
-    worst = float(np.max(margin)) if margin.size else 0.0
-    return TheoremCheckReport(
-        entropy_weight=entropy_weight,
-        delta_star=tuple(float(x) for x in delta_star),
-        epsilon_implied=epsilon, aem_star=aem_star,
-        candidates_tested=len(cand), violations=violations,
-        worst_violation=worst, tolerance=tolerance,
-        degenerate=bool(np.all(feasible)),
-        passed=violations == 0)
+        grid = default_grid(instances[0].dim)
+    grids = [_evaluate_grid(inst, grid, [w]) for inst, w in zip(instances, weights)]
+    deltas = _minimizers(instances, weights, np.concatenate([e[0] for e in grids]),
+                       grid, refine_sweeps)
+    reports = []
+    for inst, w, (_, ce, aem), delta in zip(instances, weights, grids, deltas):
+        epsilon, aem_star = inst.ce(delta), inst.aem(delta)
+        feasible = ce <= epsilon
+        margin = aem_star - aem[feasible]
+        violations = int(np.sum(margin > tolerance))
+        reports.append(TheoremCheckReport(
+            entropy_weight=w, delta_star=tuple(float(x) for x in delta),
+            epsilon_implied=epsilon, aem_star=aem_star,
+            candidates_tested=len(ce), violations=violations,
+            worst_violation=float(np.max(margin)) if margin.size else 0.0,
+            tolerance=tolerance, degenerate=bool(np.all(feasible)),
+            passed=violations == 0))
+    return reports
 
 
 @dataclass
@@ -371,30 +546,42 @@ def check_tradeoff_bounds(instance: LossInstance, w1: float, w2: float,
     make that premise exact, each candidate minimizer is replaced by the best
     of the pair under its own weight before evaluating the bounds.
     """
+    return _tradeoff_reports([instance], w1, w2, grid, tolerance,
+                             refine_sweeps)[0]
+
+
+def _tradeoff_reports(instances, w1: float, w2: float,
+                      grid: GridSpec | None = None, tolerance: float = 1e-6,
+                      refine_sweeps: int = 2) -> list[TradeoffReport]:
+    """check_tradeoff_bounds for each instance, in input order; a group's
+    (instance, weight) rows are polished together."""
     if not (0.0 < w1 < w2 < 1.0):
         raise InputError("tradeoff bounds need 0 < w1 < w2 < 1")
-    if grid is None:
-        grid = default_grid(instance.dim)
-    evaluated = _evaluate_grid(instance, grid)
-    d1 = _grid_minimizer(instance, w1, evaluated, grid, refine_sweeps)
-    d2 = _grid_minimizer(instance, w2, evaluated, grid, refine_sweeps)
-    # cross-check so F_{w1}(d1) <= F_{w1}(d2) and vice versa hold exactly
-    if instance.hybrid(d2, w1) < instance.hybrid(d1, w1):
-        d1 = d2
-    if instance.hybrid(d1, w2) < instance.hybrid(d2, w2):
-        d2 = d1
-    ce1, aem1 = instance.ce(d1), instance.aem(d1)
-    ce2, aem2 = instance.ce(d2), instance.aem(d2)
-    a1 = (1.0 - w1) / w1
-    a2 = (1.0 - w2) / w2
-    lower = a1 * (ce1 - ce2)
-    upper = a2 * (ce1 - ce2)
-    gap = aem2 - aem1
-    passed = (lower - tolerance <= gap) and (gap <= upper + tolerance)
-    return TradeoffReport(w1=w1, w2=w2, l_ce_1=ce1, l_aem_1=aem1,
-                          l_ce_2=ce2, l_aem_2=aem2, lower_bound=lower,
-                          gap=gap, upper_bound=upper, tolerance=tolerance,
-                          passed=passed)
+    reports = {}
+    for batch in _groups((inst,) for inst in instances):
+        order, group = zip(*((n, inst) for n, (inst,) in batch))
+        g = default_grid(group[0].dim) if grid is None else grid
+        starts = np.concatenate([_evaluate_grid(inst, g, (w1, w2))[0]
+                                 for inst in group])
+        deltas = _minimizers([inst for inst in group for _ in (w1, w2)],
+                           [w1, w2] * len(group), starts, g, refine_sweeps)
+        for n, inst, d1, d2 in zip(order, group, deltas[0::2], deltas[1::2]):
+            # cross-check so F_{w1}(d1) <= F_{w1}(d2) and vice versa hold exactly
+            if inst.hybrid(d2, w1) < inst.hybrid(d1, w1):
+                d1 = d2
+            if inst.hybrid(d1, w2) < inst.hybrid(d2, w2):
+                d2 = d1
+            ce1, aem1 = inst.ce(d1), inst.aem(d1)
+            ce2, aem2 = inst.ce(d2), inst.aem(d2)
+            lower = (1.0 - w1) / w1 * (ce1 - ce2)
+            upper = (1.0 - w2) / w2 * (ce1 - ce2)
+            gap = aem2 - aem1
+            passed = (lower - tolerance <= gap) and (gap <= upper + tolerance)
+            reports[n] = TradeoffReport(
+                w1=w1, w2=w2, l_ce_1=ce1, l_aem_1=aem1, l_ce_2=ce2, l_aem_2=aem2,
+                lower_bound=lower, gap=gap, upper_bound=upper,
+                tolerance=tolerance, passed=passed)
+    return [reports[n] for n in range(len(reports))]
 
 
 @dataclass
@@ -512,20 +699,24 @@ def run_gradient_suite(seed: int = 0, count: int = 200,
 
 def run_theorem1_suite(seed: int = 0, count: int = 100) -> SuiteReport:
     """Constrained-optimality brute force over random instances of dim 1-3,
-    each searched over at least 10^4 candidates."""
+    each searched over at least 10^4 candidates. No draw depends on a
+    result, so the instances are drawn as the chunked checks need them."""
     started = time.perf_counter()
     rng = _suite_rng(seed)
+
+    def draws():
+        for i in range(count):
+            dim = (i % 3) + 1
+            vocab = int(rng.integers(2, 6))
+            plen = int(rng.integers(2, 5))
+            weight = float(rng.uniform(0.05, 0.95))
+            yield random_prefix_instance(rng, dim, vocab, plen), weight
+
     violations = 0
     tested = 0
     degenerate = 0
     worst = 0.0
-    for i in range(count):
-        dim = (i % 3) + 1
-        vocab = int(rng.integers(2, 6))
-        plen = int(rng.integers(2, 5))
-        weight = float(rng.uniform(0.05, 0.95))
-        instance = random_prefix_instance(rng, dim, vocab, plen)
-        report = check_theorem1(instance, weight)
+    for report in _theorem1_reports(draws()):
         violations += report.violations
         tested += report.candidates_tested
         degenerate += int(report.degenerate)
@@ -542,14 +733,15 @@ def run_tradeoff_suite(seed: int = 0, count: int = 50,
                        w1: float = 0.2, w2: float = 0.8) -> SuiteReport:
     started = time.perf_counter()
     rng = _suite_rng(seed)
-    failures = 0
-    worst_slack = math.inf
+    instances = []
     for i in range(count):
         dim = (i % 2) + 1
         vocab = int(rng.integers(2, 6))
         plen = int(rng.integers(2, 5))
-        instance = random_prefix_instance(rng, dim, vocab, plen)
-        report = check_tradeoff_bounds(instance, w1, w2)
+        instances.append(random_prefix_instance(rng, dim, vocab, plen))
+    failures = 0
+    worst_slack = math.inf
+    for report in _tradeoff_reports(instances, w1, w2):
         if not report.passed:
             failures += 1
         slack = min(report.gap - report.lower_bound,
@@ -745,15 +937,15 @@ def lambda_sweep(instance: LossInstance, weights,
     weights = list(weights)
     if not all(0.0 < w < 1.0 for w in weights):
         raise InputError("sweep weights must lie strictly inside (0, 1)")
+    if not weights:
+        return []
     if grid is None:
         grid = default_grid(instance.dim)
-    evaluated = _evaluate_grid(instance, grid)
-    points = []
-    for w in weights:
-        d = _grid_minimizer(instance, w, evaluated, grid, refine_sweeps)
-        points.append(ParetoPoint(float(w), 0, instance.ce(d), instance.aem(d),
-                                  "lambda-sweep"))
-    return points
+    starts = _evaluate_grid(instance, grid, weights)[0]
+    deltas = _minimizers([instance] * len(weights), weights, starts, grid,
+                       refine_sweeps)
+    return [ParetoPoint(float(w), 0, instance.ce(d), instance.aem(d),
+                        "lambda-sweep") for w, d in zip(weights, deltas)]
 
 
 def export_pareto(points) -> str:
