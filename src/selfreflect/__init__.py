@@ -12,8 +12,7 @@ from .backends import (AttentionBackend, MarkovBackend, ModelBackend,
                        PrefixActivations, ProjectionHead, ScriptedBackend,
                        VocabSpec, backend_from_dict, backend_to_dict,
                        build_toy_backend, load_backend, logits_at, save_backend)
-from .monitor import (EntropyWindow, TriggerConfig, TriggerDecision, entropy,
-                      should_trigger)
+from .monitor import EntropyWindow, TriggerConfig, TriggerDecision, should_trigger
 from .optimizer import (AdaptiveWeightConfig, Correction, HybridLossReport,
                         ReflectionConfig, adapt_lambda, ce_positions,
                         grad_hybrid, loss_aem, loss_ce, loss_gradients,
@@ -58,7 +57,7 @@ __all__ = [
     "check_theorem1", "check_tradeoff_bounds",
     "cons_at_k", "corpus_backend", "critical_tokens", "decode", "decode_batch",
     "decode_config_from_dict", "decode_config_to_dict", "default_grid",
-    "derive_seed", "entropy", "entropy_from_logits", "export_pareto",
+    "derive_seed", "entropy_from_logits", "export_pareto",
     "extract_answer", "gen_corpus", "golden_min", "grad_hybrid",
     "lambda_sweep", "load_backend", "load_run_config", "log_softmax",
     "logits_at", "loss_aem", "loss_ce", "loss_gradients",

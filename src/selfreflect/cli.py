@@ -150,8 +150,7 @@ def cmd_bench(args) -> int:
     errors = 0
     for arm in arms:
         result = run_benchmark(backend, tasks, decode_cfg, k, seeds=seeds,
-                               reflect=arm == "reflect", arm=arm,
-                               keep_traces=keep)
+                               reflect=arm == "reflect", keep_traces=keep)
         results[arm] = result
         m = result.metrics
         errors += sum(t.errors for t in m.results)

@@ -13,8 +13,8 @@ lock-step, and `decode` is its one-row case. Logits, entropies, trigger
 statistics, sampling and log-probabilities are array operations over the
 rows (utils.ScaledRows, monitor.trigger_rows), each reducing every row on
 its own, so a row's trace does not depend on the rows beside it; the
-one-row helpers (softmax, entropy_from_logits, should_trigger) are the
-one-row case of the same code. Corrections, backend appends and random
+one-row helpers (softmax, entropy_from_logits, should_trigger, sample) are
+the one-row case of the same code. Corrections, backend appends and random
 draws stay per row.
 """
 
@@ -131,15 +131,27 @@ def _check_logits(z: np.ndarray) -> None:
 
 
 def sample(logits, sampling: SamplingConfig, rng: np.random.Generator) -> int:
-    """Draw one token id. Greedy mode never consumes randomness."""
+    """Draw one token id: the one-row case of the decode loop's draw. Greedy
+    mode never consumes randomness."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1 or z.size < 1:
         raise InputError("logits must be a non-empty 1-d vector")
     _check_logits(z)
+    return int(_sample_rows(z[None], None, [rng], sampling)[0])
+
+
+def _sample_rows(z: np.ndarray, scaled: ScaledRows | None, rngs,
+                 sampling: SamplingConfig) -> np.ndarray:
+    """One token per row of the logit block z: its argmax in greedy mode, else
+    a nucleus draw with one uniform from the row's generator (a None generator
+    draws 0.0 and consumes nothing). `scaled` is z at the sampling temperature
+    when the caller has it already."""
     if sampling.mode == "greedy":
-        return int(np.argmax(z))
-    probs = ScaledRows(z[None], sampling.temperature).probs()
-    return int(_nucleus_draw(probs, sampling.top_p, [rng.random()])[0])
+        return z.argmax(axis=1)
+    if scaled is None:
+        scaled = ScaledRows(z, sampling.temperature)
+    draws = [0.0 if rng is None else rng.random() for rng in rngs]
+    return _nucleus_draw(scaled.probs(), sampling.top_p, draws)
 
 
 @dataclass
@@ -236,10 +248,7 @@ class _Row:
         refl = replace(reflection, entropy_weight=weight)
         if refl.steps == 0:
             # monitor-only fast path: delta stays 0, skip the loss machinery
-            return CorrectionSummary(
-                steps_taken=0, aborted=False, entropy_weight=weight,
-                delta_norm=0.0, final_l_ce=None, final_l_aem=None,
-                final_f_lambda=None, opt_wall_time=0.0), None
+            return _summarize(Correction(np.zeros(head.hidden_dim)), weight, 0.0), None
         t_opt = time.perf_counter()
         corr = optimize_delta(self.acts, head, refl)
         summary = _summarize(corr, weight, time.perf_counter() - t_opt)
@@ -324,7 +333,20 @@ def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
                 except Exception as exc:
                     failed[i] = exc
                 own[i] = time.perf_counter() - t_corr
-        tokens, logprob = _sample_rows(z, monitored, rows, failed, shared.sampling)
+        # sampling reuses the monitor's scaled block when it holds the sampling
+        # logits at the sampling temperature; failed rows are zeroed to keep
+        # the block finite and draw no randomness
+        temperature = 1.0 if shared.sampling.mode == "greedy" else shared.sampling.temperature
+        scaled = monitored
+        if failed or z is not monitored.z or temperature != monitored.temperature:
+            if failed:
+                z = z.copy()
+                z[list(failed)] = 0.0
+            scaled = ScaledRows(z, temperature)
+        rngs = [None if i in failed else row.rng for i, row in enumerate(rows)]
+        tokens = _sample_rows(z, scaled, rngs, shared.sampling)
+        logprob = scaled.log_prob(tokens).tolist()
+        tokens = tokens.tolist()
 
         stepped = max(n - len(failed), 1)  # rows that record this step
         corrections = sum(own.values())
@@ -368,27 +390,6 @@ def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
             rows = [row for row, alive in zip(rows, live) if alive]
             slots = [slot for slot, alive in zip(slots, live) if alive]
     return results
-
-
-def _sample_rows(z: np.ndarray, monitored: ScaledRows, rows: list[_Row], failed: dict,
-                 sampling: SamplingConfig) -> tuple[list[int], list[float]]:
-    """sample() and the log-probability of the sampled token, for every row of
-    the sampling logits z; rows in `failed` draw no randomness. The monitor's
-    intermediates are reused when they are the ones sampling needs."""
-    greedy = sampling.mode == "greedy"
-    temperature = 1.0 if greedy else sampling.temperature
-    scaled = monitored
-    if failed or z is not monitored.z or temperature != monitored.temperature:
-        if failed:
-            z = z.copy()
-            z[list(failed)] = 0.0  # keeps the block finite; these rows are dropped
-        scaled = ScaledRows(z, temperature)
-    if greedy:
-        tokens = z.argmax(axis=1)
-    else:
-        draws = [0.0 if i in failed else row.rng.random() for i, row in enumerate(rows)]
-        tokens = _nucleus_draw(scaled.probs(), sampling.top_p, draws)
-    return tokens.tolist(), scaled.log_prob(tokens).tolist()
 
 
 def decode(backend: ModelBackend, prompt, config: DecodeConfig) -> DecodeTrace:

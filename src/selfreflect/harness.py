@@ -44,6 +44,14 @@ _RECALL_SMOOTHING = 1e-9
 # held in memory.
 _LIVE_ROWS = 64
 
+# The spike-fixture script: entropies in nats at the monitor temperature, a
+# spike every _SPIKE_SPACING generated steps, _SPIKE_TAIL flat steps after the last.
+_SPIKE_BASE_ENTROPY = 0.1
+_SPIKE_PEAK_ENTROPY = 1.4
+_SPIKE_TEMPERATURE = 0.6
+_SPIKE_SPACING = 30
+_SPIKE_TAIL = 10
+
 _MOD_BASE = 10
 _MOD_ADD = 10
 _MOD_MUL = 11
@@ -112,31 +120,28 @@ def _degenerate_transition(size: int) -> np.ndarray:
     return np.eye(size)
 
 
-def _spike_positions(n_spikes: int, spacing: int) -> list[int]:
-    return [spacing - 1 + spacing * i for i in range(n_spikes)]
+def _spike_length(n_spikes: int) -> int:
+    return _SPIKE_SPACING * n_spikes + _SPIKE_TAIL
 
 
-def build_spike_backend(n_spikes: int, vocab_size: int = 32,
-                        base_entropy: float = 0.1, spike_entropy: float = 1.4,
-                        spacing: int = 30, tail: int = 10,
-                        temperature: float = 0.6, base_token: int = 1,
+def build_spike_backend(n_spikes: int, vocab_size: int = 32, base_token: int = 1,
                         spike_token: int = 2) -> tuple[ScriptedBackend, int, list[int]]:
-    """Scripted backend whose monitored entropy is `base_entropy` everywhere
-    except at generated-step indices spacing-1, 2*spacing-1, ... (spike_entropy).
+    """Scripted backend whose entropy at _SPIKE_TEMPERATURE is
+    _SPIKE_BASE_ENTROPY everywhere except at generated-step indices
+    _SPIKE_SPACING - 1, 2 * _SPIKE_SPACING - 1, ..., where it is
+    _SPIKE_PEAK_ENTROPY; _SPIKE_TAIL flat steps follow the last spike.
 
     Returns (backend, generated_length, spike_step_indices). Steps are indexed
     from the first generated token; prompts of length 1 line up with the script.
     """
     if n_spikes < 1:
         raise InputError("n_spikes must be at least 1")
-    if spacing <= 0 or tail < 0:
-        raise InputError("spacing must be positive and tail non-negative")
-    length = spacing * n_spikes + tail
-    base = two_point_logits(base_entropy, vocab_size, hot=base_token,
-                            temperature=temperature)
-    spike = two_point_logits(spike_entropy, vocab_size, hot=spike_token,
-                             temperature=temperature)
-    positions = _spike_positions(n_spikes, spacing)
+    length = _spike_length(n_spikes)
+    base = two_point_logits(_SPIKE_BASE_ENTROPY, vocab_size, hot=base_token,
+                            temperature=_SPIKE_TEMPERATURE)
+    spike = two_point_logits(_SPIKE_PEAK_ENTROPY, vocab_size, hot=spike_token,
+                             temperature=_SPIKE_TEMPERATURE)
+    positions = [_SPIKE_SPACING - 1 + _SPIKE_SPACING * i for i in range(n_spikes)]
     script = [base] * length
     for s in positions:
         script[s] = spike
@@ -202,10 +207,9 @@ def gen_corpus(family: str, seed: int, count: int, difficulty: int = 1) -> list[
     if family == "spike-fixture":
         if difficulty < 1:
             raise InputError("spike-fixture needs difficulty >= 1 (spike count)")
-        _, length, _ = build_spike_backend(difficulty)
         alphabet = frozenset({2})
         return [Task(f"{family}-{seed}-{i:04d}", (0,), (2,), family, alphabet,
-                     max_tokens=length) for i in range(count)]
+                     max_tokens=_spike_length(difficulty)) for i in range(count)]
 
     raise ConfigError(f"unknown task family: {family!r}")
 
@@ -354,7 +358,7 @@ def derive_seed(sample_seed: int, task_index: int) -> int:
 
 
 def run_benchmark(backend: ModelBackend, tasks, config: DecodeConfig, k: int,
-                  seeds=None, reflect: bool | None = None, arm: str | None = None,
+                  seeds=None, reflect: bool | None = None,
                   keep_traces: bool = True) -> BenchmarkResult:
     """Decode every task k times and score exact-match answers.
 
@@ -377,8 +381,6 @@ def run_benchmark(backend: ModelBackend, tasks, config: DecodeConfig, k: int,
         raise InputError(f"need exactly {k} sample seeds, got {len(seeds)}")
     if reflect is None:
         reflect = config.reflect
-    if arm is None:
-        arm = "reflect" if reflect else "baseline"
 
     traces: list[tuple[str, int, DecodeTrace]] = []
     activations = 0
@@ -425,7 +427,7 @@ def run_benchmark(backend: ModelBackend, tasks, config: DecodeConfig, k: int,
 
     outcomes = [r.correct for r in results]
     metrics = RunMetrics(
-        arm=arm, k=k, tasks=len(tasks),
+        arm="reflect" if reflect else "baseline", k=k, tasks=len(tasks),
         avg_at_k=avg_at_k(outcomes), pass_at_k=pass_at_k(outcomes),
         cons_at_k=float(np.mean([r.vote_correct for r in results])),
         wall_time=time.perf_counter() - started,

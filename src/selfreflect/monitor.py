@@ -41,22 +41,6 @@ class TriggerDecision:
     window_full: bool
 
 
-def entropy(probs) -> float:
-    """Shannon entropy in nats of a probability vector, with 0*log(0) = 0."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1 or p.size < 1:
-        raise InputError("probs must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(p)):
-        raise InputError("probability entries must be finite")
-    if np.any(p < 0):
-        raise InputError("probability entries must be non-negative")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise InputError(f"probabilities sum to {total}, expected 1")
-    terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return float(-terms.sum())
-
-
 class EntropyWindows:
     """The entropy windows of a batch of decodes that advance in lock-step.
 

@@ -270,11 +270,22 @@ def grad_hybrid(acts: PrefixActivations, head: ProjectionHead, delta,
     return grad, report
 
 
-def _objective(report: HybridLossReport, delta, config) -> float:
-    obj = report.f_lambda
+def _objective(f_lambda: float, delta, config) -> float:
+    """The descent objective at delta: the blend f_lambda plus the ridge term."""
     if config.reg_gamma:
-        obj += 0.5 * config.reg_gamma * float(delta @ delta)
-    return obj
+        f_lambda += 0.5 * config.reg_gamma * float(delta @ delta)
+    return f_lambda
+
+
+def _trial_objective(acts, head, delta, config, terms) -> float:
+    """The descent objective at a backtracking trial, from the value-only losses."""
+    w = config.entropy_weight
+    return _objective((1.0 - w) * loss_ce(acts, head, delta, config.ce_scope, _terms=terms)
+                      + w * loss_aem(acts, head, delta, config.loss_temperature), delta, config)
+
+
+def _finite(report: HybridLossReport, grad) -> bool:
+    return math.isfinite(report.l_ce) and math.isfinite(report.l_aem) and np.all(np.isfinite(grad))
 
 
 def _project(delta, config):
@@ -284,13 +295,6 @@ def _project(delta, config):
     if n > config.trust_radius:
         return delta * (config.trust_radius / n)
     return delta
-
-
-def _losses_only(acts, head, delta, config, terms):
-    c = loss_ce(acts, head, delta, config.ce_scope, _terms=terms)
-    a = loss_aem(acts, head, delta, config.loss_temperature)
-    w = config.entropy_weight
-    return (1.0 - w) * c + w * a
 
 
 def optimize_delta(acts: PrefixActivations, head: ProjectionHead,
@@ -306,62 +310,46 @@ def optimize_delta(acts: PrefixActivations, head: ProjectionHead,
     proceeds uncorrected. The context-loss terms, base logits included, are
     built once and shared by every gradient and every backtracking trial.
     """
-    dim = head.hidden_dim
     terms = _context_terms(acts, head, config.ce_scope)
-    delta = np.zeros(dim)
-    trajectory: list[HybridLossReport] = []
-
-    def aborted():
-        return Correction(np.zeros(dim), trajectory,
-                          steps_taken=max(0, len(trajectory) - 1), aborted=True)
-
+    delta = np.zeros(head.hidden_dim)
     grad, report = grad_hybrid(acts, head, delta, config, _terms=terms)
-    trajectory.append(report)
-    if not (math.isfinite(report.l_ce) and math.isfinite(report.l_aem)
-            and np.all(np.isfinite(grad))):
-        return aborted()
-
-    for _ in range(config.steps):
+    trajectory = [report]
+    aborted = not _finite(report, grad)
+    for _ in range(0 if aborted else config.steps):
         direction = grad
         n = float(np.linalg.norm(direction))
         if config.grad_clip is not None and n > config.grad_clip:
             direction = direction * (config.grad_clip / n)
 
+        step = config.learning_rate
         if config.backtracking:
-            current = _objective(report, delta, config)
-            step = config.learning_rate
-            candidate = None
+            current = _objective(report.f_lambda, delta, config)
             for _ in range(_MAX_HALVINGS + 1):
                 trial = _project(delta - step * direction, config)
-                trial_obj = _losses_only(acts, head, trial, config, terms)
-                if config.reg_gamma:
-                    trial_obj += 0.5 * config.reg_gamma * float(trial @ trial)
-                if not math.isfinite(trial_obj):
-                    return aborted()
-                if trial_obj <= current:
-                    candidate = (trial, step, trial_obj)
+                trial_obj = _trial_objective(acts, head, trial, config, terms)
+                if trial_obj <= current or not math.isfinite(trial_obj):
                     break
                 step *= 0.5
-            if candidate is None:
+            else:
                 break  # no non-increasing step inside the budget: stay put
-            delta, step, new_obj = candidate
-            grad, report = grad_hybrid(acts, head, delta, config, _terms=terms)
-            trajectory.append(replace(report, step_size=step))
-            if not (math.isfinite(report.l_ce) and math.isfinite(report.l_aem)
-                    and np.all(np.isfinite(grad))):
-                return aborted()
-            if current - new_obj <= _EARLY_STOP:
+            if not math.isfinite(trial_obj):
+                aborted = True
                 break
+            delta = trial
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                delta = _project(delta - config.learning_rate * direction, config)
-            grad, report = grad_hybrid(acts, head, delta, config, _terms=terms)
-            trajectory.append(replace(report, step_size=config.learning_rate))
-            if not (math.isfinite(report.l_ce) and math.isfinite(report.l_aem)
-                    and np.all(np.isfinite(grad))):
-                return aborted()
+                delta = _project(delta - step * direction, config)
+        grad, report = grad_hybrid(acts, head, delta, config, _terms=terms)
+        trajectory.append(replace(report, step_size=step))
+        if not _finite(report, grad):
+            aborted = True
+            break
+        if config.backtracking and current - trial_obj <= _EARLY_STOP:
+            break
 
-    return Correction(delta, trajectory, steps_taken=len(trajectory) - 1, aborted=False)
+    if aborted:
+        delta = np.zeros(head.hidden_dim)
+    return Correction(delta, trajectory, steps_taken=len(trajectory) - 1, aborted=aborted)
 
 
 def adapt_lambda(config: ReflectionConfig, observed_l_ce: float) -> float:

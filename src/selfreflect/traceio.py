@@ -99,20 +99,57 @@ def write_trace(trace: DecodeTrace, path) -> None:
         fh.write(serialize_trace(trace))
 
 
+# Leaf readers: each returns data[key] when it has the type the writer emits
+# and raises TypeError naming the key otherwise (bool is not a number here).
+
+def _number(data, key):
+    value = data[key]
+    if type(value) is float or type(value) is int:
+        return value
+    raise TypeError(f"{key!r} must be a number, got {value!r}")
+
+
+def _number_or_none(data, key):
+    return None if data[key] is None else _number(data, key)
+
+
+def _integer(data, key):
+    value = data[key]
+    if type(value) is int:
+        return value
+    raise TypeError(f"{key!r} must be an integer, got {value!r}")
+
+
+def _flag(data, key):
+    value = data[key]
+    if type(value) is bool:
+        return value
+    raise TypeError(f"{key!r} must be true or false, got {value!r}")
+
+
+def _token_ids(data, key) -> tuple[int, ...]:
+    value = data[key]
+    if type(value) is list and all(type(t) is int for t in value):
+        return tuple(value)
+    raise TypeError(f"{key!r} must be a list of integers, got {value!r}")
+
+
 def _parse_correction(data) -> CorrectionSummary:
-    w = data["entropy_weight"]
+    w = _number(data, "entropy_weight")
     trajectory = [
-        HybridLossReport(l_ce=r["l_ce"], l_aem=r["l_aem"], f_lambda=r["f_lambda"],
-                         grad_norm=r["grad_norm"], grad_cos=r["grad_cos"],
-                         entropy_weight=w, step_size=r["step_size"])
+        HybridLossReport(l_ce=_number(r, "l_ce"), l_aem=_number(r, "l_aem"),
+                         f_lambda=_number(r, "f_lambda"), grad_norm=_number(r, "grad_norm"),
+                         grad_cos=_number(r, "grad_cos"), entropy_weight=w,
+                         step_size=_number(r, "step_size"))
         for r in data["trajectory"]
     ]
     return CorrectionSummary(
-        steps_taken=data["steps_taken"], aborted=data["aborted"],
-        entropy_weight=w, delta_norm=data["delta_norm"],
-        final_l_ce=data["final_l_ce"], final_l_aem=data["final_l_aem"],
-        final_f_lambda=data["final_f_lambda"],
-        opt_wall_time=data["opt_wall_time"], trajectory=trajectory)
+        steps_taken=_integer(data, "steps_taken"), aborted=_flag(data, "aborted"),
+        entropy_weight=w, delta_norm=_number(data, "delta_norm"),
+        final_l_ce=_number_or_none(data, "final_l_ce"),
+        final_l_aem=_number_or_none(data, "final_l_aem"),
+        final_f_lambda=_number_or_none(data, "final_f_lambda"),
+        opt_wall_time=_number(data, "opt_wall_time"), trajectory=trajectory)
 
 
 def parse_trace(text: str) -> DecodeTrace:
@@ -139,25 +176,33 @@ def parse_trace(text: str) -> DecodeTrace:
 
     try:  # `line` follows the record being read, for the error message
         config = decode_config_from_dict(header["config"], "config")
-        model_id, prompt, seed = header["model_id"], tuple(header["prompt"]), header["seed"]
+        model_id = header["model_id"]
+        if type(model_id) is not str:
+            raise TypeError(f"'model_id' must be a string, got {model_id!r}")
+        prompt, seed = _token_ids(header, "prompt"), _integer(header, "seed")
         steps = []
         for line, rec in records[1:-1]:
             if rec.get("record") != "step":
                 raise ConfigError(f"unexpected trace record kind: {rec.get('record')!r}")
             t = rec["trigger"]
-            decision = TriggerDecision(entropy=rec["entropy"], mean=t["mean"], std=t["std"],
-                                       threshold=t["threshold"], fired=t["fired"],
-                                       window_full=t["window_full"])
+            entropy = _number(rec, "entropy")
+            decision = TriggerDecision(entropy=entropy, mean=_number(t, "mean"),
+                                       std=_number(t, "std"), threshold=_number(t, "threshold"),
+                                       fired=_flag(t, "fired"),
+                                       window_full=_flag(t, "window_full"))
             corr = rec.get("correction")
             steps.append(StepRecord(
-                position=rec["position"], token=rec["token"], entropy=rec["entropy"],
-                trigger=decision, logprob=rec["logprob"], wall_time=rec["wall_time"],
+                position=_integer(rec, "position"), token=_integer(rec, "token"),
+                entropy=entropy, trigger=decision, logprob=_number(rec, "logprob"),
+                wall_time=_number(rec, "wall_time"),
                 correction=None if corr is None else _parse_correction(corr)))
         line = records[-1][0]
-        output = tuple(int(t) for t in footer["output"])
+        output = _token_ids(footer, "output")
         tot = footer["totals"]
-        totals = TraceTotals(n_activations=tot["n_activations"], inner_steps=tot["inner_steps"],
-                             wall_time=tot["wall_time"], baseline_time=tot["baseline_time"])
+        totals = TraceTotals(n_activations=_integer(tot, "n_activations"),
+                             inner_steps=_integer(tot, "inner_steps"),
+                             wall_time=_number(tot, "wall_time"),
+                             baseline_time=_number_or_none(tot, "baseline_time"))
     except KeyError as exc:
         raise ConfigError(f"trace line {line}: missing key {exc.args[0]!r}") from None
     except ConfigError:

@@ -242,6 +242,42 @@ class TestVerify:
             main(["verify", "--suite", "vibes"])
 
 
+def _step(records):
+    return records[3], 3
+
+
+def _trigger(records):
+    return records[3]["trigger"], 3
+
+
+def _totals(records):
+    return records[-1]["totals"], len(records) - 1
+
+
+def _correction(records):
+    index = next(i for i, rec in enumerate(records) if rec.get("correction"))
+    return records[index]["correction"], index
+
+
+def _trajectory(records):
+    correction, index = _correction(records)
+    return correction["trajectory"][1], index
+
+
+# (report that reads the leaf, where it sits, key, wrongly typed value)
+WRONG_LEAVES = [
+    ("entropy", _step, "entropy", "x"),
+    ("entropy", _step, "entropy", None),
+    ("entropy", _trigger, "fired", "yes"),
+    ("overhead", _totals, "inner_steps", "x"),
+    ("overhead", _totals, "baseline_time", "x"),
+    ("overhead", _correction, "steps_taken", "x"),
+    ("overhead", _correction, "opt_wall_time", "x"),
+    ("pareto", _correction, "entropy_weight", "x"),
+    ("pareto", _trajectory, "l_ce", "x"),
+]
+
+
 class TestAnalyze:
     @pytest.fixture
     def trace_dir(self, capsys, tmp_path, spike_file):
@@ -354,6 +390,23 @@ class TestAnalyze:
                              "--report", "overhead")
         assert code == 2 and out == ""
         assert f"trace line {n_lines}" in err and "'inner_steps'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("report, locate, key, value", WRONG_LEAVES,
+                             ids=[f"{key}={value!r}" for _, _, key, value in WRONG_LEAVES])
+    def test_wrongly_typed_leaf_is_a_config_error(self, capsys, trace_dir, tmp_path,
+                                                  report, locate, key, value):
+        lines = []
+
+        def damage(records):
+            leaf, index = locate(records)
+            leaf[key] = value
+            lines.append(index + 1)
+
+        path = self._damaged(trace_dir, tmp_path, damage)
+        code, out, err = run(capsys, "analyze", "--traces", str(path), "--report", report)
+        assert code == 2 and out == ""
+        assert f"trace line {lines[0]}:" in err and repr(key) in err
         assert "Traceback" not in err
 
 

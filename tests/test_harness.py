@@ -196,8 +196,6 @@ class TestBenchmark:
                              reflect=False, keep_traces=False)
         assert base.metrics.arm == "baseline"
         assert base.traces == []
-        named = run_benchmark(backend, tasks, DecodeConfig(), k=1, arm="pilot")
-        assert named.metrics.arm == "pilot"
 
     def test_paired_seeds_across_arms(self):
         backend = corpus_backend("modular-chain")

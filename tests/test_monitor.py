@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from selfreflect import (EntropyWindow, InputError, TriggerConfig, entropy,
-                         should_trigger)
+from selfreflect import EntropyWindow, InputError, TriggerConfig, should_trigger
 
 
 def filled_window(values, capacity=None):
@@ -14,28 +13,6 @@ def filled_window(values, capacity=None):
     for v in values:
         win.observe(v)
     return win
-
-
-class TestEntropy:
-    def test_uniform_is_log_v(self):
-        assert entropy(np.full(4, 0.25)) == pytest.approx(math.log(4), abs=1e-12)
-
-    def test_one_hot_is_zero(self):
-        assert entropy([0.0, 1.0, 0.0]) == 0.0
-
-    def test_bounds(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            v = int(rng.integers(2, 12))
-            p = rng.dirichlet(np.ones(v))
-            h = entropy(p)
-            assert -1e-12 <= h <= math.log(v) + 1e-9
-
-    def test_rejects_non_distribution(self):
-        with pytest.raises(InputError):
-            entropy([0.5, 0.4])  # does not sum to 1
-        with pytest.raises(InputError):
-            entropy([1.5, -0.5])
 
 
 class TestWindow:

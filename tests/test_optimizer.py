@@ -266,6 +266,7 @@ class TestOptimizeDelta:
         corr = optimize_delta(acts, head, cfg)
         assert corr.aborted
         assert np.array_equal(corr.delta, np.zeros(2))
+        assert_matches_reference(corr, acts, head, cfg)
 
     def test_abort_on_overflowing_learning_rate(self):
         acts = make_acts([[1.0, 0.0], [0.5, 0.2]], (0, 1))
@@ -274,6 +275,7 @@ class TestOptimizeDelta:
         corr = optimize_delta(acts, head, cfg)
         assert corr.aborted
         assert np.array_equal(corr.delta, np.zeros(2))
+        assert_matches_reference(corr, acts, head, cfg)
 
     def test_early_stop_at_stationary_point(self):
         # start at the entropy maximum with pure sharpening: zero gradient,
@@ -285,14 +287,30 @@ class TestOptimizeDelta:
         assert corr.steps_taken <= 1 and not corr.aborted
 
 
-def reference_optimize(acts, head, config):
-    """optimize_delta's loop (no trust region, no ridge term) written with
-    public grad_hybrid/loss_ce/loss_aem calls, each of which builds its own
-    context-loss terms."""
+def reference_optimize(acts, head, config, grad_fn=grad_hybrid):
+    """optimize_delta's loop written with public grad_hybrid/loss_ce/loss_aem
+    calls, each of which builds its own context-loss terms. Returns the final
+    delta, the trajectory and the abort flag."""
     w = config.entropy_weight
+
+    def project(d):
+        n = float(np.linalg.norm(d))
+        if config.trust_radius is not None and n > config.trust_radius:
+            return d * (config.trust_radius / n)
+        return d
+
+    def ridge(f, d):
+        return f + 0.5 * config.reg_gamma * float(d @ d) if config.reg_gamma else f
+
+    def finite(report, grad):
+        return (math.isfinite(report.l_ce) and math.isfinite(report.l_aem)
+                and bool(np.all(np.isfinite(grad))))
+
     delta = np.zeros(head.hidden_dim)
-    grad, report = grad_hybrid(acts, head, delta, config)
+    grad, report = grad_fn(acts, head, delta, config)
     trajectory = [report]
+    if not finite(report, grad):
+        return np.zeros(head.hidden_dim), trajectory, True
     for _ in range(config.steps):
         direction = grad
         n = float(np.linalg.norm(direction))
@@ -300,11 +318,14 @@ def reference_optimize(acts, head, config):
             direction = direction * (config.grad_clip / n)
         step = config.learning_rate
         if config.backtracking:
-            current = report.f_lambda
+            current = ridge(report.f_lambda, delta)
             for _ in range(21):
-                trial = delta - step * direction
-                trial_obj = ((1.0 - w) * loss_ce(acts, head, trial, config.ce_scope)
-                             + w * loss_aem(acts, head, trial, config.loss_temperature))
+                trial = project(delta - step * direction)
+                trial_obj = ridge((1.0 - w) * loss_ce(acts, head, trial, config.ce_scope)
+                                  + w * loss_aem(acts, head, trial, config.loss_temperature),
+                                  trial)
+                if not math.isfinite(trial_obj):
+                    return np.zeros(head.hidden_dim), trajectory, True
                 if trial_obj <= current:
                     break
                 step *= 0.5
@@ -312,15 +333,28 @@ def reference_optimize(acts, head, config):
                 break
             delta = trial
         else:
-            delta = delta - step * direction
-        grad, report = grad_hybrid(acts, head, delta, config)
+            with np.errstate(over="ignore", invalid="ignore"):
+                delta = project(delta - step * direction)
+        grad, report = grad_fn(acts, head, delta, config)
         trajectory.append(replace(report, step_size=step))
+        if not finite(report, grad):
+            return np.zeros(head.hidden_dim), trajectory, True
         if config.backtracking and current - trial_obj <= 1e-12:
             break
-    return delta, trajectory
+    return delta, trajectory, False
+
+
+def assert_matches_reference(corr, acts, head, config, grad_fn=grad_hybrid):
+    delta, trajectory, aborted = reference_optimize(acts, head, config, grad_fn)
+    assert corr.aborted == aborted
+    assert repr(corr.trajectory) == repr(trajectory)  # repr: NaN reports compare equal
+    assert corr.steps_taken == len(trajectory) - 1
+    assert corr.delta.tobytes() == delta.tobytes()
 
 
 SCOPES = ("full-prefix", "generated-only", "last-3")
+# (trust_radius, reg_gamma, grad_clip) beside the defaults (None, 0.0, 100.0)
+CONSTRAINTS = ((0.5, 0.0, 100.0), (None, 0.1, 0.5), (0.5, 0.1, None))
 
 
 class TestSharedContextTerms:
@@ -330,17 +364,74 @@ class TestSharedContextTerms:
     @pytest.mark.parametrize("scope", SCOPES)
     @pytest.mark.parametrize("backtracking", [False, True])
     def test_trajectory_equals_uncached_reference(self, scope, backtracking):
+        self.check_against_reference(scope, backtracking, None, 0.0, 100.0)
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    @pytest.mark.parametrize("backtracking", [False, True])
+    @pytest.mark.parametrize("trust_radius, reg_gamma, grad_clip", CONSTRAINTS)
+    def test_constrained_trajectory_equals_uncached_reference(
+            self, scope, backtracking, trust_radius, reg_gamma, grad_clip):
+        self.check_against_reference(scope, backtracking, trust_radius, reg_gamma, grad_clip)
+
+    @staticmethod
+    def check_against_reference(scope, backtracking, trust_radius, reg_gamma, grad_clip):
         rng = np.random.default_rng(2 * SCOPES.index(scope) + backtracking)
         for _ in range(4):
             acts, head = random_case(rng, 6, 11, 9)
             acts = make_acts(acts.hidden, acts.tokens, prompt_len=4)
             cfg = ReflectionConfig(entropy_weight=0.3, steps=5, learning_rate=3.0,
-                                   ce_scope=scope, backtracking=backtracking)
+                                   ce_scope=scope, backtracking=backtracking,
+                                   trust_radius=trust_radius, reg_gamma=reg_gamma,
+                                   grad_clip=grad_clip)
             corr = optimize_delta(acts, head, cfg)
-            delta, trajectory = reference_optimize(acts, head, cfg)
             assert not corr.aborted
-            assert corr.trajectory == trajectory
-            assert corr.delta.tobytes() == delta.tobytes()
+            assert_matches_reference(corr, acts, head, cfg)
+
+    def test_non_finite_trial_objective_aborts(self):
+        # the first trial is finite in delta, but its logits overflow once
+        # divided by the tiny loss temperature
+        acts = make_acts([[1.0, 0.0], [0.5, 0.2], [0.1, 0.3]], (0, 1, 0))
+        head = ProjectionHead(np.eye(2))
+        cfg = ReflectionConfig(entropy_weight=0.5, steps=3, learning_rate=1e12,
+                               loss_temperature=1e-300, backtracking=True)
+        corr = optimize_delta(acts, head, cfg)
+        assert corr.aborted and corr.steps_taken == 0
+        assert np.array_equal(corr.delta, np.zeros(2))
+        assert_matches_reference(corr, acts, head, cfg)
+
+    @pytest.mark.parametrize("backtracking", [False, True])
+    def test_non_finite_gradient_at_an_accepted_point_aborts(self, monkeypatch, backtracking):
+        def poisoned(at):
+            calls = []
+
+            def grad_fn(*args, **kwargs):
+                grad, report = grad_hybrid(*args, **kwargs)
+                calls.append(1)
+                if len(calls) == at:
+                    grad = grad.copy()
+                    grad[0] = math.nan
+                return grad, report
+            return grad_fn
+
+        rng = np.random.default_rng(37)
+        acts, head = random_case(rng, 4, 7, 6)
+        cfg = ReflectionConfig(steps=4, learning_rate=0.5, backtracking=backtracking)
+        monkeypatch.setattr(optimizer, "grad_hybrid", poisoned(3))
+        corr = optimize_delta(acts, head, cfg)
+        assert corr.aborted and corr.steps_taken == 2
+        assert np.array_equal(corr.delta, np.zeros(4))
+        assert_matches_reference(corr, acts, head, cfg, poisoned(3))
+
+    def test_no_descending_halving_stays_put(self):
+        # every halving of a huge step still overshoots the context loss
+        acts = make_acts([[1.0, 0.0], [0.5, 0.2], [0.1, 0.3]], (0, 1, 0))
+        head = ProjectionHead(np.eye(2))
+        cfg = ReflectionConfig(entropy_weight=0.0, steps=3, learning_rate=1e9,
+                               backtracking=True, grad_clip=None)
+        corr = optimize_delta(acts, head, cfg)
+        assert not corr.aborted and corr.steps_taken == 0
+        assert np.array_equal(corr.delta, np.zeros(2))
+        assert_matches_reference(corr, acts, head, cfg)
 
     @pytest.mark.parametrize("scope", SCOPES)
     def test_loss_ce_equals_grad_hybrid_report(self, scope):
