@@ -41,33 +41,16 @@ from .verify import (SUITES, GridSpec, JointDescentReport, LossInstance,
 
 __version__ = "0.1.0"
 
+# The names the README documents. Every name imported above stays importable
+# from here and from its own module.
 __all__ = [
-    "AdaptiveWeightConfig", "AttentionBackend", "BenchmarkResult",
-    "ConfigError", "Correction", "CorrectionSummary", "DecodeConfig",
-    "DecodeTrace", "EntropyWindow", "FAMILIES", "GridSpec",
-    "HybridLossReport", "InputError", "JointDescentReport", "LossInstance",
-    "MarkovBackend", "ModelBackend", "ParetoPoint",
-    "PrefixActivations", "ProjectionHead", "ReflectionConfig", "RunConfig",
-    "RunMetrics", "SUITES", "SamplingConfig", "ScriptedBackend", "StepRecord",
-    "SuiteReport", "TRACE_VERSION", "Task", "TaskResult", "TheoremCheckReport",
-    "TokenCount", "TraceTotals", "TradeoffReport", "TriggerConfig",
-    "TriggerDecision", "VocabSpec", "adapt_lambda", "avg_at_k",
-    "backend_from_dict", "backend_to_dict", "build_spike_backend",
-    "build_toy_backend", "ce_positions", "check_joint_descent",
-    "check_theorem1", "check_tradeoff_bounds",
-    "cons_at_k", "corpus_backend", "critical_tokens", "decode", "decode_batch",
-    "decode_config_from_dict", "decode_config_to_dict", "default_grid",
-    "derive_seed", "entropy_from_logits", "export_pareto",
-    "extract_answer", "gen_corpus", "golden_min", "grad_hybrid",
-    "lambda_sweep", "load_backend", "load_run_config", "log_softmax",
-    "logits_at", "loss_aem", "loss_ce", "loss_gradients",
-    "nucleus_distribution", "optimize_delta", "parse_ce_scope",
-    "parse_corpus_spec", "parse_trace", "pareto_from_correction",
-    "pareto_from_trace", "pass_at_k", "plurality_vote", "prefix_instance",
-    "quadratic_instance", "random_prefix_instance", "read_trace",
-    "replay_form", "run_benchmark", "run_config_from_dict",
-    "run_gradient_suite", "run_joint_descent_suite", "run_overhead_suite",
-    "run_theorem1_suite", "run_tradeoff_suite", "sample", "save_backend",
-    "serialize_trace", "should_trigger", "softmax", "trace_files",
-    "two_point_logits", "write_trace",
+    "ConfigError", "DecodeConfig", "DecodeTrace", "EntropyWindow",
+    "InputError", "LossInstance", "MarkovBackend", "RunConfig",
+    "check_joint_descent", "check_theorem1", "check_tradeoff_bounds",
+    "corpus_backend", "decode", "decode_batch", "default_grid",
+    "entropy_from_logits", "export_pareto", "gen_corpus", "golden_min",
+    "lambda_sweep", "log_softmax", "optimize_delta", "parse_corpus_spec",
+    "pareto_from_trace", "prefix_instance", "replay_form", "run_benchmark",
+    "run_gradient_suite", "run_theorem1_suite", "run_tradeoff_suite",
+    "sample", "serialize_trace", "should_trigger", "softmax",
 ]

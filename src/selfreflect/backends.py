@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .utils import softmax
+from .utils import gemv_rows, softmax
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -81,7 +81,7 @@ def logits_at(head: ProjectionHead, hidden, delta=None) -> np.ndarray:
         if d.shape != h.shape:
             raise InputError(f"correction must have shape {h.shape}, got {d.shape}")
         h = h + d
-    return head.matrix @ h
+    return gemv_rows(head.matrix, h[None])[0]
 
 
 def _token_id(token) -> int:

@@ -14,8 +14,9 @@ statistics, sampling and log-probabilities are array operations over the
 rows (utils.ScaledRows, monitor.trigger_rows), each reducing every row on
 its own, so a row's trace does not depend on the rows beside it; the
 one-row helpers (softmax, entropy_from_logits, should_trigger, sample) are
-the one-row case of the same code. Corrections, backend appends and random
-draws stay per row.
+the one-row case of the same code. The rows that fired are corrected
+together, one optimizer.optimize_rows call per group of rows whose prefixes
+share a |scope| length. Backend appends and random draws stay per row.
 """
 
 from __future__ import annotations
@@ -26,15 +27,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .backends import ModelBackend, PrefixActivations, logits_at
+from .backends import ModelBackend, PrefixActivations
 from .errors import InputError
 from .monitor import EntropyWindows, TriggerConfig, TriggerDecision, trigger_rows
 from .optimizer import (Correction, HybridLossReport, ReflectionConfig,
-                        adapt_lambda, optimize_delta)
-from .utils import ScaledRows
+                        adapt_lambda, ce_positions, optimize_rows)
+from .utils import ScaledRows, gemv_rows
 # The decode loop computes these on row blocks; the one-row functions stay
 # importable from here because perfbench/tracing.py wraps these names.
+from .backends import logits_at  # noqa: F401
 from .monitor import should_trigger  # noqa: F401
+from .optimizer import optimize_delta  # noqa: F401
 from .utils import entropy_from_logits, log_softmax  # noqa: F401
 
 
@@ -240,31 +243,50 @@ class _Row:
         self.inner_steps = 0
         self.wall = 0.0
 
-    def correct(self, head, reflection: ReflectionConfig):
-        """Run this step's correction: its summary, and the corrected logits
-        (None when nothing changes the step's logits)."""
-        self.activations += 1
-        weight = self.weight
-        refl = replace(reflection, entropy_weight=weight)
-        if refl.steps == 0:
-            # monitor-only fast path: delta stays 0, skip the loss machinery
-            return _summarize(Correction(np.zeros(head.hidden_dim)), weight, 0.0), None
-        t_opt = time.perf_counter()
-        corr = optimize_delta(self.acts, head, refl)
-        summary = _summarize(corr, weight, time.perf_counter() - t_opt)
-        self.inner_steps += corr.steps_taken
-        if corr.aborted:
-            return summary, None
-        if refl.adaptive is not None and corr.trajectory:
-            self.weight = adapt_lambda(refl, corr.trajectory[-1].l_ce)
-        return summary, logits_at(head, self.acts.last_hidden, corr.delta)
-
     def trace(self, backend: ModelBackend) -> DecodeTrace:
         totals = TraceTotals(n_activations=self.activations, inner_steps=self.inner_steps,
                              wall_time=self.wall)
         return DecodeTrace(model_id=backend.model_id, prompt=self.prompt,
                            output=tuple(self.output), steps=self.steps, totals=totals,
                            config=self.config, seed=self.config.seed)
+
+
+def _correct(rows: list[_Row], head, reflection: ReflectionConfig) -> list:
+    """Correct rows whose prefixes share one |scope| length together, with one
+    optimize_rows call. Per row: its summary and corrected logits (None when
+    nothing changes the row's logits), or the exception that ended it. A
+    row's opt_wall_time is its equal share of the optimize_rows call."""
+    weights = [row.weight for row in rows]
+    for row in rows:
+        row.activations += 1
+    if reflection.steps == 0:
+        # monitor-only fast path: delta stays 0, skip the loss machinery
+        return [(_summarize(Correction(np.zeros(head.hidden_dim)), w, 0.0), None) for w in weights]
+    t_opt = time.perf_counter()
+    try:
+        corrections = optimize_rows([row.acts for row in rows], head, reflection, weights)
+    except Exception as exc:
+        return [exc] * len(rows)
+    opt_time = (time.perf_counter() - t_opt) / len(rows)
+    kept = [r for r, corr in enumerate(corrections) if not corr.aborted]
+    logits = dict(zip(kept, gemv_rows(head.matrix, np.array(
+        [rows[r].acts.last_hidden + corrections[r].delta for r in kept])))) if kept else {}
+    out = []
+    for r, (row, corr, weight) in enumerate(zip(rows, corrections, weights)):
+        summary = _summarize(corr, weight, opt_time)
+        row.inner_steps += corr.steps_taken
+        if corr.aborted:
+            out.append((summary, None))
+            continue
+        try:
+            if reflection.adaptive is not None and corr.trajectory:
+                row.weight = adapt_lambda(replace(reflection, entropy_weight=weight),
+                                          corr.trajectory[-1].l_ce)
+            _check_logits(logits[r])
+            out.append((summary, logits[r]))
+        except Exception as exc:
+            out.append(exc)
+    return out
 
 
 def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
@@ -274,7 +296,7 @@ def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
     config field must be shared, or InputError is raised. Each row stops on
     its own at EOS or max_tokens, and its trace equals what the row's decode
     alone records, timings aside. A row's step wall_time is its equal share of
-    the lock-step step plus its own correction time.
+    the lock-step step plus its equal share of its group's correction.
 
     Returns one entry per run, in order: its DecodeTrace, or the exception
     that ended it, which is what decode raises for that run alone. A failing
@@ -307,9 +329,8 @@ def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
     while rows:
         t_step = time.perf_counter()
         n = len(rows)
-        z = np.empty((n, head.vocab_size))
-        for i, row in enumerate(rows):
-            z[i] = head.matrix @ row.acts.last_hidden  # per-row gemv: a gemm may round differently
+        hidden = [row.acts.last_hidden for row in rows]
+        z = gemv_rows(head.matrix, hidden[0][None] if n == 1 else np.array(hidden))  # one row: a view
         monitored = ScaledRows(z, trigger.temperature)
         entropy, _, _ = monitored.entropy()
         mean, std, threshold, fired = trigger_rows(windows, entropy, trigger)
@@ -318,21 +339,27 @@ def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
             for i in np.flatnonzero(~monitored.ok).tolist():
                 failed[i] = InputError("step entropy must be finite")
         summaries: dict[int, CorrectionSummary] = {}
-        own: dict[int, float] = {}  # seconds each correcting row spent on its own
+        own: dict[int, float] = {}  # each correcting row's share of its group's correction
         if not shared.reflect:
             fired[:] = False
         elif fired.any():
             z = z.copy()  # the sampling logits; monitored keeps the uncorrected block
+            groups: dict[int, list[int]] = {}
             for i in np.flatnonzero(fired).tolist():
+                groups.setdefault(len(ce_positions(rows[i].acts, shared.reflection.ce_scope)),
+                                  []).append(i)
+            for group in groups.values():
                 t_corr = time.perf_counter()
-                try:
-                    summaries[i], z_fix = rows[i].correct(head, shared.reflection)
-                    if z_fix is not None:
-                        _check_logits(z_fix)
-                        z[i] = z_fix
-                except Exception as exc:
-                    failed[i] = exc
-                own[i] = time.perf_counter() - t_corr
+                outcomes = _correct([rows[i] for i in group], head, shared.reflection)
+                elapsed = (time.perf_counter() - t_corr) / len(group)
+                for i, outcome in zip(group, outcomes):
+                    if isinstance(outcome, Exception):
+                        failed[i] = outcome
+                    else:
+                        summaries[i], z_fix = outcome
+                        if z_fix is not None:
+                            z[i] = z_fix
+                    own[i] = elapsed
         # sampling reuses the monitor's scaled block when it holds the sampling
         # logits at the sampling temperature; failed rows are zeroed to keep
         # the block finite and draw no randomness

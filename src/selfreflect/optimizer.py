@@ -12,18 +12,23 @@ of two objectives evaluated through the same projection head:
 The blend is f_lambda = (1 - w) * l_ce + w * l_aem with w = entropy_weight,
 optionally plus a quadratic penalty (reg_gamma / 2) * ||delta||^2 that only
 affects the descent objective, never the reported f_lambda.
+
+optimize_rows runs the inner loop for many prefixes at once, each with its own
+blend weight, on stacked row kernels that reduce every row on its own;
+optimize_delta is its one-row case, and grad_hybrid, loss_ce and loss_aem are
+the one-row case of its gradient and value kernels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .backends import PrefixActivations, ProjectionHead
 from .errors import InputError
-from .utils import ScaledRows
+from .utils import ScaledRows, gemv_rows
 
 _EARLY_STOP = 1e-12
 _MAX_HALVINGS = 20
@@ -148,65 +153,172 @@ class Correction:
 
 
 def _context_terms(acts, head, scope):
-    """The parts of the context loss that do not depend on delta: row indices,
-    realized targets and base logits H_scope @ W.T of the in-scope positions.
-    Building them is the one |scope| x V x d product of a correction. An empty
-    scope gives (None, None, None)."""
+    """The parts of one row's context loss that do not depend on delta: the
+    realized targets and the base logits H_scope @ W.T of the in-scope
+    positions. Building them is the one |scope| x V x d product of a
+    correction. An empty scope gives (None, None)."""
     positions = ce_positions(acts, scope)
     if not positions:
-        return None, None, None
-    hs = np.stack([acts.hidden[i] for i in positions])
-    targets = np.array([acts.tokens[i + 1] for i in positions])
-    return np.arange(len(positions)), targets, hs @ head.matrix.T
+        return None, None
+    lo, hi = positions[0], positions[-1] + 1  # a contiguous range
+    hs = np.array(acts.hidden[lo:hi])
+    targets = np.array(acts.tokens[lo + 1:hi + 1])
+    return targets, hs @ head.matrix.T
 
 
-def _context_loss(terms, w, delta, grad: bool):
-    """(l_ce, its gradient or None) at delta from precomputed context terms.
-
-    Works in place on one |scope| x V buffer z = base + W @ delta: the target
-    logits are picked, the row max subtracted and the rows exponentiated; for
-    the gradient they are then divided by their sums and 1 is subtracted at
-    the targets, leaving probs - onehot. A non-finite row max gives NaN.
-    """
-    rows, targets, base = terms
+def _stack_terms(terms):
+    """Rows' context terms of one |scope| length, stacked: the (R, |scope|)
+    offsets s * V + target of each target logit within its row's
+    (|scope|, V) block, and the (R, |scope|, V) base logits; None for an
+    empty scope. Rows are grouped rather than padded: a padded row would be
+    summed in a different pairwise order."""
+    if len(terms) > 1 and len({0 if base is None else len(base) for _, base in terms}) > 1:
+        raise InputError("rows corrected together must share one |scope| length")
+    targets, base = terms[0]
     if base is None:
-        return 0.0, np.zeros(w.shape[1]) if grad else None
-    with np.errstate(invalid="ignore"):  # a huge delta can turn W @ delta into NaN
-        z = base + w @ delta
-    picked = z[rows, targets]
-    m = z.max(axis=1, keepdims=True)
-    if not np.isfinite(m).all():
-        return float("nan"), np.full(w.shape[1], np.nan) if grad else None
-    z -= m
-    np.exp(z, out=z)
-    denom = z.sum(axis=1, keepdims=True)
-    lse = np.log(denom[:, 0]) + m[:, 0]
-    l_ce = float(np.sum(lse - picked))
-    if not grad:
-        return l_ce, None
-    z /= denom
-    z[rows, targets] -= 1.0
-    return l_ce, w.T @ z.sum(axis=0)
-
-
-def _sharpening_loss(w, last_hidden, delta, tau, grad: bool = True):
-    """(l_aem, its gradient or None) at delta; NaN for degenerate scaled
-    logits so abort checks can fire. The value-only path is loss_aem's: it
-    skips the gradient gemv and the errstate guard around the logits."""
-    if grad:
-        with np.errstate(invalid="ignore"):
-            z = w @ (last_hidden + delta)
+        return None
+    if len(terms) > 1:
+        targets = np.array([t for t, _ in terms])
+        base = np.array([b for _, b in terms])
     else:
-        z = w @ (last_hidden + delta)
-    scaled = ScaledRows(z[None], tau)
-    if not scaled.ok[0]:
-        return float("nan"), np.full(w.shape[1], np.nan) if grad else None
-    h, ls, q = scaled.entropy()
-    h, ls, q = float(h[0]), ls[0], q[0]
+        targets, base = targets[None], base[None]
+    return targets + np.arange(0, base[0].size, base.shape[2]), base
+
+
+def _dots(a, b):
+    """a[r] @ b[r] for every row: one dot per row, as np.dot does for one row
+    (so np.sqrt(_dots(a, a)) is np.linalg.norm of every row, bit for bit)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _context_rows(w, terms, deltas, idx, grad: bool):
+    """Each row's context loss l_ce at its delta, and with grad its gradient.
+
+    terms are stacked context terms (None: an empty scope, which scores 0 with
+    a zero gradient) and idx the rows of terms that the (n, d) deltas belong
+    to (None: all of them). Works in place on one (n, |scope|, V) buffer
+    z = base + W @ delta: the target logits are picked, the row max subtracted
+    and the rows exponentiated; for the gradient they are then divided by
+    their sums and 1 is subtracted at the targets, leaving probs - onehot,
+    summed over the scope. A row with a non-finite max gets NaN.
+    """
+    n = len(deltas)
+    if terms is None:
+        return np.zeros(n), np.zeros_like(deltas) if grad else None
+    at, base = terms
+    with np.errstate(all="ignore"):  # a huge delta overflows W @ delta: the row gets NaN
+        shift = gemv_rows(w, deltas)[:, None, :]
+        if idx is None:
+            z = base + shift
+        else:
+            z = base[idx]
+            at = at[idx]
+            z += shift
+        if n > 1:
+            at = at + np.arange(0, z.size, z[0].size)[:, None]  # offsets into the flat buffer
+        flat = z.reshape(-1)
+        picked = flat[at]
+        m = z.max(axis=2)
+        # a non-finite max leaves NaN in its position's row (inf - inf, or a
+        # NaN), which reaches the row's sum and, through W.T, every entry of
+        # its gradient
+        z -= m[:, :, None]
+        np.exp(z, out=z)
+        denom = z.sum(axis=2)
+        l_ce = (np.log(denom) + m - picked).sum(axis=1)
+        if not grad:
+            return l_ce, None
+        z /= denom[:, :, None]
+        flat[at] -= 1.0
+        return l_ce, gemv_rows(w.T, z.sum(axis=1))
+
+
+def _sharpening_rows(w, last, deltas, tau, grad: bool):
+    """Each row's sharpening loss l_aem at its delta, and with grad its
+    gradient: the entropy of softmax(W @ (last + delta) / tau). A row whose
+    scaled logits are degenerate gets NaN, so abort checks can fire."""
     if not grad:
+        # loss_aem's and the backtracking trials' path: no gradient gemv and no
+        # errstate guard of its own (optimize_rows holds one around its loop)
+        h, _, _ = ScaledRows(gemv_rows(w, last + deltas), tau).entropy()
         return h, None
-    gvec = np.where(q > 0.0, -q * (ls + h), 0.0)
-    return h, (w.T @ gvec) / tau
+    with np.errstate(all="ignore"):
+        scaled = ScaledRows(gemv_rows(w, last + deltas), tau)
+        h, ls, q = scaled.entropy()
+        g = gemv_rows(w.T, np.where(q > 0.0, -q * (ls + h[:, None]), 0.0)) / tau
+    g[~scaled.ok] = math.nan
+    return h, g
+
+
+class _Rows:
+    """What the losses of rows corrected together share across deltas: the
+    head, the config, and per row its blend weight, its last hidden state and
+    its context terms, stacked. The context terms are built once per row, and
+    every gradient and every backtracking trial reuses them."""
+
+    __slots__ = ("w", "config", "weights", "last", "terms")
+
+    def __init__(self, acts_list, head, config, weights, terms=None):
+        if terms is None:
+            terms = [_context_terms(acts, head, config.ce_scope) for acts in acts_list]
+        self.w = head.matrix
+        self.config = config
+        self.weights = np.array(weights, dtype=np.float64)
+        self.last = np.array([acts.last_hidden for acts in acts_list])
+        self.terms = _stack_terms(terms)
+
+    def blend(self, idx, l_ce, l_aem):
+        """f_lambda = (1 - w) * l_ce + w * l_aem of the rows idx selects."""
+        w = self.weights if idx is None else self.weights[idx]
+        return (1.0 - w) * l_ce + w * l_aem
+
+
+def _objective_rows(f_lambda, deltas, config):
+    """The descent objective of each row: its blend plus the ridge term."""
+    if config.reg_gamma:
+        f_lambda = f_lambda + 0.5 * config.reg_gamma * _dots(deltas, deltas)
+    return f_lambda
+
+
+def _grad_rows(rows: _Rows, deltas, idx, step_sizes=None):
+    """Exact gradient of each row's descent objective (blend + quadratic
+    penalty) at its delta, with a full loss report per row; idx selects the
+    rows the deltas belong to (None: all), and step_sizes are the accepted
+    steps that arrived at the deltas (None: the start point). Gradient
+    clipping is the inner loop's concern, not applied here. It runs under
+    its caller's errstate guard."""
+    config = rows.config
+    last = rows.last if idx is None else rows.last[idx]
+    w = rows.weights if idx is None else rows.weights[idx]
+    l_ce, g_ce = _context_rows(rows.w, rows.terms, deltas, idx, grad=True)
+    l_aem, g_aem = _sharpening_rows(rows.w, last, deltas, config.loss_temperature, grad=True)
+    lam = w[:, None]
+    grad = (1.0 - lam) * g_ce + lam * g_aem
+    if config.reg_gamma:
+        grad = grad + config.reg_gamma * deltas
+    # |g_ce|^2, |g_aem|^2, |grad|^2 and g_ce . g_aem of every row, one stacked product
+    dots = _dots(np.concatenate([g_ce, g_aem, grad, g_ce]),
+                 np.concatenate([g_ce, g_aem, grad, g_aem])).reshape(4, -1)
+    n_ce, n_aem, norm = np.sqrt(dots[:3])
+    cos = np.where((n_ce > 0) & (n_aem > 0), dots[3] / (n_ce * n_aem), 0.0)
+    f_lambda = rows.blend(idx, l_ce, l_aem)
+    steps = [0.0] * len(deltas) if step_sizes is None else step_sizes.tolist()
+    reports = [HybridLossReport(l_ce=a, l_aem=b, f_lambda=f, grad_norm=g, grad_cos=c,
+                                entropy_weight=weight, step_size=step)
+               for a, b, f, g, c, weight, step in zip(
+                   l_ce.tolist(), l_aem.tolist(), f_lambda.tolist(), norm.tolist(),
+                   cos.tolist(), w.tolist(), steps)]
+    return grad, reports
+
+
+def _trial_rows(rows: _Rows, deltas, idx):
+    """The descent objective of each row at a backtracking trial, from the
+    value-only losses; idx selects the rows the deltas belong to. It runs
+    under optimize_rows' errstate guard."""
+    last = rows.last if idx is None else rows.last[idx]
+    l_ce, _ = _context_rows(rows.w, rows.terms, deltas, idx, grad=False)
+    l_aem, _ = _sharpening_rows(rows.w, last, deltas, rows.config.loss_temperature, grad=False)
+    return _objective_rows(rows.blend(idx, l_ce, l_aem), deltas, rows.config)
 
 
 def loss_ce(acts: PrefixActivations, head: ProjectionHead, delta,
@@ -219,7 +331,8 @@ def loss_ce(acts: PrefixActivations, head: ProjectionHead, delta,
     if _terms is None:
         _terms = _context_terms(acts, head, scope)
     delta = np.asarray(delta, dtype=np.float64)
-    return _context_loss(_terms, head.matrix, delta, grad=False)[0]
+    l_ce, _ = _context_rows(head.matrix, _stack_terms([_terms]), delta[None], None, grad=False)
+    return float(l_ce[0])
 
 
 def loss_aem(acts: PrefixActivations, head: ProjectionHead, delta,
@@ -228,8 +341,9 @@ def loss_aem(acts: PrefixActivations, head: ProjectionHead, delta,
     if not loss_temperature > 0:
         raise InputError("loss_temperature must be positive")
     delta = np.asarray(delta, dtype=np.float64)
-    return _sharpening_loss(head.matrix, acts.last_hidden, delta, loss_temperature,
-                            grad=False)[0]
+    h, _ = _sharpening_rows(head.matrix, acts.last_hidden[None], delta[None],
+                            loss_temperature, grad=False)
+    return float(h[0])
 
 
 def loss_gradients(acts: PrefixActivations, head: ProjectionHead, delta,
@@ -237,11 +351,12 @@ def loss_gradients(acts: PrefixActivations, head: ProjectionHead, delta,
     """(grad of context loss, grad of sharpening loss) at delta, closed form."""
     if not loss_temperature > 0:
         raise InputError("loss_temperature must be positive")
-    delta = np.asarray(delta, dtype=np.float64)
-    terms = _context_terms(acts, head, ce_scope)
-    _, g_ce = _context_loss(terms, head.matrix, delta, grad=True)
-    _, g_aem = _sharpening_loss(head.matrix, acts.last_hidden, delta, loss_temperature)
-    return g_ce, g_aem
+    delta = np.asarray(delta, dtype=np.float64)[None]
+    terms = _stack_terms([_context_terms(acts, head, ce_scope)])
+    _, g_ce = _context_rows(head.matrix, terms, delta, None, grad=True)
+    _, g_aem = _sharpening_rows(head.matrix, acts.last_hidden[None], delta, loss_temperature,
+                                grad=True)
+    return g_ce[0], g_aem[0]
 
 
 def grad_hybrid(acts: PrefixActivations, head: ProjectionHead, delta,
@@ -252,54 +367,38 @@ def grad_hybrid(acts: PrefixActivations, head: ProjectionHead, delta,
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape != (head.hidden_dim,):
         raise InputError(f"delta must have shape ({head.hidden_dim},)")
-    if _terms is None:
-        _terms = _context_terms(acts, head, config.ce_scope)
-    w = config.entropy_weight
-    l_ce, g_ce = _context_loss(_terms, head.matrix, delta, grad=True)
-    l_aem, g_aem = _sharpening_loss(head.matrix, acts.last_hidden, delta,
-                                    config.loss_temperature)
-    grad = (1.0 - w) * g_ce + w * g_aem
-    if config.reg_gamma:
-        grad = grad + config.reg_gamma * delta
-    n_ce = float(np.linalg.norm(g_ce))
-    n_aem = float(np.linalg.norm(g_aem))
-    cos = float(g_ce @ g_aem / (n_ce * n_aem)) if n_ce > 0 and n_aem > 0 else 0.0
-    report = HybridLossReport(
-        l_ce=l_ce, l_aem=l_aem, f_lambda=(1.0 - w) * l_ce + w * l_aem,
-        grad_norm=float(np.linalg.norm(grad)), grad_cos=cos, entropy_weight=w)
-    return grad, report
+    rows = _Rows([acts], head, config, [config.entropy_weight],
+                 None if _terms is None else [_terms])
+    with np.errstate(all="ignore"):
+        grad, reports = _grad_rows(rows, delta[None], None)
+    return grad[0], reports[0]
 
 
-def _objective(f_lambda: float, delta, config) -> float:
-    """The descent objective at delta: the blend f_lambda plus the ridge term."""
-    if config.reg_gamma:
-        f_lambda += 0.5 * config.reg_gamma * float(delta @ delta)
-    return f_lambda
+def _finite_rows(reports, grad):
+    """Rows whose losses and gradient are all finite."""
+    return np.isfinite(grad).all(axis=1) & np.array(
+        [math.isfinite(r.l_ce) and math.isfinite(r.l_aem) for r in reports], dtype=bool)
 
 
-def _trial_objective(acts, head, delta, config, terms) -> float:
-    """The descent objective at a backtracking trial, from the value-only losses."""
-    w = config.entropy_weight
-    return _objective((1.0 - w) * loss_ce(acts, head, delta, config.ce_scope, _terms=terms)
-                      + w * loss_aem(acts, head, delta, config.loss_temperature), delta, config)
+def _project_rows(deltas, config):
+    """Scale the rows of deltas outside the trust_radius ball back onto it, in place."""
+    if config.trust_radius is not None:
+        norm = np.sqrt(_dots(deltas, deltas))
+        out = norm > config.trust_radius
+        if out.any():
+            deltas[out] *= (config.trust_radius / norm[out])[:, None]
+    return deltas
 
 
-def _finite(report: HybridLossReport, grad) -> bool:
-    return math.isfinite(report.l_ce) and math.isfinite(report.l_aem) and np.all(np.isfinite(grad))
+def optimize_rows(acts_list, head: ProjectionHead, config: ReflectionConfig,
+                  weights) -> list[Correction]:
+    """Run the inner reflection loop from delta = 0 for several prefixes at once.
 
-
-def _project(delta, config):
-    if config.trust_radius is None:
-        return delta
-    n = float(np.linalg.norm(delta))
-    if n > config.trust_radius:
-        return delta * (config.trust_radius / n)
-    return delta
-
-
-def optimize_delta(acts: PrefixActivations, head: ProjectionHead,
-                   config: ReflectionConfig) -> Correction:
-    """Run the inner reflection loop from delta = 0.
+    Row r blends its losses with entropy_weight weights[r]; every other
+    setting is config's. The rows must share one |scope| length (InputError
+    otherwise): their context terms are stacked into one (rows x |scope| x V)
+    buffer, and every kernel reduces each row on its own, so row r's
+    Correction equals optimize_delta's for it alone, bit for bit.
 
     Plain mode takes exactly `steps` gradient steps at learning_rate. With
     backtracking the step is halved (at most 20 times) until the objective does
@@ -307,49 +406,112 @@ def optimize_delta(acts: PrefixActivations, head: ProjectionHead,
     The direction is norm-clipped at grad_clip; delta is projected back onto
     the trust-region ball after every update. Any non-finite loss aborts the
     whole correction: the caller gets delta = 0 and an abort flag, and decoding
-    proceeds uncorrected. The context-loss terms, base logits included, are
-    built once and shared by every gradient and every backtracking trial.
+    proceeds uncorrected. Each row clips, halves, stops and aborts on its own:
+    the loop advances the rows still descending, and a halving evaluates only
+    the rows still searching for a step. The context-loss terms, base logits
+    included, are built once per row and shared by every gradient and every
+    backtracking trial.
     """
-    terms = _context_terms(acts, head, config.ce_scope)
-    delta = np.zeros(head.hidden_dim)
-    grad, report = grad_hybrid(acts, head, delta, config, _terms=terms)
-    trajectory = [report]
-    aborted = not _finite(report, grad)
-    for _ in range(0 if aborted else config.steps):
-        direction = grad
-        n = float(np.linalg.norm(direction))
-        if config.grad_clip is not None and n > config.grad_clip:
-            direction = direction * (config.grad_clip / n)
-
-        step = config.learning_rate
-        if config.backtracking:
-            current = _objective(report.f_lambda, delta, config)
-            for _ in range(_MAX_HALVINGS + 1):
-                trial = _project(delta - step * direction, config)
-                trial_obj = _trial_objective(acts, head, trial, config, terms)
-                if trial_obj <= current or not math.isfinite(trial_obj):
-                    break
-                step *= 0.5
-            else:
-                break  # no non-increasing step inside the budget: stay put
-            if not math.isfinite(trial_obj):
-                aborted = True
+    acts_list = list(acts_list)
+    weights = [float(w) for w in weights]
+    if not acts_list:
+        raise InputError("optimize_rows needs at least one prefix")
+    if len(weights) != len(acts_list):
+        raise InputError("optimize_rows needs one entropy weight per prefix")
+    if not all(0.0 <= w <= 1.0 for w in weights):
+        raise InputError("entropy weights must lie in [0, 1]")
+    rows = _Rows(acts_list, head, config, weights)
+    n = len(acts_list)
+    delta = np.zeros((n, head.hidden_dim))
+    with np.errstate(all="ignore"):  # overflowing inputs end as non-finite losses: an abort
+        grad, reports = _grad_rows(rows, delta, None)
+        trajectories = [[report] for report in reports]
+        aborted = ~_finite_rows(reports, grad)
+        # the rows still descending, with their points, gradients and blends;
+        # compacted whenever rows stop
+        live = np.flatnonzero(~aborted)
+        d, g = delta[live], grad[live]
+        # each row's blend and gradient norm (the clip's), from its report
+        f, norm = np.array([(r.f_lambda, r.grad_norm) for r in reports])[live].T
+        for _ in range(config.steps):
+            if not len(live):
                 break
-            delta = trial
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                delta = _project(delta - step * direction, config)
-        grad, report = grad_hybrid(acts, head, delta, config, _terms=terms)
-        trajectory.append(replace(report, step_size=step))
-        if not _finite(report, grad):
-            aborted = True
-            break
-        if config.backtracking and current - trial_obj <= _EARLY_STOP:
-            break
+            if config.grad_clip is not None:
+                clip = norm > config.grad_clip
+                if clip.any():
+                    g[clip] *= (config.grad_clip / norm[clip])[:, None]
+            if config.backtracking:
+                current = _objective_rows(f, d, config)
+                step, trial, trial_obj, stalled = _backtrack(
+                    rows, None if len(live) == n else live, d, g, current)
+                decrease = current - trial_obj
+                moved = np.isfinite(trial_obj)
+                if not moved.all():
+                    failed = ~moved  # a non-finite trial objective aborts
+                    failed[stalled] = False
+                    aborted[live[failed]] = True
+                    delta[live[stalled]] = d[stalled]  # no non-increasing step inside the budget: stay put
+                    live, trial, step, decrease = live[moved], trial[moved], step[moved], decrease[moved]
+                d = trial
+                if not len(live):
+                    break
+            else:
+                step = np.full(len(live), float(config.learning_rate))
+                d = _project_rows(d - step[:, None] * g, config)
+            g, reports = _grad_rows(rows, d, None if len(live) == n else live, step)
+            for r, report in zip(live.tolist(), reports):
+                trajectories[r].append(report)
+            f, norm = np.array([(r.f_lambda, r.grad_norm) for r in reports]).T  # norm: of g
+            ok = _finite_rows(reports, g)
+            keep = ok & ~(decrease <= _EARLY_STOP) if config.backtracking else ok
+            if not keep.all():
+                aborted[live[~ok]] = True
+                delta[live[~keep]] = d[~keep]
+                live, d, g, f, norm = live[keep], d[keep], g[keep], f[keep], norm[keep]
+        delta[live] = d
 
-    if aborted:
-        delta = np.zeros(head.hidden_dim)
-    return Correction(delta, trajectory, steps_taken=len(trajectory) - 1, aborted=aborted)
+    delta[aborted] = 0.0
+    return [Correction(delta[r], trajectory, steps_taken=len(trajectory) - 1,
+                       aborted=bool(aborted[r]))
+            for r, trajectory in enumerate(trajectories)]
+
+
+def _backtrack(rows: _Rows, at, start, direction, current):
+    """The backtracking search of the rows `at` (row indices; None: all rows)
+    from their points `start`: each row's first step of learning_rate, its
+    half, ..., down to _MAX_HALVINGS halvings, whose trial objective does not
+    exceed `current` or is not finite. Returns each row's step, trial point
+    and trial objective (NaN for a row with no such step), and the positions
+    of the rows with no such step. A halving evaluates only the rows still
+    searching."""
+    config = rows.config
+    n = len(start)
+    step = np.full(n, float(config.learning_rate))
+    trial, trial_obj = np.empty_like(start), np.full(n, math.nan)
+    # the rows still searching, and their own copies of what a trial needs
+    search, s_at, s_start, s_dir, s_cur, s_step = np.arange(n), at, start, direction, current, step
+    for _ in range(_MAX_HALVINGS + 1):
+        candidate = _project_rows(s_start - s_step[:, None] * s_dir, config)
+        obj = _trial_rows(rows, candidate, s_at)
+        more = (obj > s_cur) & (obj < math.inf)  # an increase, and finite: halve again
+        if not more.all():
+            stop = ~more
+            done = search[stop]
+            trial[done], trial_obj[done], step[done] = candidate[stop], obj[stop], s_step[stop]
+            search = search[more]
+            if not len(search):
+                break
+            s_start, s_dir, s_cur, s_step = s_start[more], s_dir[more], s_cur[more], s_step[more]
+            s_at = search if at is None else at[search]
+        s_step = s_step * 0.5
+    return step, trial, trial_obj, search
+
+
+def optimize_delta(acts: PrefixActivations, head: ProjectionHead,
+                   config: ReflectionConfig) -> Correction:
+    """Run the inner reflection loop from delta = 0 for one prefix: the
+    one-row case of optimize_rows, at config.entropy_weight."""
+    return optimize_rows([acts], head, config, [config.entropy_weight])[0]
 
 
 def adapt_lambda(config: ReflectionConfig, observed_l_ce: float) -> float:

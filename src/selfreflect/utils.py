@@ -58,6 +58,15 @@ class ScaledRows:
         return h, ls, p
 
 
+def gemv_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """matrix @ rows[r] for every row r of an (R, d) block, as an (R, V) block.
+
+    matmul runs one gemv per row, so each result row equals matrix @ rows[r]
+    bit for bit; one gemm over the block (rows @ matrix.T) may round
+    differently."""
+    return np.matmul(matrix, rows[:, :, None])[:, :, 0]
+
+
 def _one_row(logits, temperature, part) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     scaled = ScaledRows(z.reshape(1, -1), temperature)

@@ -38,9 +38,9 @@ from .harness import build_spike_backend
 from .monitor import TriggerConfig
 # loss_gradients is not called here; it stays importable as
 # verify.loss_gradients, a name perfbench/tracing.py wraps
-from .optimizer import (Correction, ReflectionConfig, _context_loss,
-                        _context_terms, _sharpening_loss, loss_aem, loss_ce,
-                        loss_gradients)
+from .optimizer import (Correction, ReflectionConfig, _context_rows,
+                        _context_terms, _sharpening_rows, _stack_terms, loss_aem,
+                        loss_ce, loss_gradients)
 from .utils import ScaledRows
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -174,7 +174,8 @@ def prefix_instance(acts: PrefixActivations, head: ProjectionHead,
         raise InputError("loss_temperature must be positive")
     w = head.matrix
     terms = _context_terms(acts, head, ce_scope)
-    _, targets, base = terms
+    targets, base = terms
+    stacked = _stack_terms([terms])
     last = w @ acts.last_hidden
     tau = loss_temperature
 
@@ -198,8 +199,11 @@ def prefix_instance(acts: PrefixActivations, head: ProjectionHead,
         dim=head.hidden_dim,
         f_ce=lambda d: loss_ce(acts, head, d, ce_scope, _terms=terms),
         f_aem=lambda d: loss_aem(acts, head, d, tau),
-        g_ce=lambda d: _context_loss(terms, w, d, grad=True)[1],
-        g_aem=lambda d: _sharpening_loss(w, acts.last_hidden, d, tau)[1],
+        g_ce=lambda d: _context_rows(w, stacked, np.asarray(d, dtype=np.float64)[None],
+                                     None, grad=True)[1][0],
+        g_aem=lambda d: _sharpening_rows(w, acts.last_hidden[None],
+                                         np.asarray(d, dtype=np.float64)[None], tau,
+                                         grad=True)[1][0],
         batch=batch, label=label,
         prefix=PrefixTerms(w, acts.last_hidden, targets, base, tau))
 

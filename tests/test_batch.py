@@ -15,10 +15,12 @@ from selfreflect import (AdaptiveWeightConfig, AttentionBackend, DecodeConfig,
                          decode, entropy_from_logits, gen_corpus, log_softmax, logits_at,
                          nucleus_distribution, optimize_delta, replay_form, run_benchmark,
                          sample, should_trigger, softmax)
+from selfreflect import engine
 from selfreflect.engine import (CorrectionSummary, DecodeTrace, StepRecord, TraceTotals,
                                 _nucleus_draw, decode_batch)
 from selfreflect.harness import Task
 from selfreflect.monitor import EntropyWindows, trigger_rows
+from selfreflect.optimizer import ce_positions, optimize_rows
 
 GREEDY = SamplingConfig(mode="greedy")
 
@@ -177,6 +179,26 @@ class TestRows:
         assert_rows_match(backend, runs)
         alone = decode_batch(backend, runs[:2] + runs[3:])
         assert [replay_form(t) for t in alone] == [replay_form(t) for t in done]
+
+    def test_rows_of_different_scope_lengths_are_corrected_in_groups(self, monkeypatch):
+        # spikes sit every 30 positions, so prompts of 1, 31 and 61 tokens all
+        # fire at step 29, with full-prefix scopes of 29, 59 and 89 positions
+        backend, _, _ = build_spike_backend(3)
+        calls = []
+
+        def recording(acts_list, head, config, weights):
+            calls.append([len(ce_positions(acts, config.ce_scope)) for acts in acts_list])
+            return optimize_rows(acts_list, head, config, weights)
+
+        monkeypatch.setattr(engine, "optimize_rows", recording)
+        base = DecodeConfig(reflection=ReflectionConfig(steps=3, backtracking=True),
+                            sampling=GREEDY, max_tokens=40)
+        runs = [((0,), replace(base, seed=1)), ((0,) * 31, replace(base, seed=2)),
+                ((0,), replace(base, seed=3)), ((0,) * 61, replace(base, seed=4))]
+        traces = decode_batch(backend, runs)
+        assert sorted(calls) == [[29, 29], [59], [89]]
+        assert [[s.position for s in t.steps if s.correction] for t in traces] == [[29]] * 4
+        assert_rows_match(backend, runs)
 
     def test_entry_errors_stay_with_their_row(self):
         backend = MarkovBackend(np.full((4, 4), 0.25))

@@ -1,16 +1,20 @@
 """Hybrid loss, analytic gradients, the inner descent loop, weight adaptation."""
 
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import selfreflect.optimizer as optimizer
 from selfreflect import (AdaptiveWeightConfig, InputError, MarkovBackend,
                          PrefixActivations, ProjectionHead, ReflectionConfig,
                          adapt_lambda, ce_positions, grad_hybrid, loss_aem,
                          loss_ce, loss_gradients, optimize_delta)
+from selfreflect.optimizer import optimize_rows
 
 
 def make_acts(hidden_rows, tokens, prompt_len=-1):
@@ -401,26 +405,28 @@ class TestSharedContextTerms:
 
     @pytest.mark.parametrize("backtracking", [False, True])
     def test_non_finite_gradient_at_an_accepted_point_aborts(self, monkeypatch, backtracking):
-        def poisoned(at):
+        def poisoned(kernel, at):
+            """kernel (grad_hybrid, or the row kernel the inner loop calls),
+            with the first gradient entry of its at-th call made NaN."""
             calls = []
 
             def grad_fn(*args, **kwargs):
-                grad, report = grad_hybrid(*args, **kwargs)
+                grad, report = kernel(*args, **kwargs)
                 calls.append(1)
                 if len(calls) == at:
                     grad = grad.copy()
-                    grad[0] = math.nan
+                    grad[..., 0] = math.nan
                 return grad, report
             return grad_fn
 
         rng = np.random.default_rng(37)
         acts, head = random_case(rng, 4, 7, 6)
         cfg = ReflectionConfig(steps=4, learning_rate=0.5, backtracking=backtracking)
-        monkeypatch.setattr(optimizer, "grad_hybrid", poisoned(3))
+        monkeypatch.setattr(optimizer, "_grad_rows", poisoned(optimizer._grad_rows, 3))
         corr = optimize_delta(acts, head, cfg)
         assert corr.aborted and corr.steps_taken == 2
         assert np.array_equal(corr.delta, np.zeros(4))
-        assert_matches_reference(corr, acts, head, cfg, poisoned(3))
+        assert_matches_reference(corr, acts, head, cfg, poisoned(grad_hybrid, 3))
 
     def test_no_descending_halving_stays_put(self):
         # every halving of a huge step still overshoots the context loss
@@ -446,7 +452,7 @@ class TestSharedContextTerms:
     @pytest.mark.parametrize("steps", [0, 1, 5])
     def test_base_projection_once_per_correction(self, monkeypatch, steps):
         built, trials = [], []
-        build, trial = optimizer._context_terms, optimizer.loss_ce
+        build, trial = optimizer._context_terms, optimizer._trial_rows
 
         def counting_build(*args):
             built.append(1)
@@ -457,7 +463,7 @@ class TestSharedContextTerms:
             return trial(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "_context_terms", counting_build)
-        monkeypatch.setattr(optimizer, "loss_ce", counting_trial)
+        monkeypatch.setattr(optimizer, "_trial_rows", counting_trial)
         rng = np.random.default_rng(31)
         acts, head = random_case(rng, 4, 9, 8)
         # a long first step forces backtracking to halve, so trials outnumber steps
@@ -474,6 +480,167 @@ class TestSharedContextTerms:
             loss_gradients(acts, head, np.zeros(2), ce_scope="last-0")
         with pytest.raises(InputError):
             loss_gradients(acts, head, np.zeros(2), loss_temperature=0.0)
+
+
+def outcome(corr):
+    """Everything a correction returns, as one string (repr: NaN reports compare equal)."""
+    return repr((corr.delta.tobytes(), corr.steps_taken, corr.aborted, repr(corr.trajectory)))
+
+
+def stop_reason(corr, config):
+    """How a correction's loop ended (ridge-free configs)."""
+    last = corr.trajectory[-1]
+    if corr.aborted:
+        finite = all(map(math.isfinite, (last.l_ce, last.l_aem, last.grad_norm)))
+        return "abort at a trial" if finite else "abort at a gradient"
+    if corr.steps_taken == config.steps:
+        return "step budget"
+    if len(corr.trajectory) > 1 and corr.trajectory[-2].f_lambda - last.f_lambda <= 1e-12:
+        return "early stop"
+    return "no descent"
+
+
+def overflow_groups(count, seed):
+    """Seeded groups of rows sharing a head, a config and a |scope| length,
+    with per-row weights: heads scaled up to 300, learning rates up to 1e306,
+    loss temperatures down to 1e-300."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim, vocab, plen = (int(rng.integers(1, 7)), int(rng.integers(2, 9)),
+                            int(rng.integers(1, 8)))
+        scale = float(rng.choice([1.0, 30.0, 300.0]))
+        head = ProjectionHead(rng.standard_normal((vocab, dim)) * scale)
+        prompt_len = int(rng.integers(1, plen + 1))
+        rows = [make_acts(rng.standard_normal((plen, dim)), rng.integers(0, vocab, size=plen),
+                          prompt_len=prompt_len) for _ in range(int(rng.integers(1, 4)))]
+        huge = bool(rng.integers(2))
+        config = ReflectionConfig(
+            entropy_weight=float(rng.choice([0.0, 0.05, 0.5, 1.0])),
+            steps=int(rng.integers(0, 5)),
+            learning_rate=float(10.0 ** rng.uniform(290, 306) if huge else 10.0 ** rng.uniform(-3, 1)),
+            loss_temperature=float(rng.choice([1.0, 0.3, 1e-300])),
+            ce_scope=str(rng.choice(["full-prefix", "generated-only", "last-1", "last-3"])),
+            trust_radius=[None, 0.5, 1e300][int(rng.integers(3))],
+            reg_gamma=float(rng.choice([0.0, 0.1, 1e10])),
+            backtracking=bool(rng.integers(2)),
+            grad_clip=[None, 0.5, 100.0][int(rng.integers(3))])
+        weights = [float(rng.choice([0.0, 0.05, 0.3, 0.5, 1.0])) for _ in rows]
+        yield rows, head, config, weights
+
+
+# sha256 of the outcome() of every row of overflow_groups(150, 20261018), each
+# corrected alone, recorded with the one-row inner loop that preceded
+# optimize_rows (warnings suppressed there: 50 of the 297 rows warned)
+OVERFLOW_PIN = "f487f2c6c25612b683c078a4c6ad9b06dfeb33fdfae29ad89649e5559e3833e5"
+
+
+class TestRowBatchedLoop:
+    """optimize_rows advances many rows together; each row's Correction must
+    equal optimize_delta's and the reference loop's for it alone."""
+
+    def test_overflowing_inputs_abort_silently(self):
+        # runs under pyproject's error::RuntimeWarning filter, so a warning
+        # leaking from the loop fails the test
+        digest, aborted = hashlib.sha256(), 0
+        for rows, head, config, weights in overflow_groups(150, 20261018):
+            batched = optimize_rows(rows, head, config, weights)
+            for acts, weight, corr in zip(rows, weights, batched):
+                alone = optimize_delta(acts, head, replace(config, entropy_weight=weight))
+                assert outcome(corr) == outcome(alone)
+                digest.update(outcome(alone).encode())
+                aborted += alone.aborted
+        assert aborted == 18
+        assert digest.hexdigest() == OVERFLOW_PIN
+
+    @pytest.mark.parametrize("head_scale, learning_rate, rows, reasons", [
+        # a huge step: rows stop early, find no descending step, take the
+        # full budget, or abort on a NaN prompt state
+        (30.0, 1e6, ((1e-3, 1.0), (1.0, 0.0), (30.0, 0.3), (math.nan, 0.3)),
+         ["early stop", "no descent", "step budget", "abort at a gradient"]),
+        # every trial of a moving row overflows; a stationary row stops early
+        (300.0, 1e306, ((0.0, 1.0), (1.0, 0.3), (1e-3, 1.0)),
+         ["early stop", "abort at a trial", "abort at a trial"]),
+    ])
+    def test_a_group_mixes_every_stop(self, head_scale, learning_rate, rows, reasons):
+        rng = np.random.default_rng(6)
+        head = ProjectionHead(np.eye(2) * head_scale)
+        config = ReflectionConfig(steps=3, learning_rate=learning_rate, backtracking=True,
+                                  grad_clip=None)
+        prefixes = []
+        for scale, _ in rows:
+            hidden = (1.0 if math.isnan(scale) else scale) * rng.standard_normal((3, 2))
+            if math.isnan(scale):
+                hidden[0, 0] = math.nan
+            prefixes.append(make_acts(hidden, (0, 1, 0)))
+        weights = [w for _, w in rows]
+        batched = optimize_rows(prefixes, head, config, weights)
+        assert [stop_reason(corr, config) for corr in batched] == reasons
+        for acts, weight, corr in zip(prefixes, weights, batched):
+            assert_each_row_matches(corr, acts, head, replace(config, entropy_weight=weight))
+
+    def test_rows_must_share_a_scope_length(self):
+        head = ProjectionHead(np.eye(2))
+        rows = [make_acts(np.zeros((3, 2)), (0, 1, 0)), make_acts(np.zeros((4, 2)), (0, 1, 0, 1))]
+        with pytest.raises(InputError, match="one .scope. length"):
+            optimize_rows(rows, head, ReflectionConfig(), [0.05, 0.05])
+        with pytest.raises(InputError, match="one entropy weight per prefix"):
+            optimize_rows(rows[:1], head, ReflectionConfig(), [0.05, 0.05])
+        with pytest.raises(InputError, match="at least one prefix"):
+            optimize_rows([], head, ReflectionConfig(), [])
+        with pytest.raises(InputError, match="must lie in"):
+            optimize_rows(rows[:1], head, ReflectionConfig(), [1.5])
+
+
+def assert_each_row_matches(corr, acts, head, config):
+    """corr, one row of a batched correction, equals optimize_delta and the
+    reference loop for that row alone, bit for bit."""
+    assert outcome(corr) == outcome(optimize_delta(acts, head, config))
+    with np.errstate(all="ignore"):  # the reference's own overflow warnings are not the subject
+        assert_matches_reference(corr, acts, head, config)
+
+
+@st.composite
+def correction_groups(draw):
+    """A head, a config and 2-5 rows of one |scope| length, each with its own
+    weight and hidden-state scale, drawn from one seed so that rows of a group
+    differ: zero states are stationary under pure sharpening, a NaN prompt
+    state aborts its row when it is in scope, and the largest steps overflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pick = (lambda options: options[int(rng.integers(len(options)))])
+    dim, vocab, plen = int(rng.integers(1, 5)), int(rng.integers(2, 7)), int(rng.integers(1, 7))
+    head = ProjectionHead(rng.standard_normal((vocab, dim)) * pick([1.0, 30.0, 300.0]))
+    prompt_len = int(rng.integers(1, plen + 1))
+    config = ReflectionConfig(
+        steps=pick([0, 1, 2, 3, 4, 4]),
+        learning_rate=pick([0.5, 3.0, 1e6, 1e306]),
+        loss_temperature=pick([1.0, 0.5]),
+        ce_scope=draw(st.sampled_from(["full-prefix", "generated-only", "last-1", "last-3"])),
+        backtracking=pick([True, True, False]),
+        trust_radius=pick([None, None, 0.5]),
+        reg_gamma=pick([0.0, 0.0, 0.1]),
+        grad_clip=pick([None, 0.5, 100.0]))
+    rows, weights = [], []
+    for _ in range(int(rng.integers(2, 6))):
+        scale = pick([0.0, 1e-3, 1.0, 1.0, 30.0, math.nan])
+        hidden = (1.0 if math.isnan(scale) else scale) * rng.standard_normal((plen, dim))
+        if math.isnan(scale):
+            hidden[0, 0] = math.nan
+        rows.append(make_acts(hidden, rng.integers(0, vocab, size=plen), prompt_len=prompt_len))
+        weights.append(pick([0.0, 0.05, 0.3, 1.0]))
+    return rows, head, config, weights
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(correction_groups())
+def test_each_batched_row_equals_its_one_row_correction(group):
+    rows, head, config, weights = group
+    for acts, weight, corr in zip(rows, weights, optimize_rows(rows, head, config, weights)):
+        assert_each_row_matches(corr, acts, head, replace(config, entropy_weight=weight))
+        # a finite delta inside the trust region, or an abort with delta = 0
+        assert np.isfinite(corr.delta).all()
+        if config.trust_radius is not None:
+            assert float(np.linalg.norm(corr.delta)) <= config.trust_radius * (1 + 1e-12)
 
 
 class TestAdaptiveWeight:
