@@ -180,6 +180,10 @@ class PrefixActivations:
     def last_hidden(self) -> np.ndarray:
         return self._line.hidden[self._n - 1]
 
+    @property
+    def last_token(self) -> int:
+        return self._line.tokens[self._n - 1]
+
 
 class ModelBackend(abc.ABC):
     """Frozen toy model: maps token prefixes to final hidden states.
@@ -222,6 +226,17 @@ class ModelBackend(abc.ABC):
         for tok in toks:
             self._push(line, tok)
         return PrefixActivations._view(line, len(toks), self.model_id, len(toks))
+
+    def step_logits(self, acts_list) -> np.ndarray:
+        """The uncorrected next-token logits of one or more prefixes, as a
+        fresh (R, V) block whose row r equals logits_at(head,
+        acts_list[r].last_hidden) bit for bit. Logits that overflow come out
+        as +-inf or NaN without a warning; the decode loop fails such a row."""
+        hidden = [acts.last_hidden for acts in acts_list]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # one row: hidden[0][None] is a view, not a copy
+            return gemv_rows(self.head.matrix,
+                             hidden[0][None] if len(hidden) == 1 else np.array(hidden))
 
     def append_token(self, acts: PrefixActivations, token) -> PrefixActivations:
         """Extend a cached prefix by one token; earlier prefixes never change.
@@ -314,6 +329,16 @@ class MarkovBackend(ModelBackend):
         h = np.zeros(self.vocab.size)
         h[token] = 1.0
         return h
+
+    def step_logits(self, acts_list) -> np.ndarray:
+        """Column last_token of the head for each prefix, in O(V) per row.
+
+        Exactly the gemv of the base class for prefixes this backend built or
+        extended: their last hidden state is the one-hot that _step builds,
+        and the head's entries are finite, so every product in W @ h but one
+        is +-0 and the sum is that one head entry, in any summation order,
+        with or without FMA."""
+        return self.head.matrix.T[[acts.last_token for acts in acts_list]]
 
 
 class AttentionBackend(ModelBackend):

@@ -1,12 +1,13 @@
 """Autoregressive decode loop with entropy-triggered self-reflection.
 
-Per generated token: form next-token logits from the cached final hidden state,
-measure predictive entropy at the monitor temperature, and consult the dynamic
-trigger against the window of previous step entropies. On a fired trigger,
-optimize a transient correction vector and add it to the current hidden state
-for this step's sampling only; the vector is discarded afterwards and cached
-states are never modified, so later steps see the unmodified model. The step's
-pre-correction entropy enters the window after the trigger was consulted.
+Per generated token: form next-token logits from the cached final hidden state
+(the backend's step_logits), measure predictive entropy at the monitor
+temperature, and consult the dynamic trigger against the window of previous
+step entropies. On a fired trigger, optimize a transient correction vector
+and add it to the current hidden state for this step's sampling only; the
+vector is discarded afterwards and cached states are never modified, so later
+steps see the unmodified model. The step's pre-correction entropy enters the
+window after the trigger was consulted.
 
 One loop serves every decode: `decode_batch` advances many decodes in
 lock-step, and `decode` is its one-row case. Logits, entropies, trigger
@@ -329,8 +330,7 @@ def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
     while rows:
         t_step = time.perf_counter()
         n = len(rows)
-        hidden = [row.acts.last_hidden for row in rows]
-        z = gemv_rows(head.matrix, hidden[0][None] if n == 1 else np.array(hidden))  # one row: a view
+        z = backend.step_logits([row.acts for row in rows])
         monitored = ScaledRows(z, trigger.temperature)
         entropy, _, _ = monitored.entropy()
         mean, std, threshold, fired = trigger_rows(windows, entropy, trigger)

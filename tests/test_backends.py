@@ -8,9 +8,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from selfreflect import (AttentionBackend, ConfigError, InputError,
-                         MarkovBackend, PrefixActivations, ProjectionHead,
+                         MarkovBackend, ModelBackend, PrefixActivations, ProjectionHead,
                          ScriptedBackend, VocabSpec, backend_from_dict,
                          backend_to_dict, build_toy_backend, entropy_from_logits,
                          load_backend, logits_at, save_backend, softmax,
@@ -234,6 +236,18 @@ class TestPrefixMechanics:
             assert np.array_equal(acts.last_hidden, fresh.last_hidden)
 
     @pytest.mark.parametrize("make", BACKENDS)
+    def test_last_token_follows_appends_and_forks(self, make):
+        be = make()
+        parent = be.forward_prefix((0, 1))
+        first = be.append_token(parent, 2)
+        second = be.append_token(parent, 3)  # forks the lineage
+        grandchild = be.append_token(second, 0)
+        by_hand = PrefixActivations((3, 2), [np.zeros(5), np.zeros(5)], "other")
+        for acts in (parent, first, second, grandchild, be.append_token(first, 1), by_hand):
+            assert type(acts.last_token) is int
+            assert acts.last_token == acts.tokens[-1]
+
+    @pytest.mark.parametrize("make", BACKENDS)
     def test_append_to_a_prefix_built_elsewhere(self, make):
         be = make()
         by_hand = PrefixActivations((0, 1), [np.zeros(5), np.zeros(5)], "other")
@@ -307,6 +321,65 @@ class TestPrefixMechanics:
         acts = PrefixActivations((0, 1), [np.zeros(2), np.ones(2)], "m")
         assert acts.prompt_len == 2
         assert np.array_equal(acts.last_hidden, np.ones(2))
+
+
+def sibling_prefixes(be, rng, count):
+    """Prefixes from one prompt and its sibling lineages: each new prefix
+    extends a random earlier one, which forks the lineage when that prefix
+    already has a child."""
+    prefixes = [be.forward_prefix(rng.integers(be.vocab.size, size=rng.integers(1, 4)))]
+    while len(prefixes) < count:
+        parent = prefixes[rng.integers(len(prefixes))]
+        prefixes.append(be.append_token(parent, rng.integers(be.vocab.size)))
+    return prefixes
+
+
+class TestStepLogits:
+    @pytest.mark.parametrize("make", BACKENDS)
+    def test_rows_are_the_logits_at_each_last_hidden_state(self, make):
+        be = make()
+        prefixes = sibling_prefixes(be, np.random.default_rng(0), 6)
+        for rows in ([prefixes[0]], prefixes, prefixes[::-1] + prefixes[:2]):
+            got = be.step_logits(rows)
+            assert got.shape == (len(rows), be.vocab.size)
+            want = np.stack([logits_at(be.head, acts.last_hidden) for acts in rows])
+            assert got.tobytes() == want.tobytes()
+
+    def test_overflow_is_silent(self):
+        be = ScriptedBackend(2, by_position=[[1e308, 0.0], [math.inf, 0.0]],
+                             fallback=[1.0, 2.0], head=[[10.0, 0.0], [0.0, 10.0]])
+        prefixes = [be.forward_prefix((0,)), be.forward_prefix((0, 1)),
+                    be.forward_prefix((0, 1, 1))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = be.step_logits(prefixes)
+        assert got[0, 0] == math.inf and math.isnan(got[1, 1])
+        assert got[2].tolist() == [10.0, 20.0]
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(vocab=st.integers(2, 600), seed=st.integers(0, 2**32 - 1),
+           alpha=st.sampled_from([0.02, 0.3, 1.0, 30.0]),
+           share=st.sampled_from([1e-15, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999999]),
+           count=st.integers(1, 8))
+    @example(vocab=600, seed=0, alpha=0.02, share=0.999999, count=8)
+    @example(vocab=600, seed=1, alpha=30.0, share=1e-15, count=8)
+    def test_markov_row_lookup_equals_the_gemv(self, vocab, seed, alpha, share, count):
+        rng = np.random.default_rng(seed)
+        be = MarkovBackend(rng.dirichlet(np.full(vocab, alpha), size=vocab),
+                           smoothing=share / vocab)
+        prefixes = sibling_prefixes(be, rng, count)
+        calls = [[acts] for acts in prefixes]
+        calls += [prefixes, [prefixes[i] for i in rng.integers(count, size=count + 2)]]
+        for rows in calls:
+            got = be.step_logits(rows)
+            want = ModelBackend.step_logits(be, rows)
+            assert got.shape == want.shape == (len(rows), vocab)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable and not np.shares_memory(got, be.head.matrix)
+            got[:] = 0.0  # the caller's to overwrite: the next call still agrees
+            assert be.step_logits(rows).tobytes() == want.tobytes()
 
 
 class TestTwoPointLogits:

@@ -200,6 +200,36 @@ class TestRows:
         assert [[s.position for s in t.steps if s.correction] for t in traces] == [[29]] * 4
         assert_rows_match(backend, runs)
 
+    def test_an_overflowing_row_fails_alone(self):
+        # at their second step the prompt (2,) meets a hidden state whose
+        # logits overflow to +inf, and the prompt (1, 2) one whose logits hold
+        # a NaN (inf * 0); pyproject's error::RuntimeWarning filter turns any
+        # warning from those logits into a failure here
+        huge, infinite = [1e308, 0.0, 0.0], [math.inf, 0.0, 0.0]
+        script = {(2, t): huge for t in range(3)} | {(1, 2, t): infinite for t in range(3)}
+        rows = np.random.default_rng(8).standard_normal((12, 3)) * 0.3
+        backend = ScriptedBackend(3, by_prefix=script, by_position=list(rows),
+                                  head=np.eye(3) * 10.0)
+        base = DecodeConfig(trigger=TriggerConfig(window_size=2, sensitivity=0.0),
+                            reflection=ReflectionConfig(steps=2, ce_scope="last-2"),
+                            sampling=SamplingConfig(temperature=2.0), max_tokens=8)
+        runs = [((0,), replace(base, seed=1)), ((2,), replace(base, seed=2)),
+                ((1, 0), replace(base, seed=3)), ((1, 2), replace(base, seed=4)),
+                ((0, 0, 0), replace(base, seed=5))]
+        results = decode_batch(backend, runs)
+        for i in (1, 3):
+            assert type(results[i]) is InputError
+            assert str(results[i]) == "step entropy must be finite"
+            with pytest.raises(InputError, match="^step entropy must be finite$"):
+                decode(backend, *runs[i])
+        healthy = [results[i] for i in (0, 2, 4)]
+        assert [len(t.output) for t in healthy] == [8, 8, 8]
+        assert any(s.correction for t in healthy for s in t.steps)
+        for (prompt, config), trace in zip([runs[i] for i in (0, 2, 4)], healthy):
+            assert replay_form(trace) == replay_form(decode(backend, prompt, config))
+        alone = decode_batch(backend, [runs[i] for i in (0, 2, 4)])
+        assert [replay_form(t) for t in alone] == [replay_form(t) for t in healthy]
+
     def test_entry_errors_stay_with_their_row(self):
         backend = MarkovBackend(np.full((4, 4), 0.25))
         cfg = DecodeConfig(max_tokens=6)

@@ -142,6 +142,21 @@ class TestDecode:
         assert key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("definition", [
+        '{"kind": "scripted", "vocab_size": 2, "fallback": [1e308, 0], "head": [[10, 0], [0, 10]]}',
+        '{"kind": "scripted", "vocab_size": 2, "fallback": [Infinity, 0]}',
+    ], ids=["overflow", "infinity"])
+    def test_overflowing_step_logits(self, capsys, tmp_path, definition):
+        # runs under pyproject's error::RuntimeWarning filter, so a warning
+        # from the step logits would end the decode in a traceback
+        path = tmp_path / "backend.json"
+        path.write_text(definition)
+        code, out, err = run(capsys, "decode", "--backend", str(path), "--prompt", "0")
+        assert code == 2
+        assert out == ""
+        assert err.strip().endswith("step entropy must be finite")
+        assert "Warning" not in err and "Traceback" not in err
+
     def test_max_tokens_validated(self, capsys, spike_file):
         backend_path, _ = spike_file
         code, _, err = run(capsys, "decode", "--backend", backend_path,
