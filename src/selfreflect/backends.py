@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .utils import gemv_rows, softmax
+from .utils import gemv_rows, read_text, softmax
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -580,8 +580,7 @@ def save_backend(backend: ModelBackend, path) -> None:
 
 def load_backend(path) -> ModelBackend:
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = json.loads(read_text(path, "backend"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"backend file is not valid JSON: {exc}") from None
     return backend_from_dict(data)

@@ -19,6 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 from .engine import DecodeConfig
 from .errors import ConfigError, InputError
+from .utils import read_text
 
 
 def _path(where: str, key: str) -> str:
@@ -192,8 +193,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
 def load_run_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = json.loads(read_text(path, "config"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -168,8 +168,8 @@ def _context_terms(acts, head, scope):
 
 def _stack_terms(terms):
     """Rows' context terms of one |scope| length, stacked: the (R, |scope|)
-    offsets s * V + target of each target logit within its row's
-    (|scope|, V) block, and the (R, |scope|, V) base logits; None for an
+    flat offsets (r * |scope| + s) * V + target of each target logit within
+    the (R, |scope|, V) block, and that block of base logits; None for an
     empty scope. Rows are grouped rather than padded: a padded row would be
     summed in a different pairwise order."""
     if len(terms) > 1 and len({0 if base is None else len(base) for _, base in terms}) > 1:
@@ -177,12 +177,11 @@ def _stack_terms(terms):
     targets, base = terms[0]
     if base is None:
         return None
-    if len(terms) > 1:
-        targets = np.array([t for t, _ in terms])
-        base = np.array([b for _, b in terms])
-    else:
-        targets, base = targets[None], base[None]
-    return targets + np.arange(0, base[0].size, base.shape[2]), base
+    targets = np.array([t for t, _ in terms]) if len(terms) > 1 else targets[None]
+    # the offsets, which live as long as the block, are allocated before it:
+    # allocated after it they raised recall-k5's peak RSS by about 0.5 MB
+    at = targets + np.arange(0, targets.size * base.shape[1], base.shape[1]).reshape(targets.shape)
+    return at, np.array([b for _, b in terms]) if len(terms) > 1 else base[None]
 
 
 def _dots(a, b):
@@ -191,31 +190,22 @@ def _dots(a, b):
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _context_rows(w, terms, deltas, idx, grad: bool):
+def _context_rows(w, terms, deltas, grad: bool):
     """Each row's context loss l_ce at its delta, and with grad its gradient.
 
-    terms are stacked context terms (None: an empty scope, which scores 0 with
-    a zero gradient) and idx the rows of terms that the (n, d) deltas belong
-    to (None: all of them). Works in place on one (n, |scope|, V) buffer
-    z = base + W @ delta: the target logits are picked, the row max subtracted
-    and the rows exponentiated; for the gradient they are then divided by
-    their sums and 1 is subtracted at the targets, leaving probs - onehot,
-    summed over the scope. A row with a non-finite max gets NaN.
+    terms are stacked context terms, one row per row of the (R, d) deltas
+    (None: an empty scope, which scores 0 with a zero gradient). Works in
+    place on one (R, |scope|, V) buffer z = base + W @ delta: the target
+    logits are picked, the row max subtracted and the rows exponentiated; for
+    the gradient they are then divided by their sums and 1 is subtracted at
+    the targets, leaving probs - onehot, summed over the scope. A row with a
+    non-finite max gets NaN.
     """
-    n = len(deltas)
     if terms is None:
-        return np.zeros(n), np.zeros_like(deltas) if grad else None
+        return np.zeros(len(deltas)), np.zeros_like(deltas) if grad else None
     at, base = terms
     with np.errstate(all="ignore"):  # a huge delta overflows W @ delta: the row gets NaN
-        shift = gemv_rows(w, deltas)[:, None, :]
-        if idx is None:
-            z = base + shift
-        else:
-            z = base[idx]
-            at = at[idx]
-            z += shift
-        if n > 1:
-            at = at + np.arange(0, z.size, z[0].size)[:, None]  # offsets into the flat buffer
+        z = base + gemv_rows(w, deltas)[:, None, :]
         flat = z.reshape(-1)
         picked = flat[at]
         m = z.max(axis=2)
@@ -267,10 +257,9 @@ class _Rows:
         self.last = np.array([acts.last_hidden for acts in acts_list])
         self.terms = _stack_terms(terms)
 
-    def blend(self, idx, l_ce, l_aem):
-        """f_lambda = (1 - w) * l_ce + w * l_aem of the rows idx selects."""
-        w = self.weights if idx is None else self.weights[idx]
-        return (1.0 - w) * l_ce + w * l_aem
+    def blend(self, l_ce, l_aem):
+        """f_lambda = (1 - w) * l_ce + w * l_aem of every row."""
+        return (1.0 - self.weights) * l_ce + self.weights * l_aem
 
 
 def _objective_rows(f_lambda, deltas, config):
@@ -280,19 +269,16 @@ def _objective_rows(f_lambda, deltas, config):
     return f_lambda
 
 
-def _grad_rows(rows: _Rows, deltas, idx, step_sizes=None):
+def _grad_rows(rows: _Rows, deltas, step_sizes=None):
     """Exact gradient of each row's descent objective (blend + quadratic
-    penalty) at its delta, with a full loss report per row; idx selects the
-    rows the deltas belong to (None: all), and step_sizes are the accepted
-    steps that arrived at the deltas (None: the start point). Gradient
-    clipping is the inner loop's concern, not applied here. It runs under
-    its caller's errstate guard."""
+    penalty) at its delta, one delta per row of rows, with a full loss report
+    per row; step_sizes are the accepted steps that arrived at the deltas
+    (None: the start point). Gradient clipping is the inner loop's concern,
+    not applied here. It runs under its caller's errstate guard."""
     config = rows.config
-    last = rows.last if idx is None else rows.last[idx]
-    w = rows.weights if idx is None else rows.weights[idx]
-    l_ce, g_ce = _context_rows(rows.w, rows.terms, deltas, idx, grad=True)
-    l_aem, g_aem = _sharpening_rows(rows.w, last, deltas, config.loss_temperature, grad=True)
-    lam = w[:, None]
+    l_ce, g_ce = _context_rows(rows.w, rows.terms, deltas, grad=True)
+    l_aem, g_aem = _sharpening_rows(rows.w, rows.last, deltas, config.loss_temperature, grad=True)
+    lam = rows.weights[:, None]
     grad = (1.0 - lam) * g_ce + lam * g_aem
     if config.reg_gamma:
         grad = grad + config.reg_gamma * deltas
@@ -301,24 +287,23 @@ def _grad_rows(rows: _Rows, deltas, idx, step_sizes=None):
                  np.concatenate([g_ce, g_aem, grad, g_aem])).reshape(4, -1)
     n_ce, n_aem, norm = np.sqrt(dots[:3])
     cos = np.where((n_ce > 0) & (n_aem > 0), dots[3] / (n_ce * n_aem), 0.0)
-    f_lambda = rows.blend(idx, l_ce, l_aem)
+    f_lambda = rows.blend(l_ce, l_aem)
     steps = [0.0] * len(deltas) if step_sizes is None else step_sizes.tolist()
     reports = [HybridLossReport(l_ce=a, l_aem=b, f_lambda=f, grad_norm=g, grad_cos=c,
                                 entropy_weight=weight, step_size=step)
                for a, b, f, g, c, weight, step in zip(
                    l_ce.tolist(), l_aem.tolist(), f_lambda.tolist(), norm.tolist(),
-                   cos.tolist(), w.tolist(), steps)]
+                   cos.tolist(), rows.weights.tolist(), steps)]
     return grad, reports
 
 
-def _trial_rows(rows: _Rows, deltas, idx):
+def _trial_rows(rows: _Rows, deltas):
     """The descent objective of each row at a backtracking trial, from the
-    value-only losses; idx selects the rows the deltas belong to. It runs
-    under optimize_rows' errstate guard."""
-    last = rows.last if idx is None else rows.last[idx]
-    l_ce, _ = _context_rows(rows.w, rows.terms, deltas, idx, grad=False)
-    l_aem, _ = _sharpening_rows(rows.w, last, deltas, rows.config.loss_temperature, grad=False)
-    return _objective_rows(rows.blend(idx, l_ce, l_aem), deltas, rows.config)
+    value-only losses, one delta per row of rows. It runs under
+    optimize_rows' errstate guard."""
+    l_ce, _ = _context_rows(rows.w, rows.terms, deltas, grad=False)
+    l_aem, _ = _sharpening_rows(rows.w, rows.last, deltas, rows.config.loss_temperature, grad=False)
+    return _objective_rows(rows.blend(l_ce, l_aem), deltas, rows.config)
 
 
 def loss_ce(acts: PrefixActivations, head: ProjectionHead, delta,
@@ -331,7 +316,7 @@ def loss_ce(acts: PrefixActivations, head: ProjectionHead, delta,
     if _terms is None:
         _terms = _context_terms(acts, head, scope)
     delta = np.asarray(delta, dtype=np.float64)
-    l_ce, _ = _context_rows(head.matrix, _stack_terms([_terms]), delta[None], None, grad=False)
+    l_ce, _ = _context_rows(head.matrix, _stack_terms([_terms]), delta[None], grad=False)
     return float(l_ce[0])
 
 
@@ -353,7 +338,7 @@ def loss_gradients(acts: PrefixActivations, head: ProjectionHead, delta,
         raise InputError("loss_temperature must be positive")
     delta = np.asarray(delta, dtype=np.float64)[None]
     terms = _stack_terms([_context_terms(acts, head, ce_scope)])
-    _, g_ce = _context_rows(head.matrix, terms, delta, None, grad=True)
+    _, g_ce = _context_rows(head.matrix, terms, delta, grad=True)
     _, g_aem = _sharpening_rows(head.matrix, acts.last_hidden[None], delta, loss_temperature,
                                 grad=True)
     return g_ce[0], g_aem[0]
@@ -370,7 +355,7 @@ def grad_hybrid(acts: PrefixActivations, head: ProjectionHead, delta,
     rows = _Rows([acts], head, config, [config.entropy_weight],
                  None if _terms is None else [_terms])
     with np.errstate(all="ignore"):
-        grad, reports = _grad_rows(rows, delta[None], None)
+        grad, reports = _grad_rows(rows, delta[None])
     return grad[0], reports[0]
 
 
@@ -407,10 +392,11 @@ def optimize_rows(acts_list, head: ProjectionHead, config: ReflectionConfig,
     the trust-region ball after every update. Any non-finite loss aborts the
     whole correction: the caller gets delta = 0 and an abort flag, and decoding
     proceeds uncorrected. Each row clips, halves, stops and aborts on its own:
-    the loop advances the rows still descending, and a halving evaluates only
-    the rows still searching for a step. The context-loss terms, base logits
-    included, are built once per row and shared by every gradient and every
-    backtracking trial.
+    every row stays in place, every kernel call evaluates the whole group, and
+    a mask of the rows still descending decides which rows take their new
+    point; a row that stopped keeps its point and its trajectory. The
+    context-loss terms, base logits included, are built once per row and
+    shared by every gradient and every backtracking trial.
     """
     acts_list = list(acts_list)
     weights = [float(w) for w in weights]
@@ -421,90 +407,70 @@ def optimize_rows(acts_list, head: ProjectionHead, config: ReflectionConfig,
     if not all(0.0 <= w <= 1.0 for w in weights):
         raise InputError("entropy weights must lie in [0, 1]")
     rows = _Rows(acts_list, head, config, weights)
-    n = len(acts_list)
-    delta = np.zeros((n, head.hidden_dim))
+    d = np.zeros((len(acts_list), head.hidden_dim))
     with np.errstate(all="ignore"):  # overflowing inputs end as non-finite losses: an abort
-        grad, reports = _grad_rows(rows, delta, None)
+        g, reports = _grad_rows(rows, d)
         trajectories = [[report] for report in reports]
-        aborted = ~_finite_rows(reports, grad)
-        # the rows still descending, with their points, gradients and blends;
-        # compacted whenever rows stop
-        live = np.flatnonzero(~aborted)
-        d, g = delta[live], grad[live]
-        # each row's blend and gradient norm (the clip's), from its report
-        f, norm = np.array([(r.f_lambda, r.grad_norm) for r in reports])[live].T
+        aborted = ~_finite_rows(reports, g)
+        live = ~aborted  # the rows still descending
         for _ in range(config.steps):
-            if not len(live):
+            if not live.any():
                 break
+            # each row's blend and gradient norm (the clip's), from its report
+            f, norm = np.array([(r.f_lambda, r.grad_norm) for r in reports]).T
             if config.grad_clip is not None:
                 clip = norm > config.grad_clip
                 if clip.any():
                     g[clip] *= (config.grad_clip / norm[clip])[:, None]
             if config.backtracking:
                 current = _objective_rows(f, d, config)
-                step, trial, trial_obj, stalled = _backtrack(
-                    rows, None if len(live) == n else live, d, g, current)
+                step, trial, trial_obj, stalled = _backtrack(rows, live, d, g, current)
                 decrease = current - trial_obj
-                moved = np.isfinite(trial_obj)
-                if not moved.all():
-                    failed = ~moved  # a non-finite trial objective aborts
-                    failed[stalled] = False
-                    aborted[live[failed]] = True
-                    delta[live[stalled]] = d[stalled]  # no non-increasing step inside the budget: stay put
-                    live, trial, step, decrease = live[moved], trial[moved], step[moved], decrease[moved]
-                d = trial
-                if not len(live):
+                # a non-finite trial objective aborts; a stalled row found no
+                # non-increasing step inside the budget and stays put
+                finite = np.isfinite(trial_obj)
+                aborted |= live & ~finite
+                live &= finite & ~stalled
+                if not live.any():
                     break
             else:
-                step = np.full(len(live), float(config.learning_rate))
-                d = _project_rows(d - step[:, None] * g, config)
-            g, reports = _grad_rows(rows, d, None if len(live) == n else live, step)
-            for r, report in zip(live.tolist(), reports):
-                trajectories[r].append(report)
-            f, norm = np.array([(r.f_lambda, r.grad_norm) for r in reports]).T  # norm: of g
+                step = np.full(len(d), float(config.learning_rate))
+                trial = _project_rows(d - step[:, None] * g, config)
+            d = np.where(live[:, None], trial, d)
+            g, reports = _grad_rows(rows, d, step)
+            for trajectory, report, on in zip(trajectories, reports, live.tolist()):
+                if on:
+                    trajectory.append(report)
             ok = _finite_rows(reports, g)
-            keep = ok & ~(decrease <= _EARLY_STOP) if config.backtracking else ok
-            if not keep.all():
-                aborted[live[~ok]] = True
-                delta[live[~keep]] = d[~keep]
-                live, d, g, f, norm = live[keep], d[keep], g[keep], f[keep], norm[keep]
-        delta[live] = d
+            aborted |= live & ~ok
+            live &= ok & ~(decrease <= _EARLY_STOP) if config.backtracking else ok
 
-    delta[aborted] = 0.0
-    return [Correction(delta[r], trajectory, steps_taken=len(trajectory) - 1,
+    d[aborted] = 0.0
+    return [Correction(d[r], trajectory, steps_taken=len(trajectory) - 1,
                        aborted=bool(aborted[r]))
             for r, trajectory in enumerate(trajectories)]
 
 
-def _backtrack(rows: _Rows, at, start, direction, current):
-    """The backtracking search of the rows `at` (row indices; None: all rows)
-    from their points `start`: each row's first step of learning_rate, its
-    half, ..., down to _MAX_HALVINGS halvings, whose trial objective does not
-    exceed `current` or is not finite. Returns each row's step, trial point
-    and trial objective (NaN for a row with no such step), and the positions
-    of the rows with no such step. A halving evaluates only the rows still
-    searching."""
-    config = rows.config
-    n = len(start)
-    step = np.full(n, float(config.learning_rate))
-    trial, trial_obj = np.empty_like(start), np.full(n, math.nan)
-    # the rows still searching, and their own copies of what a trial needs
-    search, s_at, s_start, s_dir, s_cur, s_step = np.arange(n), at, start, direction, current, step
+def _backtrack(rows: _Rows, searching, start, direction, current):
+    """The backtracking search of the rows the mask `searching` selects, from
+    their points `start`: each row's first step of learning_rate, its half,
+    ..., down to _MAX_HALVINGS halvings, whose trial objective does not
+    exceed `current` or is not finite. Every halving evaluates every row, but
+    only the rows still searching halve their step: a row whose search ended
+    keeps its step, so each later halving recomputes the trial that ended it,
+    bit for bit. Returns each row's step, trial point and trial objective,
+    and the mask of the rows with no such step (their trial is the last,
+    increasing one)."""
+    step = np.full(len(start), float(rows.config.learning_rate))
     for _ in range(_MAX_HALVINGS + 1):
-        candidate = _project_rows(s_start - s_step[:, None] * s_dir, config)
-        obj = _trial_rows(rows, candidate, s_at)
-        more = (obj > s_cur) & (obj < math.inf)  # an increase, and finite: halve again
-        if not more.all():
-            stop = ~more
-            done = search[stop]
-            trial[done], trial_obj[done], step[done] = candidate[stop], obj[stop], s_step[stop]
-            search = search[more]
-            if not len(search):
-                break
-            s_start, s_dir, s_cur, s_step = s_start[more], s_dir[more], s_cur[more], s_step[more]
-            s_at = search if at is None else at[search]
-        s_step = s_step * 0.5
-    return step, trial, trial_obj, search
+        trial = _project_rows(start - step[:, None] * direction, rows.config)
+        trial_obj = _trial_rows(rows, trial)
+        # a search ends at an objective that does not increase, or is not finite
+        searching = searching & (trial_obj > current) & (trial_obj < math.inf)
+        if not searching.any():
+            break
+        step = np.where(searching, step * 0.5, step)
+    return step, trial, trial_obj, searching
 
 
 def optimize_delta(acts: PrefixActivations, head: ProjectionHead,

@@ -18,6 +18,7 @@ from .engine import (CorrectionSummary, DecodeTrace, StepRecord, TraceTotals)
 from .errors import ConfigError
 from .monitor import TriggerDecision
 from .optimizer import HybridLossReport
+from .utils import read_text
 
 TRACE_VERSION = 1
 
@@ -216,8 +217,7 @@ def parse_trace(text: str) -> DecodeTrace:
 
 
 def read_trace(path) -> DecodeTrace:
-    with open(path) as fh:
-        return parse_trace(fh.read())
+    return parse_trace(read_text(path, "trace"))
 
 
 def trace_files(directory) -> list[str]:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 
 
 class ScaledRows:
@@ -56,6 +56,16 @@ class ScaledRows:
             h = -np.where(p > 0.0, p * ls, 0.0).sum(axis=1)
         h[~self.ok] = math.nan
         return h, ls, p
+
+
+def read_text(path, kind: str) -> str:
+    """A file's contents, which must be UTF-8 text: ConfigError naming the
+    kind of file otherwise."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{kind} file is not UTF-8 text: {exc}") from None
 
 
 def gemv_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .backends import ModelBackend, PrefixActivations, ProjectionHead
-from .engine import DecodeConfig, DecodeTrace, SamplingConfig, decode
+from .engine import CorrectionSummary, DecodeConfig, DecodeTrace, SamplingConfig, decode
 from .errors import InputError
 from .harness import build_spike_backend
 from .monitor import TriggerConfig
@@ -200,7 +200,7 @@ def prefix_instance(acts: PrefixActivations, head: ProjectionHead,
         f_ce=lambda d: loss_ce(acts, head, d, ce_scope, _terms=terms),
         f_aem=lambda d: loss_aem(acts, head, d, tau),
         g_ce=lambda d: _context_rows(w, stacked, np.asarray(d, dtype=np.float64)[None],
-                                     None, grad=True)[1][0],
+                                     grad=True)[1][0],
         g_aem=lambda d: _sharpening_rows(w, acts.last_hidden[None],
                                          np.asarray(d, dtype=np.float64)[None], tau,
                                          grad=True)[1][0],
@@ -404,13 +404,6 @@ def _polish(blend, starts: np.ndarray, radius: float, sweeps: int) -> np.ndarray
             best_val = np.where(better, val, best_val)
             best[better, j] = x[better]
     return best
-
-
-def _refine(instance: LossInstance, weight: float, start: np.ndarray,
-            radius: float, sweeps: int = 2) -> np.ndarray:
-    """The one-row case of the polish."""
-    starts = np.array(start, dtype=np.float64)[None]
-    return _polish(_blend_rows([instance], [weight]), starts, radius, sweeps)[0]
 
 
 def _evaluate_grid(instance, grid, weights):
@@ -915,23 +908,17 @@ class ParetoPoint:
     source: str
 
 
-def pareto_from_correction(corr: Correction, entropy_weight: float,
+def pareto_from_correction(corr: Correction | CorrectionSummary, entropy_weight: float,
                            source: str = "trajectory") -> list[ParetoPoint]:
+    """Every point of a correction's trajectory, or of a trace's summary of one."""
     return [ParetoPoint(entropy_weight, i, rep.l_ce, rep.l_aem, source)
             for i, rep in enumerate(corr.trajectory)]
 
 
 def pareto_from_trace(trace: DecodeTrace) -> list[ParetoPoint]:
     """Every optimization trajectory point recorded in a decode trace."""
-    points: list[ParetoPoint] = []
-    for step in trace.steps:
-        corr = step.correction
-        if corr is None:
-            continue
-        for i, rep in enumerate(corr.trajectory):
-            points.append(ParetoPoint(corr.entropy_weight, i,
-                                      rep.l_ce, rep.l_aem, "trajectory"))
-    return points
+    return [point for step in trace.steps if step.correction is not None
+            for point in pareto_from_correction(step.correction, step.correction.entropy_weight)]
 
 
 def lambda_sweep(instance: LossInstance, weights,

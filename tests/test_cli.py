@@ -40,6 +40,25 @@ class TestTopLevel:
         with pytest.raises(SystemExit):
             main(["transcend"])
 
+    @pytest.mark.parametrize("argv, kind", [
+        (("decode", "--backend", "{bad}", "--prompt", "0"), "backend"),
+        (("decode", "--backend", "{spike}", "--prompt", "0", "--config", "{bad}"), "config"),
+        (("bench", "--corpus", "copy-recall:count=1", "--config", "{bad}"), "config"),
+        (("analyze", "--traces", "{traces}", "--report", "entropy"), "trace"),
+    ])
+    def test_non_utf8_input_file_is_a_config_error(self, capsys, tmp_path, spike_file,
+                                                   argv, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "bad.jsonl").write_bytes(b"\xff\n")
+        paths = {"bad": str(bad), "spike": spike_file[0], "traces": str(traces)}
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 2 and out == ""
+        assert f"{kind} file is not UTF-8 text" in err
+        assert "Traceback" not in err
+
 
 class TestDecode:
     def test_writes_trace_and_reports(self, capsys, tmp_path, spike_file):

@@ -173,7 +173,7 @@ class TestLockStep:
         instances, weights, starts = mixed_group()
         rows = verify._polish(verify._blend_rows(instances, weights), starts, 0.06, 2)
         for r, (inst, w) in enumerate(zip(instances, weights)):
-            one = verify._refine(inst, w, starts[r], 0.06)
+            one = verify._polish(verify._blend_rows([inst], [w]), starts[r][None], 0.06, 2)[0]
             assert rows[r].tolist() == one.tolist()
             assert one.tolist() == reference_refine(inst, w, starts[r], 0.06).tolist()
 
@@ -187,7 +187,7 @@ class TestLockStep:
         assert not isinstance(blend, verify._PrefixBlend)
         rows = verify._polish(blend, starts, 0.3, 2)
         for r, (inst, w) in enumerate(zip(instances, weights)):
-            one = verify._refine(inst, w, starts[r], 0.3)
+            one = verify._polish(verify._blend_rows([inst], [w]), starts[r][None], 0.3, 2)[0]
             assert rows[r].tolist() == one.tolist()
             assert one.tolist() == reference_refine(inst, w, starts[r], 0.3).tolist()
 
@@ -258,5 +258,5 @@ class TestPaddingLimit:
         assert not isinstance(verify._blend_rows(instances, weights), verify._PrefixBlend)
         rows = verify._polish(verify._blend_rows(instances, weights), starts, 0.05, 1)
         for r, inst in enumerate(instances):
-            one = verify._refine(inst, 0.3, starts[r], 0.05, 1)
+            one = verify._polish(verify._blend_rows([inst], [0.3]), starts[r][None], 0.05, 1)[0]
             assert rows[r].tolist() == one.tolist()
