@@ -13,7 +13,7 @@ import json
 import math
 import operator
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,9 +50,20 @@ class VocabSpec:
 
 @dataclass(frozen=True)
 class ProjectionHead:
-    """Vocabulary projection W with shape (vocab, hidden_dim); entries finite."""
+    """Vocabulary projection W with shape (vocab, hidden_dim); entries finite.
+
+    The head's products live here: W @ x per row (project_rows), W.T @ g per
+    row (backproject_rows) and the block H @ W.T (project_block). An identity
+    head (square, a unit diagonal, no other nonzero entry; decided once, at
+    construction) computes each as the copy x + 0.0, which is the dense
+    product bit for bit when x is finite: each entry of the dense product is
+    x_i * 1 plus d - 1 products +-0, accumulated from +0.0, so it is x_i,
+    except that -0.0 becomes +0.0. A block with a non-finite entry takes the
+    dense product, where 0 * inf is NaN.
+    """
 
     matrix: np.ndarray
+    is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -61,6 +72,32 @@ class ProjectionHead:
         if not np.all(np.isfinite(m)):
             raise InputError("projection head entries must be finite")
         object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "is_identity", m.shape[0] == m.shape[1]
+                           and bool(np.all(np.diagonal(m) == 1.0))
+                           and np.count_nonzero(m) == m.shape[0])
+
+    def _copies(self, x: np.ndarray) -> bool:
+        return self.is_identity and bool(np.isfinite(x).all())
+
+    def project_rows(self, rows: np.ndarray) -> np.ndarray:
+        """W @ rows[r] for every row r of an (R, d) block, as a fresh (R, V)
+        block (utils.gemv_rows: one gemv per row)."""
+        if self._copies(rows):
+            return rows + 0.0
+        return gemv_rows(self.matrix, rows)
+
+    def backproject_rows(self, rows: np.ndarray) -> np.ndarray:
+        """W.T @ rows[r] for every row r of an (R, V) block, as an (R, d) block."""
+        if self._copies(rows):
+            return rows + 0.0
+        return gemv_rows(self.matrix.T, rows)
+
+    def project_block(self, hs: np.ndarray) -> np.ndarray:
+        """hs @ W.T for a (T, d) block: one gemm, whose rows may round
+        differently from project_rows of the same block."""
+        if self._copies(hs):
+            return hs + 0.0
+        return hs @ self.matrix.T
 
     @property
     def vocab_size(self) -> int:
@@ -81,7 +118,7 @@ def logits_at(head: ProjectionHead, hidden, delta=None) -> np.ndarray:
         if d.shape != h.shape:
             raise InputError(f"correction must have shape {h.shape}, got {d.shape}")
         h = h + d
-    return gemv_rows(head.matrix, h[None])[0]
+    return head.project_rows(h[None])[0]
 
 
 def _token_id(token) -> int:
@@ -235,8 +272,8 @@ class ModelBackend(abc.ABC):
         hidden = [acts.last_hidden for acts in acts_list]
         with np.errstate(over="ignore", invalid="ignore"):
             # one row: hidden[0][None] is a view, not a copy
-            return gemv_rows(self.head.matrix,
-                             hidden[0][None] if len(hidden) == 1 else np.array(hidden))
+            return self.head.project_rows(hidden[0][None] if len(hidden) == 1
+                                          else np.array(hidden))
 
     def append_token(self, acts: PrefixActivations, token) -> PrefixActivations:
         """Extend a cached prefix by one token; earlier prefixes never change.
@@ -533,7 +570,6 @@ def backend_to_dict(backend: ModelBackend) -> dict:
     """Definition dict for a backend; null-valued optionals are omitted."""
     names = list(backend.vocab.token_names) if backend.vocab.token_names else None
     if isinstance(backend, ScriptedBackend):
-        identity = np.array_equal(backend.head.matrix, np.eye(backend.vocab.size))
         data = {
             "kind": "scripted",
             "vocab_size": backend.vocab.size,
@@ -542,7 +578,7 @@ def backend_to_dict(backend: ModelBackend) -> dict:
                           for k, v in sorted(backend.by_prefix.items())} or None,
             "by_position": [v.tolist() for v in backend.by_position] or None,
             "fallback": backend.fallback.tolist() if backend.fallback is not None else None,
-            "head": None if identity else backend.head.matrix.tolist(),
+            "head": None if backend.head.is_identity else backend.head.matrix.tolist(),
         }
     elif isinstance(backend, MarkovBackend):
         data = {
@@ -581,6 +617,6 @@ def save_backend(backend: ModelBackend, path) -> None:
 def load_backend(path) -> ModelBackend:
     try:
         data = json.loads(read_text(path, "backend"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"backend file is not valid JSON: {exc}") from None
     return backend_from_dict(data)

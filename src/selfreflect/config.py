@@ -194,7 +194,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
 def load_run_config(path) -> RunConfig:
     try:
         data = json.loads(read_text(path, "config"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")

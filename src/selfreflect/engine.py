@@ -33,7 +33,7 @@ from .errors import InputError
 from .monitor import EntropyWindows, TriggerConfig, TriggerDecision, trigger_rows
 from .optimizer import (Correction, HybridLossReport, ReflectionConfig,
                         adapt_lambda, ce_positions, optimize_rows)
-from .utils import ScaledRows, gemv_rows
+from .utils import ScaledRows
 # The decode loop computes these on row blocks; the one-row functions stay
 # importable from here because perfbench/tracing.py wraps these names.
 from .backends import logits_at  # noqa: F401
@@ -270,7 +270,7 @@ def _correct(rows: list[_Row], head, reflection: ReflectionConfig) -> list:
         return [exc] * len(rows)
     opt_time = (time.perf_counter() - t_opt) / len(rows)
     kept = [r for r, corr in enumerate(corrections) if not corr.aborted]
-    logits = dict(zip(kept, gemv_rows(head.matrix, np.array(
+    logits = dict(zip(kept, head.project_rows(np.array(
         [rows[r].acts.last_hidden + corrections[r].delta for r in kept])))) if kept else {}
     out = []
     for r, (row, corr, weight) in enumerate(zip(rows, corrections, weights)):
@@ -334,20 +334,20 @@ def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
         monitored = ScaledRows(z, trigger.temperature)
         entropy, _, _ = monitored.entropy()
         mean, std, threshold, fired = trigger_rows(windows, entropy, trigger)
-        failed: dict[int, Exception] = {}
-        if not monitored.ok.all():
-            for i in np.flatnonzero(~monitored.ok).tolist():
-                failed[i] = InputError("step entropy must be finite")
+        # tested as Python lists: a numpy any() costs about 2 us, which every
+        # reflective step would pay over the baseline arm
+        fired = fired.tolist() if shared.reflect else [False] * n
+        failed: dict[int, Exception] = {i: InputError("step entropy must be finite")
+                                        for i, good in enumerate(monitored.ok.tolist()) if not good}
         summaries: dict[int, CorrectionSummary] = {}
         own: dict[int, float] = {}  # each correcting row's share of its group's correction
-        if not shared.reflect:
-            fired[:] = False
-        elif fired.any():
+        if any(fired):
             z = z.copy()  # the sampling logits; monitored keeps the uncorrected block
             groups: dict[int, list[int]] = {}
-            for i in np.flatnonzero(fired).tolist():
-                groups.setdefault(len(ce_positions(rows[i].acts, shared.reflection.ce_scope)),
-                                  []).append(i)
+            for i, fire in enumerate(fired):
+                if fire:
+                    groups.setdefault(len(ce_positions(rows[i].acts, shared.reflection.ce_scope)),
+                                      []).append(i)
             for group in groups.values():
                 t_corr = time.perf_counter()
                 outcomes = _correct([rows[i] for i in group], head, shared.reflection)
@@ -379,7 +379,7 @@ def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
         corrections = sum(own.values())
         share = (time.perf_counter() - t_step - corrections) / stepped
         columns = zip(rows, tokens, logprob, entropy.tolist(), mean.tolist(), std.tolist(),
-                      threshold.tolist(), fired.tolist())
+                      threshold.tolist(), fired)
         for i, (row, token, lp, h, m, sd, thr, fire) in enumerate(columns):
             if i in failed:
                 continue

@@ -28,7 +28,7 @@ import numpy as np
 
 from .backends import PrefixActivations, ProjectionHead
 from .errors import InputError
-from .utils import ScaledRows, gemv_rows
+from .utils import ScaledRows
 
 _EARLY_STOP = 1e-12
 _MAX_HALVINGS = 20
@@ -156,14 +156,15 @@ def _context_terms(acts, head, scope):
     """The parts of one row's context loss that do not depend on delta: the
     realized targets and the base logits H_scope @ W.T of the in-scope
     positions. Building them is the one |scope| x V x d product of a
-    correction. An empty scope gives (None, None)."""
+    correction (a copy for an identity head). An empty scope gives
+    (None, None)."""
     positions = ce_positions(acts, scope)
     if not positions:
         return None, None
     lo, hi = positions[0], positions[-1] + 1  # a contiguous range
     hs = np.array(acts.hidden[lo:hi])
     targets = np.array(acts.tokens[lo + 1:hi + 1])
-    return targets, hs @ head.matrix.T
+    return targets, head.project_block(hs)
 
 
 def _stack_terms(terms):
@@ -190,7 +191,7 @@ def _dots(a, b):
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _context_rows(w, terms, deltas, grad: bool):
+def _context_rows(head, terms, deltas, grad: bool):
     """Each row's context loss l_ce at its delta, and with grad its gradient.
 
     terms are stacked context terms, one row per row of the (R, d) deltas
@@ -205,7 +206,7 @@ def _context_rows(w, terms, deltas, grad: bool):
         return np.zeros(len(deltas)), np.zeros_like(deltas) if grad else None
     at, base = terms
     with np.errstate(all="ignore"):  # a huge delta overflows W @ delta: the row gets NaN
-        z = base + gemv_rows(w, deltas)[:, None, :]
+        z = base + head.project_rows(deltas)[:, None, :]
         flat = z.reshape(-1)
         picked = flat[at]
         m = z.max(axis=2)
@@ -220,22 +221,22 @@ def _context_rows(w, terms, deltas, grad: bool):
             return l_ce, None
         z /= denom[:, :, None]
         flat[at] -= 1.0
-        return l_ce, gemv_rows(w.T, z.sum(axis=1))
+        return l_ce, head.backproject_rows(z.sum(axis=1))
 
 
-def _sharpening_rows(w, last, deltas, tau, grad: bool):
+def _sharpening_rows(head, last, deltas, tau, grad: bool):
     """Each row's sharpening loss l_aem at its delta, and with grad its
     gradient: the entropy of softmax(W @ (last + delta) / tau). A row whose
     scaled logits are degenerate gets NaN, so abort checks can fire."""
     if not grad:
         # loss_aem's and the backtracking trials' path: no gradient gemv and no
         # errstate guard of its own (optimize_rows holds one around its loop)
-        h, _, _ = ScaledRows(gemv_rows(w, last + deltas), tau).entropy()
+        h, _, _ = ScaledRows(head.project_rows(last + deltas), tau).entropy()
         return h, None
     with np.errstate(all="ignore"):
-        scaled = ScaledRows(gemv_rows(w, last + deltas), tau)
+        scaled = ScaledRows(head.project_rows(last + deltas), tau)
         h, ls, q = scaled.entropy()
-        g = gemv_rows(w.T, np.where(q > 0.0, -q * (ls + h[:, None]), 0.0)) / tau
+        g = head.backproject_rows(np.where(q > 0.0, -q * (ls + h[:, None]), 0.0)) / tau
     g[~scaled.ok] = math.nan
     return h, g
 
@@ -246,12 +247,12 @@ class _Rows:
     its context terms, stacked. The context terms are built once per row, and
     every gradient and every backtracking trial reuses them."""
 
-    __slots__ = ("w", "config", "weights", "last", "terms")
+    __slots__ = ("head", "config", "weights", "last", "terms")
 
     def __init__(self, acts_list, head, config, weights, terms=None):
         if terms is None:
             terms = [_context_terms(acts, head, config.ce_scope) for acts in acts_list]
-        self.w = head.matrix
+        self.head = head
         self.config = config
         self.weights = np.array(weights, dtype=np.float64)
         self.last = np.array([acts.last_hidden for acts in acts_list])
@@ -276,8 +277,9 @@ def _grad_rows(rows: _Rows, deltas, step_sizes=None):
     (None: the start point). Gradient clipping is the inner loop's concern,
     not applied here. It runs under its caller's errstate guard."""
     config = rows.config
-    l_ce, g_ce = _context_rows(rows.w, rows.terms, deltas, grad=True)
-    l_aem, g_aem = _sharpening_rows(rows.w, rows.last, deltas, config.loss_temperature, grad=True)
+    l_ce, g_ce = _context_rows(rows.head, rows.terms, deltas, grad=True)
+    l_aem, g_aem = _sharpening_rows(rows.head, rows.last, deltas, config.loss_temperature,
+                                    grad=True)
     lam = rows.weights[:, None]
     grad = (1.0 - lam) * g_ce + lam * g_aem
     if config.reg_gamma:
@@ -301,8 +303,9 @@ def _trial_rows(rows: _Rows, deltas):
     """The descent objective of each row at a backtracking trial, from the
     value-only losses, one delta per row of rows. It runs under
     optimize_rows' errstate guard."""
-    l_ce, _ = _context_rows(rows.w, rows.terms, deltas, grad=False)
-    l_aem, _ = _sharpening_rows(rows.w, rows.last, deltas, rows.config.loss_temperature, grad=False)
+    l_ce, _ = _context_rows(rows.head, rows.terms, deltas, grad=False)
+    l_aem, _ = _sharpening_rows(rows.head, rows.last, deltas, rows.config.loss_temperature,
+                                grad=False)
     return _objective_rows(rows.blend(l_ce, l_aem), deltas, rows.config)
 
 
@@ -316,7 +319,7 @@ def loss_ce(acts: PrefixActivations, head: ProjectionHead, delta,
     if _terms is None:
         _terms = _context_terms(acts, head, scope)
     delta = np.asarray(delta, dtype=np.float64)
-    l_ce, _ = _context_rows(head.matrix, _stack_terms([_terms]), delta[None], grad=False)
+    l_ce, _ = _context_rows(head, _stack_terms([_terms]), delta[None], grad=False)
     return float(l_ce[0])
 
 
@@ -326,7 +329,7 @@ def loss_aem(acts: PrefixActivations, head: ProjectionHead, delta,
     if not loss_temperature > 0:
         raise InputError("loss_temperature must be positive")
     delta = np.asarray(delta, dtype=np.float64)
-    h, _ = _sharpening_rows(head.matrix, acts.last_hidden[None], delta[None],
+    h, _ = _sharpening_rows(head, acts.last_hidden[None], delta[None],
                             loss_temperature, grad=False)
     return float(h[0])
 
@@ -338,8 +341,8 @@ def loss_gradients(acts: PrefixActivations, head: ProjectionHead, delta,
         raise InputError("loss_temperature must be positive")
     delta = np.asarray(delta, dtype=np.float64)[None]
     terms = _stack_terms([_context_terms(acts, head, ce_scope)])
-    _, g_ce = _context_rows(head.matrix, terms, delta, grad=True)
-    _, g_aem = _sharpening_rows(head.matrix, acts.last_hidden[None], delta, loss_temperature,
+    _, g_ce = _context_rows(head, terms, delta, grad=True)
+    _, g_aem = _sharpening_rows(head, acts.last_hidden[None], delta, loss_temperature,
                                 grad=True)
     return g_ce[0], g_aem[0]
 

@@ -161,7 +161,7 @@ def parse_trace(text: str) -> DecodeTrace:
     for i, ln in numbered:
         try:
             rec = json.loads(ln)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"trace line {i} is not valid JSON: {exc}") from None
         if not isinstance(rec, dict):
             raise ConfigError(f"trace line {i}: a record must be a JSON object")

@@ -199,9 +199,9 @@ def prefix_instance(acts: PrefixActivations, head: ProjectionHead,
         dim=head.hidden_dim,
         f_ce=lambda d: loss_ce(acts, head, d, ce_scope, _terms=terms),
         f_aem=lambda d: loss_aem(acts, head, d, tau),
-        g_ce=lambda d: _context_rows(w, stacked, np.asarray(d, dtype=np.float64)[None],
+        g_ce=lambda d: _context_rows(head, stacked, np.asarray(d, dtype=np.float64)[None],
                                      grad=True)[1][0],
-        g_aem=lambda d: _sharpening_rows(w, acts.last_hidden[None],
+        g_aem=lambda d: _sharpening_rows(head, acts.last_hidden[None],
                                          np.asarray(d, dtype=np.float64)[None], tau,
                                          grad=True)[1][0],
         batch=batch, label=label,
@@ -826,10 +826,11 @@ def run_overhead_suite(seed: int = 0, repeats: int = 5,
     Spike fixtures pin the activation count exactly; the bounded context-loss
     window keeps the per-step optimizer cost flat across the grid, and the
     large vocabulary makes each inner step expensive enough to dwarf timer
-    jitter: with the spike backends' identity head, an inner step costs four
-    V x V matrix-vector products. Passing needs Pearson r > 0.9, doubling the
-    work roughly doubling the overhead, and a steps=0 configuration costing
-    under 5% of baseline.
+    jitter: the spike backends' identity head projects by copy, so an inner
+    step costs the exps and logs of the last-25 context loss over V logits
+    per position, not four V x V matrix-vector products. Passing needs
+    Pearson r > 0.9, doubling the work roughly doubling the overhead, and a
+    steps=0 configuration costing under 5% of baseline.
     """
     started = time.perf_counter()
     spike_counts = (1, 2, 4, 8)

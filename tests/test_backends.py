@@ -17,6 +17,7 @@ from selfreflect import (AttentionBackend, ConfigError, InputError,
                          backend_to_dict, build_toy_backend, entropy_from_logits,
                          load_backend, logits_at, save_backend, softmax,
                          two_point_logits)
+from selfreflect.utils import gemv_rows
 
 
 def one_hot(i, n):
@@ -380,6 +381,89 @@ class TestStepLogits:
             assert got.flags.writeable and not np.shares_memory(got, be.head.matrix)
             got[:] = 0.0  # the caller's to overwrite: the next call still agrees
             assert be.step_logits(rows).tobytes() == want.tobytes()
+
+
+# zeros of both signs, subnormals, the extremes of the float range, and ones
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0])
+
+
+def with_entry(matrix, index, value):
+    matrix = matrix.copy()
+    matrix[index] = value
+    return matrix
+
+
+def head_products(head, x):
+    """The head's three products of x, each next to its dense definition."""
+    w = head.matrix
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf in the dense products
+        return [(head.project_rows(x), gemv_rows(w, x)),
+                (head.backproject_rows(x), gemv_rows(w.T, x)),
+                (head.project_block(x), x @ w.T)]
+
+
+class TestIdentityHead:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(n=st.sampled_from([2, 3, 7, 8, 9, 16, 33, 64, 257, 513]),
+           rows=st.sampled_from([1, 2, 3, 8, 40]), seed=st.integers(0, 2**32 - 1),
+           share=st.sampled_from([0.0, 0.1, 0.5, 1.0]), negative=st.booleans(),
+           bad=st.sampled_from([None, math.inf, -math.inf, math.nan]))
+    @example(n=513, rows=40, seed=0, share=1.0, negative=True, bad=None)
+    @example(n=2, rows=1, seed=1, share=0.5, negative=True, bad=math.nan)
+    def test_copy_equals_the_dense_product(self, n, rows, seed, share, negative, bad):
+        rng = np.random.default_rng(seed)
+        # mixed signs over the whole exponent range, subnormals included
+        x = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-320, 308, size=(rows, n))
+        special = rng.random(x.shape) < share
+        x[special] = rng.choice(SPECIAL, size=int(special.sum()))
+        if negative:  # a row of negative entries and -0.0: the dense sum gives +0.0
+            x[0] = -np.abs(x[0])
+            x[0, rng.random(n) < 0.5] = -0.0
+        if bad is not None:
+            x[rng.integers(rows), rng.integers(n)] = bad
+        head = ProjectionHead(np.eye(n))
+        assert head.is_identity
+        for got, want in head_products(head, x):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable and not np.shares_memory(got, x)
+            if bad is None:
+                assert got.tobytes() == (x + 0.0).tobytes()
+                assert not np.signbit(got[got == 0.0]).any()
+            else:  # the dense path: 0 * inf and NaN poison the block
+                assert np.isnan(got).any()
+
+    @pytest.mark.parametrize("matrix", [
+        np.eye(6)[[1, 0, 2, 3, 5, 4]],
+        with_entry(np.eye(6), (2, 4), 1e-300),
+        with_entry(np.eye(6), (2, 2), -1.0),
+        np.eye(6, 4),
+    ], ids=["permutation", "one-tiny-entry", "minus-one", "non-square"])
+    def test_near_identity_heads_take_the_dense_path(self, matrix):
+        head = ProjectionHead(matrix)
+        assert not head.is_identity
+        rng = np.random.default_rng(3)
+        x, g = rng.standard_normal((3, matrix.shape[1])), rng.standard_normal((3, matrix.shape[0]))
+        assert head.project_rows(x).tobytes() == gemv_rows(matrix, x).tobytes()
+        assert head.backproject_rows(g).tobytes() == gemv_rows(matrix.T, g).tobytes()
+        assert head.project_block(x).tobytes() == (x @ matrix.T).tobytes()
+
+    def test_negative_zeros_off_the_diagonal_are_the_identity(self):
+        matrix = np.where(np.eye(5) == 1.0, 1.0, -0.0)
+        head = ProjectionHead(matrix)
+        assert head.is_identity
+        x = -np.abs(np.random.default_rng(4).standard_normal((3, 5)))
+        x[:, 1] = -0.0
+        for got, want in head_products(head, x):
+            assert got.tobytes() == want.tobytes()
+
+    def test_scripted_default_head_is_the_identity(self):
+        be = ScriptedBackend(4, fallback=np.arange(4.0))
+        assert be.head.is_identity
+        assert "head" not in backend_to_dict(be)
+        assert not ScriptedBackend(4, fallback=np.arange(4.0), head=2.0 * np.eye(4)).head.is_identity
 
 
 class TestTwoPointLogits:

@@ -59,6 +59,25 @@ class TestTopLevel:
         assert f"{kind} file is not UTF-8 text" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, kind", [
+        (("decode", "--backend", "{deep}", "--prompt", "0"), "backend file"),
+        (("bench", "--corpus", "copy-recall:count=1", "--config", "{deep}"), "config file"),
+        (("analyze", "--traces", "{traces}", "--report", "entropy"), "trace line 1"),
+    ])
+    def test_deeply_nested_json_is_a_config_error(self, capsys, tmp_path, argv, kind):
+        # json.loads recurses once per nesting level: 100 000 levels exceed
+        # Python's recursion limit
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "\n")
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "deep.jsonl").write_text("[" * 100_000 + "\n{}\n")
+        paths = {"deep": str(deep), "traces": str(traces)}
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 2 and out == ""
+        assert f"{kind} is not valid JSON" in err
+        assert "Traceback" not in err
+
 
 class TestDecode:
     def test_writes_trace_and_reports(self, capsys, tmp_path, spike_file):
@@ -167,7 +186,9 @@ class TestDecode:
     ], ids=["overflow", "infinity"])
     def test_overflowing_step_logits(self, capsys, tmp_path, definition):
         # runs under pyproject's error::RuntimeWarning filter, so a warning
-        # from the step logits would end the decode in a traceback
+        # from the step logits would end the decode in a traceback; the
+        # infinity case has the default identity head, which hands a
+        # non-finite block to the dense product (0 * inf is NaN there)
         path = tmp_path / "backend.json"
         path.write_text(definition)
         code, out, err = run(capsys, "decode", "--backend", str(path), "--prompt", "0")
