@@ -497,7 +497,10 @@ def _integer(key: str, value) -> int:
 def _number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"backend config key {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond float range
+        raise ConfigError(f"backend config key {key!r} holds a number beyond float range") from None
 
 
 def _numbers(key: str, value) -> np.ndarray | None:
@@ -508,6 +511,8 @@ def _numbers(key: str, value) -> np.ndarray | None:
         return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         raise ConfigError(f"backend config key {key!r} must hold only numbers") from None
+    except OverflowError:  # an integer literal beyond float range
+        raise ConfigError(f"backend config key {key!r} holds a number beyond float range") from None
 
 
 def _of_type(key: str, value, kind: type, what: str):

@@ -51,7 +51,8 @@ _TOL, _MAX_ITER = 1e-10, 200  # golden_min's defaults, which the polish uses
 _GRID_CHUNK = 6
 # numpy sums up to this many terms left to right (8 or more go through its
 # unrolled pairwise sum), so zeros padded onto the end of a row this short
-# leave its sum bitwise unchanged
+# leave its sum bitwise unchanged, and adding the rows of a block this tall
+# in turn sums each column as numpy sums it as a row
 _SUM_BLOCK = 7
 
 
@@ -99,12 +100,25 @@ class LossInstance:
         return np.asarray(g1, dtype=np.float64), np.asarray(g2, dtype=np.float64)
 
     def batch_eval(self, deltas: np.ndarray):
+        """(ce, aem) at a (C, dim) array of candidates, each of shape (C,).
+        A NaN loss or a result of another shape is an InputError: the
+        checks' argmin would pick a NaN candidate, or test a short array."""
         deltas = np.asarray(deltas, dtype=np.float64)
-        if self.batch is not None:
-            ce, aem = self.batch(deltas)
-            return np.asarray(ce, dtype=np.float64), np.asarray(aem, dtype=np.float64)
-        ce = np.array([self.ce(d) for d in deltas])
-        aem = np.array([self.aem(d) for d in deltas])
+        if self.batch is None:
+            pair = ([self.ce(d) for d in deltas], [self.aem(d) for d in deltas])
+        else:
+            pair = self.batch(deltas)
+        want = (len(deltas),)
+        try:
+            ce, aem = (np.asarray(v, dtype=np.float64) for v in pair)
+        except (TypeError, ValueError):
+            raise InputError(f"loss instance {self.label!r}: batch must return two "
+                             f"arrays of shape {want}") from None
+        if ce.shape != want or aem.shape != want:
+            raise InputError(f"loss instance {self.label!r}: batch must return two "
+                             f"arrays of shape {want}, got {ce.shape} and {aem.shape}")
+        if np.isnan(ce).any() or np.isnan(aem).any():
+            raise InputError(f"loss instance {self.label!r}: a candidate's loss is NaN")
         return ce, aem
 
 
@@ -160,6 +174,16 @@ def quadratic_instance(a, b, label: str = "quadratic") -> LossInstance:
         batch=batch, label=label)
 
 
+def _vocab_sum(block: np.ndarray) -> np.ndarray:
+    """Column sums of a (V, C) block, bitwise equal to summing each column
+    as a contiguous row. Up to _SUM_BLOCK rows numpy adds a row left to
+    right, which is what adding the V rows in turn does; longer rows go
+    through numpy's pairwise sum, so they are summed from a transposed copy."""
+    if len(block) <= _SUM_BLOCK:
+        return np.add.reduce(block, axis=0)
+    return np.ascontiguousarray(block.T).sum(axis=1)
+
+
 def prefix_instance(acts: PrefixActivations, head: ProjectionHead,
                     loss_temperature: float = 1.0,
                     ce_scope: str = "full-prefix",
@@ -180,19 +204,21 @@ def prefix_instance(acts: PrefixActivations, head: ProjectionHead,
     tau = loss_temperature
 
     def batch(deltas):
-        shift = deltas @ w.T
+        # vocabulary-major: (V, C) blocks, so every reduction over V runs
+        # along the long candidate axis rather than once per candidate row
+        shift = w @ deltas.T
         ce = np.zeros(len(deltas))
         if base is not None:
             for t in range(len(base)):
-                z = base[t][None, :] + shift
-                m = z.max(axis=1)
-                lse = np.log(np.exp(z - m[:, None]).sum(axis=1)) + m
-                ce += lse - z[:, targets[t]]
-        zl = (last[None, :] + shift) / tau
-        m = zl.max(axis=1)
-        ls = zl - (np.log(np.exp(zl - m[:, None]).sum(axis=1)) + m)[:, None]
+                z = base[t][:, None] + shift
+                m = np.maximum.reduce(z, axis=0)
+                lse = np.log(_vocab_sum(np.exp(z - m))) + m
+                ce += lse - z[targets[t]]
+        zl = (last[:, None] + shift) / tau
+        m = np.maximum.reduce(zl, axis=0)
+        ls = zl - (np.log(_vocab_sum(np.exp(zl - m))) + m)
         p = np.exp(ls)
-        aem = -np.sum(np.where(p > 0.0, p * ls, 0.0), axis=1)
+        aem = -_vocab_sum(np.where(p > 0.0, p * ls, 0.0))
         return ce, aem
 
     return LossInstance(

@@ -180,6 +180,26 @@ class TestDecode:
         assert key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key,definition", [
+        ("smoothing", {"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]],
+                       "smoothing": 10 ** 400}),
+        ("transition", {"kind": "markov", "transition": [[0.5, 10 ** 400], [0.5, 0.5]]}),
+        ("fallback", {"kind": "scripted", "vocab_size": 2, "fallback": [10 ** 400, 0]}),
+        ("by_position", {"kind": "scripted", "vocab_size": 2,
+                         "by_position": [[1, 0], [-10 ** 400, 1]]}),
+        ("by_prefix", {"kind": "scripted", "vocab_size": 2, "by_prefix": {"0": [10 ** 400, 0]}}),
+        ("head", {"kind": "scripted", "vocab_size": 2, "head": [[10 ** 400, 0], [0, 1]]}),
+    ])
+    def test_integer_literal_beyond_float_range(self, capsys, tmp_path, key, definition):
+        # json reads an integer literal of any length as a Python int, which
+        # float() and numpy refuse with OverflowError
+        path = tmp_path / "backend.json"
+        path.write_text(json.dumps(definition))
+        code, out, err = run(capsys, "decode", "--backend", str(path), "--prompt", "0")
+        assert code == 2 and out == ""
+        assert f"backend config key {key!r} holds a number beyond float range" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("definition", [
         '{"kind": "scripted", "vocab_size": 2, "fallback": [1e308, 0], "head": [[10, 0], [0, 10]]}',
         '{"kind": "scripted", "vocab_size": 2, "fallback": [Infinity, 0]}',

@@ -63,6 +63,66 @@ class TestInstances:
                 assert g[j] == pytest.approx(fd, abs=1e-6)
 
 
+def nan_corner(vectorized):
+    """ce is NaN left of -2.9 and (d - 1)^2 elsewhere, aem is (d + 1)^2: the
+    NaN candidates sit at the grid's low end, where argmin finds them."""
+    def f_ce(d):
+        return math.nan if d[0] < -2.9 else (d[0] - 1.0) ** 2
+
+    def f_aem(d):
+        return (d[0] + 1.0) ** 2
+
+    def batch(deltas):
+        x = deltas[:, 0]
+        return np.where(x < -2.9, math.nan, (x - 1.0) ** 2), (x + 1.0) ** 2
+
+    return LossInstance(dim=1, f_ce=f_ce, f_aem=f_aem, label="nan-corner",
+                        batch=batch if vectorized else None)
+
+
+def quadratic_with_batch(batch):
+    inst = quadratic_instance((0.5,), (-0.5,), label="odd-batch")
+    inst.batch = batch
+    return inst
+
+
+class TestBatchEvalChecks:
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["loop", "batch"])
+    def test_nan_loss_is_an_input_error(self, vectorized):
+        inst = nan_corner(vectorized)
+        with pytest.raises(InputError, match="'nan-corner': a candidate's loss is NaN"):
+            check_theorem1(inst, 0.5, GridSpec(points=101))
+        with pytest.raises(InputError, match="'nan-corner'"):
+            lambda_sweep(inst, [0.5])
+
+    def test_finite_corner_still_checks(self):
+        inst = nan_corner(True)
+        rep = check_theorem1(inst, 0.5, GridSpec(-2.5, 3.0, 101))
+        assert rep.passed and rep.candidates_tested == 101
+        assert rep.delta_star[0] == pytest.approx(0.0, abs=1e-6)
+
+    def test_short_batch(self):
+        inst = quadratic_with_batch(lambda deltas: (np.zeros(3), np.zeros(3)))
+        with pytest.raises(InputError, match=r"'odd-batch'.*shape \(101,\), got \(3,\)"):
+            check_theorem1(inst, 0.5, GridSpec(points=101))
+
+    def test_column_batch(self):
+        def batch(deltas):
+            x = deltas[:, :1]
+            return (x - 0.5) ** 2, ((x + 0.5) ** 2)[:, 0]
+
+        inst = quadratic_with_batch(batch)
+        with pytest.raises(InputError, match=r"'odd-batch'.*got \(101, 1\) and \(101,\)"):
+            check_theorem1(inst, 0.5, GridSpec(points=101))
+
+    @pytest.mark.parametrize("result", [None, (np.zeros(101),) * 3, (np.zeros(101), "x")],
+                             ids=["none", "three-arrays", "text"])
+    def test_not_a_pair_of_arrays(self, result):
+        inst = quadratic_with_batch(lambda deltas: result)
+        with pytest.raises(InputError, match="'odd-batch': batch must return two arrays"):
+            check_theorem1(inst, 0.5, GridSpec(points=101))
+
+
 class TestGrids:
     def test_spec_candidates(self):
         grid = GridSpec(-1.0, 1.0, 5)
