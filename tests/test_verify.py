@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,40 @@ class TestBatchEvalChecks:
         inst = quadratic_with_batch(lambda deltas: result)
         with pytest.raises(InputError, match="'odd-batch': batch must return two arrays"):
             check_theorem1(inst, 0.5, GridSpec(points=101))
+
+    def test_narrow_candidates_are_not_broadcast(self):
+        inst = quadratic_instance((1.0, 0.0), (0.0, 1.0), label="narrow")
+        with pytest.raises(InputError, match=r"'narrow': candidates must form a \(C, 2\) "
+                                             r"array, got shape \(4, 1\)"):
+            inst.batch_eval(np.zeros((4, 1)))
+
+    def test_wide_candidates_for_a_prefix_instance(self):
+        inst = small_prefix_instance(seed=5, dim=2)
+        with pytest.raises(InputError, match=r"'random-prefix'.*got shape \(4, 3\)"):
+            inst.batch_eval(np.zeros((4, 3)))
+
+    def test_one_dimensional_candidates_for_a_prefix_instance(self):
+        inst = small_prefix_instance(seed=5, dim=2)
+        with pytest.raises(InputError, match=r"'random-prefix'.*got shape \(4,\)"):
+            inst.batch_eval(np.zeros(4))
+
+
+class TestGridEvaluatorMemory:
+    @pytest.mark.parametrize("dim, vocab", [(3, 5), (2, 40)], ids=["theorem1", "vocab40"])
+    def test_peak_within_four_and_a_half_blocks(self, dim, vocab):
+        # the shift W @ deltas.T and the two work buffers every (V, C) step
+        # writes into, plus (C,) temporaries and, for V > 7, _vocab_sum's
+        # transposed copy
+        inst = random_prefix_instance(np.random.default_rng(7), dim, vocab, 4)
+        cand = default_grid(dim).candidates(dim)
+        inst.batch_eval(cand[:10])
+        tracemalloc.start()
+        try:
+            inst.batch_eval(cand)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * vocab * len(cand) * 8
 
 
 class TestGrids:
@@ -286,6 +321,32 @@ class TestSuitesSmoke:
     def test_negative_seed_rejected(self, suite):
         with pytest.raises(InputError, match="seed"):
             suite(seed=-1, count=1)
+
+    @pytest.mark.parametrize("count", [-1, 0, 2.0, True, "3"])
+    @pytest.mark.parametrize("suite", [run_gradient_suite, run_theorem1_suite,
+                                       run_tradeoff_suite, run_joint_descent_suite])
+    def test_count_must_be_a_positive_integer(self, suite, count):
+        with pytest.raises(InputError, match="suite count must be a positive integer"):
+            suite(seed=0, count=count)
+
+    @pytest.mark.parametrize("name", ["tolerance", "fd_step"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-6, "1e-6"])
+    def test_gradient_suite_steps_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(InputError, match=f"positive finite {name}"):
+            run_gradient_suite(seed=0, count=2, **{name: value})
+
+    def test_nan_relative_error_fails_the_gradient_suite(self, monkeypatch):
+        exact = optimizer.grad_hybrid
+
+        def poisoned(acts, head, delta, config, **kwargs):
+            grad, report = exact(acts, head, delta, config, **kwargs)
+            return grad * math.nan if len(delta) == 3 else grad, report
+
+        monkeypatch.setattr(optimizer, "grad_hybrid", poisoned)
+        rep = run_gradient_suite(seed=0, count=20)
+        assert not rep.passed
+        assert math.isnan(rep.details["max_relative_error"])
+        assert rep.details["worst_case"]["dim"] == 3
 
 
 # sha256 of json.dumps([passed, details], sort_keys=True, default=repr) for the
