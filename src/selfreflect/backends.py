@@ -361,11 +361,11 @@ class MarkovBackend(ModelBackend):
         self.vocab = VocabSpec(p.shape[0], token_names)
         self.head = ProjectionHead(np.log(p).T)
         self.model_id = f"markov-v{self.vocab.size}"
+        # every hidden state is a row of this read-only identity, not a copy
+        self._one_hots = _frozen(np.eye(self.vocab.size))
 
     def _step(self, line, token):
-        h = np.zeros(self.vocab.size)
-        h[token] = 1.0
-        return h
+        return self._one_hots[token]
 
     def step_logits(self, acts_list) -> np.ndarray:
         """Column last_token of the head for each prefix, in O(V) per row.

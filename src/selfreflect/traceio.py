@@ -1,30 +1,76 @@
-"""Decode-trace persistence: line-delimited JSON records.
+"""Decode-trace persistence: newline-separated JSON records.
 
-One record per line: a header (version first), one record per generated step,
-and a footer with totals. Numbers round-trip exactly (Python emits the shortest
-float representation, and NaN is permitted for the undefined window statistics
-of early steps), so serialize -> parse -> serialize is byte-identical. Replay
-comparisons use the canonical form with wall-time measurements zeroed, since
-timings are the one thing an otherwise deterministic decode cannot reproduce.
+Every trace starts with a header (version first) and ends with a footer with
+totals and the output tokens. Two layouts sit between them:
+
+- Version 2, which serialize_trace and write_trace write, keeps the steps as
+  columns: one `steps` record whose six float columns (entropy, logprob,
+  wall_time, and the trigger's mean, std and threshold) are one little-endian
+  float64 block in base64, with position, fired and window_full as JSON
+  lists, then one `correction` record per corrected step. A step's token is
+  the footer's output[i]. Raw IEEE bytes carry every float exactly, NaN and
+  -0.0 included, so serialize -> parse -> serialize is byte-identical and no
+  float is formatted.
+- Version 1 keeps one JSON record per step. replay_form writes it with the
+  wall-time measurements zeroed, since timings are the one thing an
+  otherwise deterministic decode cannot reproduce: two decodes of one seed
+  and config compare equal byte for byte.
+
+parse_trace reads both. Each version's records fill the same columns, and
+one builder checks them against the trigger rule and makes the StepRecords.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
+from itertools import chain
+
+import numpy as np
 
 from .config import decode_config_from_dict, decode_config_to_dict
-from .engine import (CorrectionSummary, DecodeTrace, StepRecord, TraceTotals)
+from .engine import (CorrectionSummary, DecodeConfig, DecodeTrace, StepRecord,
+                     TraceTotals)
 from .errors import ConfigError
 from .monitor import TriggerDecision
 from .optimizer import HybridLossReport
 from .utils import read_text
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
+_REPLAY_VERSION = 1  # the layout replay_form writes
+# the float columns of a version 2 steps record, in block order
+_FLOAT_COLUMNS = ("entropy", "logprob", "wall_time", "mean", "std", "threshold")
+_DTYPE = "<f8"
 
 
 # one compact encoder for every record: json.dumps would build a new one per call
 _dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=True).encode
+
+
+def _header(trace: DecodeTrace, version: int) -> str:
+    return _dumps({
+        "version": version,
+        "record": "header",
+        "model_id": trace.model_id,
+        "seed": trace.seed,
+        "prompt": list(trace.prompt),
+        "config": decode_config_to_dict(trace.config),
+    })
+
+
+def _footer(trace: DecodeTrace, zero_times: bool) -> str:
+    totals = trace.totals
+    return _dumps({
+        "record": "footer",
+        "totals": {
+            "n_activations": totals.n_activations,
+            "inner_steps": totals.inner_steps,
+            "wall_time": 0.0 if zero_times else totals.wall_time,
+            "baseline_time": None if zero_times else totals.baseline_time,
+        },
+        "output": list(trace.output),
+    })
 
 
 def _correction_dict(c: CorrectionSummary, zero_times: bool) -> dict:
@@ -46,16 +92,8 @@ def _correction_dict(c: CorrectionSummary, zero_times: bool) -> dict:
     }
 
 
-def trace_to_lines(trace: DecodeTrace, zero_times: bool = False) -> list[str]:
-    header = {
-        "version": TRACE_VERSION,
-        "record": "header",
-        "model_id": trace.model_id,
-        "seed": trace.seed,
-        "prompt": list(trace.prompt),
-        "config": decode_config_to_dict(trace.config),
-    }
-    lines = [_dumps(header)]
+def _v1_lines(trace: DecodeTrace, zero_times: bool) -> list[str]:
+    lines = [_header(trace, _REPLAY_VERSION)]
     for s in trace.steps:
         d = s.trigger
         rec = {
@@ -71,28 +109,40 @@ def trace_to_lines(trace: DecodeTrace, zero_times: bool = False) -> list[str]:
                           else _correction_dict(s.correction, zero_times),
         }
         lines.append(_dumps(rec))
-    totals = trace.totals
-    footer = {
-        "record": "footer",
-        "totals": {
-            "n_activations": totals.n_activations,
-            "inner_steps": totals.inner_steps,
-            "wall_time": 0.0 if zero_times else totals.wall_time,
-            "baseline_time": None if zero_times else totals.baseline_time,
-        },
-        "output": list(trace.output),
-    }
-    lines.append(_dumps(footer))
+    lines.append(_footer(trace, zero_times))
     return lines
 
 
 def serialize_trace(trace: DecodeTrace) -> str:
-    return "\n".join(trace_to_lines(trace)) + "\n"
+    """The version 2 text of a trace."""
+    steps = trace.steps
+    n = len(steps)
+    floats = np.fromiter(chain.from_iterable([
+        (s.entropy, s.logprob, s.wall_time, s.trigger.mean, s.trigger.std, s.trigger.threshold)
+        for s in steps]), _DTYPE, 6 * n).reshape(n, 6)
+    block = _dumps({
+        "record": "steps",
+        "n": n,
+        "dtype": _DTYPE,
+        "columns": list(_FLOAT_COLUMNS),
+        "position": [s.position for s in steps],
+        "fired": [s.trigger.fired for s in steps],
+        "window_full": [s.trigger.window_full for s in steps],
+    })
+    # base64 text needs no JSON escaping, and the encoder's escape scan of it
+    # would cost more than the rest of the record
+    block = f'{block[:-1]},"floats":"{base64.b64encode(floats.T.tobytes()).decode("ascii")}"}}'
+    lines = [_header(trace, TRACE_VERSION), block]
+    lines += [_dumps({"record": "correction", "step": i,
+                      **_correction_dict(s.correction, False)})
+              for i, s in enumerate(steps) if s.correction is not None]
+    lines.append(_footer(trace, False))
+    return "\n".join(lines) + "\n"
 
 
 def replay_form(trace: DecodeTrace) -> str:
-    """Serialization with timing fields zeroed: bitwise-stable under replay."""
-    return "\n".join(trace_to_lines(trace, zero_times=True)) + "\n"
+    """Version 1 text with timing fields zeroed: bitwise-stable under replay."""
+    return "\n".join(_v1_lines(trace, zero_times=True)) + "\n"
 
 
 def write_trace(trace: DecodeTrace, path) -> None:
@@ -114,6 +164,14 @@ def _number_or_none(data, key):
     return None if data[key] is None else _number(data, key)
 
 
+def _float(data, key) -> float:
+    value = _number(data, key)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond float range
+        raise ValueError(f"{key!r} is beyond float range") from None
+
+
 def _integer(data, key):
     value = data[key]
     if type(value) is int:
@@ -128,11 +186,20 @@ def _flag(data, key):
     raise TypeError(f"{key!r} must be true or false, got {value!r}")
 
 
-def _token_ids(data, key) -> tuple[int, ...]:
+def _list(data, key, kind: type, n: int | None = None) -> list:
+    """data[key] when it is a list of values of exactly the type kind, and
+    of n values unless n is None."""
     value = data[key]
-    if type(value) is list and all(type(t) is int for t in value):
-        return tuple(value)
-    raise TypeError(f"{key!r} must be a list of integers, got {value!r}")
+    if type(value) is list and (n is None or len(value) == n) and \
+            set(map(type, value)) <= {kind}:
+        return value
+    what = "integers" if kind is int else "true/false flags"
+    raise TypeError(f"{key!r} must be a list of {what if n is None else f'{n} {what}'}, "
+                    f"got {value!r}")
+
+
+def _token_ids(data, key) -> tuple[int, ...]:
+    return tuple(_list(data, key, int))
 
 
 def _parse_correction(data) -> CorrectionSummary:
@@ -153,10 +220,131 @@ def _parse_correction(data) -> CorrectionSummary:
         opt_wall_time=_number(data, "opt_wall_time"), trajectory=trajectory)
 
 
-def parse_trace(text: str) -> DecodeTrace:
-    numbered = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln]
-    if len(numbered) < 2:
-        raise ConfigError("trace must contain at least a header and a footer")
+class _Columns:
+    """A trace's step fields gathered column by column, as either version's
+    records fill them."""
+
+    def __init__(self):
+        self.floats = None  # a (6, n) block in _FLOAT_COLUMNS order
+        self.rows: list[tuple] = []  # version 1: the six floats of each step
+        self.position: list[int] = []
+        self.tokens: list[int] = []  # version 1 only: version 2 steps take the output's
+        self.fired: list[bool] = []
+        self.window_full: list[bool] = []
+        self.corrections: dict[int, CorrectionSummary] = {}
+
+    def read_v1(self, rec) -> None:
+        """One version 1 step record."""
+        if rec.get("record") != "step":
+            raise ConfigError(f"unexpected trace record kind: {rec.get('record')!r}")
+        t = rec["trigger"]
+        self.rows.append((_float(rec, "entropy"), _float(rec, "logprob"),
+                          _float(rec, "wall_time"), _float(t, "mean"), _float(t, "std"),
+                          _float(t, "threshold")))
+        self.fired.append(_flag(t, "fired"))
+        self.window_full.append(_flag(t, "window_full"))
+        self.position.append(_integer(rec, "position"))
+        self.tokens.append(_integer(rec, "token"))
+        corr = rec.get("correction")
+        if corr is not None:
+            self.corrections[len(self.rows) - 1] = _parse_correction(corr)
+
+    def read_v2(self, rec) -> None:
+        """The version 2 steps record, then one correction record at a time."""
+        kind = rec.get("record")
+        if self.floats is None:
+            if kind != "steps":
+                raise ConfigError(f"expected the steps record, got {kind!r}")
+            self._read_block(rec)
+            return
+        if kind != "correction":
+            raise ConfigError(f"unexpected trace record kind: {kind!r}")
+        step, n = _integer(rec, "step"), len(self.position)
+        last = next(reversed(self.corrections), -1)  # kept in step order
+        if not last < step < n:
+            raise ValueError(f"'step' must be a step index in ({last}, {n}), after the "
+                             f"previous correction's, got {step}")
+        self.corrections[step] = _parse_correction(rec)
+
+    def _read_block(self, rec) -> None:
+        n = _integer(rec, "n")
+        if n < 0:
+            raise ValueError(f"'n' must not be negative, got {n}")
+        for key, want in (("dtype", _DTYPE), ("columns", list(_FLOAT_COLUMNS))):
+            if rec[key] != want:
+                raise ValueError(f"{key!r} must be {want!r}, got {rec[key]!r}")
+        text = rec["floats"]
+        if type(text) is not str:
+            raise TypeError(f"'floats' must be a base64 string, got {text!r}")
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError as exc:  # binascii.Error, or text beyond ASCII
+            raise ValueError(f"'floats' is not base64 text ({exc})") from None
+        if len(raw) != 8 * 6 * n:
+            raise ValueError(f"'floats' must hold 6 * n = {6 * n} float64 values, "
+                             f"got {len(raw)} bytes")
+        self.position = _list(rec, "position", int, n)
+        self.fired = _list(rec, "fired", bool, n)
+        self.window_full = _list(rec, "window_full", bool, n)
+        self.floats = np.frombuffer(raw, _DTYPE).astype(np.float64).reshape(6, n)
+
+
+def _first(bad: np.ndarray, message: str) -> None:
+    if np.count_nonzero(bad):
+        raise ConfigError(f"trace step {int(bad.argmax())}: {message}")
+
+
+def _build_steps(cols: _Columns, tokens, config: DecodeConfig) -> list[StepRecord]:
+    """The StepRecords of a trace from its columns, after checking each
+    step's trigger fields against the trigger rule (monitor.trigger_rows),
+    vectorized over the columns. Windows fill one entry per step, so a
+    step's window is empty at position 0 and full from window_size on."""
+    entropy, _, _, mean, std, threshold = cols.floats
+    position = np.array(cols.position)
+    fired = np.array(cols.fired, dtype=bool)
+    window_full = np.array(cols.window_full, dtype=bool)
+    trigger = config.trigger
+    _first(window_full != (position >= trigger.window_size),
+           f"window_full must be position >= window_size ({trigger.window_size})")
+    with np.errstate(all="ignore"):  # overflow or inf * 0 only means a mismatch
+        expected = mean + trigger.sensitivity * std
+    nan = np.isnan(threshold)
+    same = np.where(position == 0, nan & np.isnan(expected),
+                    ~nan & (threshold.view(np.int64) == expected.view(np.int64)))
+    _first(~same, "threshold must be mean + sensitivity * std bit for bit, "
+                  "and NaN exactly where the window is empty")
+    crossed = window_full & (entropy > threshold)
+    if config.reflect:
+        _first(fired != crossed, "fired must be window_full and entropy > threshold")
+    else:
+        _first(fired & ~crossed, "a fired step needs a full window and entropy > threshold")
+    corrected = np.zeros(len(fired), dtype=bool)
+    corrected[list(cols.corrections)] = True
+    _first(corrected != fired, "a step must have a correction exactly when it fired")
+
+    corrections = [None] * len(fired)
+    for i, c in cols.corrections.items():
+        corrections[i] = c
+    return [StepRecord(p, token, h, TriggerDecision(h, m, sd, thr, f, full), lp, wall, c)
+            for p, token, h, lp, wall, m, sd, thr, f, full, c in zip(
+                cols.position, tokens, *cols.floats.tolist(), cols.fired, cols.window_full,
+                corrections)]
+
+
+def _load_records(numbered) -> list[dict]:
+    """The JSON object of each (line number, text) pair, parsed with one
+    json.loads over the records joined as a JSON array. When that fails, the
+    lines are parsed one by one, so that the error names the bad line. The
+    joined parse also takes lines that are not objects alone but complete
+    each other, as long as the object count matches the line count; every
+    record is checked in full afterwards either way."""
+    try:
+        records = json.loads("[" + ",".join(ln for _, ln in numbered) + "]")
+    except (json.JSONDecodeError, RecursionError):
+        records = None
+    if records is not None and len(records) == len(numbered) and \
+            all(type(rec) is dict for rec in records):
+        return records
     records = []
     for i, ln in numbered:
         try:
@@ -165,53 +353,63 @@ def parse_trace(text: str) -> DecodeTrace:
             raise ConfigError(f"trace line {i} is not valid JSON: {exc}") from None
         if not isinstance(rec, dict):
             raise ConfigError(f"trace line {i}: a record must be a JSON object")
-        records.append((i, rec))
+        records.append(rec)
+    return records
 
-    (line, header), footer = records[0], records[-1][1]
+
+def parse_trace(text: str) -> DecodeTrace:
+    """A trace from its version 1 or version 2 text."""
+    numbered = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln]
+    if len(numbered) < 2:
+        raise ConfigError("trace must contain at least a header and a footer")
+    records = _load_records(numbered)
+    lines = [i for i, _ in numbered]
+
+    header, footer = records[0], records[-1]
     if header.get("record") != "header":
         raise ConfigError("first trace record must be the header")
-    if header.get("version") != TRACE_VERSION:
-        raise ConfigError(f"unsupported trace version: {header.get('version')!r}")
+    version = header.get("version")
+    if type(version) is not int or version not in (1, 2):
+        raise ConfigError(f"unsupported trace version: {version!r}")
     if footer.get("record") != "footer":
         raise ConfigError("last trace record must be the footer")
 
-    try:  # `line` follows the record being read, for the error message
+    line = lines[0]  # follows the record being read, for the error message
+    try:
         config = decode_config_from_dict(header["config"], "config")
         model_id = header["model_id"]
         if type(model_id) is not str:
             raise TypeError(f"'model_id' must be a string, got {model_id!r}")
         prompt, seed = _token_ids(header, "prompt"), _integer(header, "seed")
-        steps = []
-        for line, rec in records[1:-1]:
-            if rec.get("record") != "step":
-                raise ConfigError(f"unexpected trace record kind: {rec.get('record')!r}")
-            t = rec["trigger"]
-            entropy = _number(rec, "entropy")
-            decision = TriggerDecision(entropy=entropy, mean=_number(t, "mean"),
-                                       std=_number(t, "std"), threshold=_number(t, "threshold"),
-                                       fired=_flag(t, "fired"),
-                                       window_full=_flag(t, "window_full"))
-            corr = rec.get("correction")
-            steps.append(StepRecord(
-                position=_integer(rec, "position"), token=_integer(rec, "token"),
-                entropy=entropy, trigger=decision, logprob=_number(rec, "logprob"),
-                wall_time=_number(rec, "wall_time"),
-                correction=None if corr is None else _parse_correction(corr)))
-        line = records[-1][0]
+        line = lines[-1]
         output = _token_ids(footer, "output")
         tot = footer["totals"]
         totals = TraceTotals(n_activations=_integer(tot, "n_activations"),
                              inner_steps=_integer(tot, "inner_steps"),
                              wall_time=_number(tot, "wall_time"),
                              baseline_time=_number_or_none(tot, "baseline_time"))
+        cols = _Columns()
+        read = cols.read_v1 if version == 1 else cols.read_v2
+        for line, rec in zip(lines[1:-1], records[1:-1]):
+            try:
+                read(rec)
+            except ConfigError as exc:
+                raise ConfigError(f"trace line {line}: {exc}") from None
     except KeyError as exc:
         raise ConfigError(f"trace line {line}: missing key {exc.args[0]!r}") from None
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"trace line {line}: malformed record ({exc})") from None
-    if len(output) != len(steps) or any(s.token != output[i] for i, s in enumerate(steps)):
+    if version == 1:
+        cols.floats = np.array(cols.rows, dtype=np.float64).reshape(-1, 6).T
+        if cols.tokens != list(output):
+            raise ConfigError("trace output does not match its step records")
+    elif cols.floats is None:
+        raise ConfigError("a version 2 trace needs a steps record after its header")
+    elif len(output) != len(cols.position):
         raise ConfigError("trace output does not match its step records")
+    steps = _build_steps(cols, output, config)
     return DecodeTrace(model_id=model_id, prompt=prompt, output=output, steps=steps,
                        totals=totals, config=config, seed=seed)
 

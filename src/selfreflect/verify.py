@@ -92,7 +92,13 @@ class LossInstance:
         return (1.0 - weight) * self.ce(delta) + weight * self.aem(delta)
 
     def gradients(self, delta, fd_step: float = 1e-6):
+        """(ce, aem) gradients at delta; central differences of step fd_step,
+        which must be positive and finite, stand in for a missing one."""
         delta = np.asarray(delta, dtype=np.float64)
+        if (self.g_ce is None or self.g_aem is None) and \
+                not (_is_finite(fd_step) and fd_step > 0):
+            raise InputError(f"loss instance {self.label!r}: central differences need a "
+                             f"positive finite fd_step, got {fd_step!r}")
         g1 = self.g_ce(delta) if self.g_ce is not None \
             else _central_diff(self.f_ce, delta, fd_step)
         g2 = self.g_aem(delta) if self.g_aem is not None \

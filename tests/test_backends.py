@@ -120,6 +120,21 @@ class TestMarkov:
         z = logits_at(be.head, acts.last_hidden)
         assert np.max(np.abs(z - np.log(smoothed[2]))) < 1e-15
 
+    def test_hidden_states_are_shared_read_only_rows(self):
+        # every state is a row of one identity built with the backend: a
+        # write must fail rather than change the states of other prefixes
+        be = MarkovBackend(np.full((4, 4), 0.25))
+        acts = be.append_token(be.forward_prefix((0, 1)), 3)
+        other = be.forward_prefix((3,))
+        assert [h.tolist() for h in acts.hidden] == [one_hot(t, 4).tolist() for t in (0, 1, 3)]
+        assert np.shares_memory(acts.last_hidden, other.last_hidden)
+        for h in (acts.last_hidden, acts.hidden[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                h[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            acts.last_hidden += 1.0
+        assert other.last_hidden.tolist() == [0.0, 0.0, 0.0, 1.0]
+
     def test_uniform_rows_give_log_v_entropy(self):
         be = MarkovBackend(np.full((5, 5), 0.2))
         z = logits_at(be.head, be.forward_prefix((3,)).last_hidden)

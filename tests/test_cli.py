@@ -1,11 +1,14 @@
 """Command line surface, exercised through main(argv) without subprocesses."""
 
+import base64
 import json
 
+import numpy as np
 import pytest
 
 from selfreflect import (DecodeConfig, build_spike_backend, decode,
-                         load_backend, parse_trace, read_trace, save_backend)
+                         load_backend, parse_trace, read_trace, replay_form,
+                         save_backend, serialize_trace)
 from selfreflect.cli import main
 
 
@@ -439,10 +442,11 @@ class TestAnalyze:
         assert code == 2
 
     @staticmethod
-    def _damaged(trace_dir, tmp_path, damage):
+    def _damaged(trace_dir, tmp_path, damage, text=replay_form):
         """A copy of one trace whose record list `damage` edits in place;
-        records[i] is line i + 1 of the file."""
-        lines = (trace_dir / "s1.jsonl").read_text().splitlines()
+        records[i] is line i + 1 of the file. The copy is version 1 text
+        (replay_form), or what `text` writes."""
+        lines = text(read_trace(trace_dir / "s1.jsonl")).splitlines()
         records = [json.loads(ln) for ln in lines]
         damage(records)
         path = tmp_path / "damaged.jsonl"
@@ -482,6 +486,53 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "--traces", str(path), "--report", report)
         assert code == 2 and out == ""
         assert f"trace line {lines[0]}:" in err and repr(key) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("fired", None), ("fired", "yes"), ("position", None), ("position", [0.5]),
+        ("floats", None), ("floats", 7)])
+    def test_damaged_v2_block_is_a_config_error(self, capsys, trace_dir, tmp_path,
+                                                key, value):
+        def damage(records):
+            if value is None:
+                del records[1][key]
+            else:
+                records[1][key] = value
+
+        path = self._damaged(trace_dir, tmp_path, damage, serialize_trace)
+        code, out, err = run(capsys, "analyze", "--traces", str(path), "--report", "entropy")
+        assert code == 2 and out == ""
+        assert "trace line 2:" in err and repr(key) in err
+        assert "Traceback" not in err
+
+    @staticmethod
+    def _floats(records):
+        n = records[1]["n"]
+        return np.frombuffer(base64.b64decode(records[1]["floats"]), "<f8").reshape(6, n)
+
+    @staticmethod
+    def _set_floats(records, floats):
+        records[1]["floats"] = base64.b64encode(floats.astype("<f8").tobytes()).decode()
+
+    def _flip_fired(self, records):
+        records[1]["fired"][29] = not records[1]["fired"][29]
+
+    def _raise_entropy(self, records):
+        floats = self._floats(records).copy()
+        floats[0, 35] = floats[5, 35] + 0.5  # entropy above its step's threshold
+        self._set_floats(records, floats)
+
+    def _short_block(self, records):
+        self._set_floats(records, self._floats(records).ravel()[:-1])
+
+    @pytest.mark.parametrize("damage, message", [
+        ("_flip_fired", "trace step 29: fired"), ("_raise_entropy", "trace step 35: fired"),
+        ("_short_block", "trace line 2: malformed record ('floats' must hold")])
+    def test_inconsistent_v2_steps_exit_2(self, capsys, trace_dir, tmp_path, damage, message):
+        path = self._damaged(trace_dir, tmp_path, getattr(self, damage), serialize_trace)
+        code, out, err = run(capsys, "analyze", "--traces", str(path), "--report", "entropy")
+        assert code == 2 and out == ""
+        assert message in err
         assert "Traceback" not in err
 
 

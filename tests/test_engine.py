@@ -13,6 +13,7 @@ from selfreflect import (AdaptiveWeightConfig, AttentionBackend, DecodeConfig, I
                          build_spike_backend, decode, entropy_from_logits,
                          log_softmax, logits_at, nucleus_distribution, sample,
                          softmax)
+from selfreflect.engine import _sample_rows
 
 SMALL_TRIGGER = TriggerConfig(window_size=25, sensitivity=4.0, temperature=0.6)
 GREEDY = SamplingConfig(mode="greedy")
@@ -62,10 +63,15 @@ class TestSample:
     def test_sampled_frequencies_match_softmax(self):
         logits = np.array([0.9, -0.4, 0.1, 1.3, -2.0])
         cfg = SamplingConfig(mode="temperature", temperature=0.7, top_p=1.0)
-        rng = np.random.default_rng(123)
         n = 100_000
-        counts = np.bincount(
-            [sample(logits, cfg, rng) for _ in range(n)], minlength=5)
+        # the decode loop's draw over n copies of the row, one generator
+        # repeated per row: the stream of n successive sample() calls
+        rng = np.random.default_rng(123)
+        draws = _sample_rows(np.tile(logits, (n, 1)), None, [rng] * n, cfg)
+        rng = np.random.default_rng(123)
+        prefix = [sample(logits, cfg, rng) for _ in range(2_000)]
+        assert draws[:2_000].tolist() == prefix
+        counts = np.bincount(draws, minlength=5)
         expected = softmax(logits, 0.7) * n
         assert stats.chisquare(counts, expected).pvalue > 0.001
 

@@ -1,18 +1,28 @@
 """Trace serialization: byte-exact round-trips, replay form, config dicts."""
 
+import base64
+import io
 import json
 import math
 import re
+import struct
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from hashlib import sha256
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from selfreflect import (AdaptiveWeightConfig, ConfigError, DecodeConfig, InputError,
-                         ReflectionConfig, RunConfig, SamplingConfig, TriggerConfig,
-                         build_spike_backend, decode, decode_config_from_dict,
+from selfreflect import (TRACE_VERSION, AdaptiveWeightConfig, ConfigError, DecodeConfig,
+                         InputError, ReflectionConfig, RunConfig, SamplingConfig,
+                         TriggerConfig, build_spike_backend, decode, decode_config_from_dict,
                          decode_config_to_dict, parse_trace, read_trace,
                          replay_form, run_config_from_dict, serialize_trace,
                          trace_files, write_trace)
+from selfreflect.cli import main
 
 
 def spike_trace(seed=0, **kwargs):
@@ -93,8 +103,10 @@ class TestReplayForm:
 
 
 class TestTraceFormat:
+    """Version 1, as replay_form writes it."""
+
     def test_header_comes_first_with_version(self):
-        lines = serialize_trace(spike_trace()).splitlines()
+        lines = replay_form(spike_trace()).splitlines()
         header = json.loads(lines[0])
         assert header["record"] == "header"
         assert header["version"] == 1
@@ -104,13 +116,107 @@ class TestTraceFormat:
 
     def test_one_step_record_per_token(self):
         trace = spike_trace()
-        lines = serialize_trace(trace).splitlines()
+        lines = replay_form(trace).splitlines()
         assert len(lines) == len(trace.output) + 2
 
 
+class TestTraceFormatV2:
+    """Version 2, as serialize_trace and write_trace write it."""
+
+    def test_header_comes_first_with_version(self):
+        lines = serialize_trace(spike_trace()).splitlines()
+        header = json.loads(lines[0])
+        assert header["record"] == "header"
+        assert header["version"] == TRACE_VERSION == 2
+        assert list(header)[0] == "version"
+        assert json.loads(lines[-1])["record"] == "footer"
+
+    def test_one_steps_record_and_one_record_per_correction(self):
+        trace = spike_trace(seed=3)
+        corrected = [s.position for s in trace.steps if s.correction is not None]
+        assert len(corrected) == 2
+        records = [json.loads(ln) for ln in serialize_trace(trace).splitlines()]
+        assert len(records) == 3 + len(corrected)
+        block = records[1]
+        assert block["record"] == "steps" and block["n"] == len(trace.output)
+        assert block["dtype"] == "<f8"
+        assert block["columns"] == ["entropy", "logprob", "wall_time", "mean", "std",
+                                    "threshold"]
+        assert block["position"] == [s.position for s in trace.steps]
+        assert block["fired"] == [s.trigger.fired for s in trace.steps]
+        assert block["window_full"] == [s.trigger.window_full for s in trace.steps]
+        assert "token" not in block  # a step's token is the footer's output[i]
+        assert [r["record"] for r in records[2:-1]] == ["correction"] * len(corrected)
+        assert [r["step"] for r in records[2:-1]] == corrected
+
+    def test_float_block_holds_little_endian_float64_columns(self):
+        trace = spike_trace(seed=3)
+        block = json.loads(serialize_trace(trace).splitlines()[1])
+        raw = base64.b64decode(block["floats"])
+        columns = np.frombuffer(raw, "<f8").reshape(6, len(trace.steps))
+        want = np.array([[s.entropy, s.logprob, s.wall_time, s.trigger.mean, s.trigger.std,
+                          s.trigger.threshold] for s in trace.steps]).T
+        assert columns.tobytes() == want.astype("<f8").tobytes()
+
+    def test_negative_zero_and_nan_payloads_survive(self):
+        trace = spike_trace(seed=3)
+        nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0123))[0]
+        trace.steps[0].wall_time = -0.0
+        trace.steps[1].logprob = nan
+        text = serialize_trace(trace)
+        back = parse_trace(text)
+        assert math.copysign(1.0, back.steps[0].wall_time) == -1.0
+        assert struct.pack("<d", back.steps[1].logprob) == struct.pack("<d", nan)
+        assert serialize_trace(back) == text
+
+    def test_smaller_than_version_1(self):
+        trace = spike_trace(seed=3)
+        assert len(serialize_trace(trace)) < len(replay_form(trace)) / 2
+
+
+# written by write_trace of the release before version 2: a reflective
+# spike decode (two corrections, backtracking) with timings and NaN window
+# statistics; the hash is that release's replay_form of the parsed file
+FIXTURE = Path(__file__).parent / "data" / "trace_v1_spike.jsonl"
+FIXTURE_REPLAY_SHA256 = "01099a62d9a8b4f7d8411b7ffa60ca55a6c522ac2123e029ab9d9fcd89bdd73d"
+
+
+class TestVersion1Files:
+    def test_fixture_parses_to_its_recorded_replay_form(self):
+        trace = read_trace(FIXTURE)
+        assert json.loads(FIXTURE.read_text().splitlines()[0])["version"] == 1
+        assert sha256(replay_form(trace).encode()).hexdigest() == FIXTURE_REPLAY_SHA256
+        assert [s.position for s in trace.steps if s.correction is not None] == [29, 59]
+        assert math.isnan(trace.steps[0].trigger.mean)
+        assert all(s.wall_time > 0.0 for s in trace.steps)
+
+    def test_fixture_keeps_every_value_of_its_step_records(self):
+        trace = read_trace(FIXTURE)
+        records = [json.loads(ln) for ln in FIXTURE.read_text().splitlines()[1:-1]]
+        for step, rec in zip(trace.steps, records, strict=True):
+            t = rec["trigger"]
+            got = (step.position, step.token, step.entropy, step.logprob, step.wall_time,
+                   step.trigger.mean, step.trigger.std, step.trigger.threshold,
+                   step.trigger.fired, step.trigger.window_full)
+            want = (rec["position"], rec["token"], rec["entropy"], rec["logprob"],
+                    rec["wall_time"], t["mean"], t["std"], t["threshold"], t["fired"],
+                    t["window_full"])
+            assert repr(got) == repr(want)
+
+    def test_fixture_round_trips_through_version_2(self):
+        trace = read_trace(FIXTURE)
+        text = serialize_trace(trace)
+        back = parse_trace(text)
+        assert serialize_trace(back) == text
+        assert replay_form(back) == replay_form(trace)
+        assert back.totals == trace.totals
+
+
 class TestParseErrors:
+    """Version 1, as replay_form writes it."""
+
     def good_text(self):
-        return serialize_trace(spike_trace())
+        return replay_form(spike_trace())
 
     def test_rejects_unknown_version(self):
         text = self.good_text().replace('"version":1', '"version":99', 1)
@@ -150,6 +256,279 @@ class TestParseErrors:
     def test_rejects_empty_text(self):
         with pytest.raises(ConfigError):
             parse_trace("")
+
+
+def v2_records(trace=None):
+    text = serialize_trace(spike_trace(seed=3) if trace is None else trace)
+    return [json.loads(ln) for ln in text.splitlines()]
+
+
+def v2_text(records):
+    return "\n".join(json.dumps(r) for r in records) + "\n"
+
+
+def block_floats(records):
+    block = records[1]
+    return np.frombuffer(base64.b64decode(block["floats"]), "<f8").reshape(6, block["n"]).copy()
+
+
+def with_floats(records, floats):
+    records[1]["floats"] = base64.b64encode(floats.astype("<f8").tobytes()).decode("ascii")
+    return records
+
+
+ENTROPY, MEAN, STD, THRESHOLD = 0, 3, 4, 5
+
+
+class TestParseErrorsV2:
+    """Version 2, as serialize_trace writes it."""
+
+    def test_reads_its_own_text(self):
+        records = v2_records()
+        trace = parse_trace(v2_text(records))
+        assert len(trace.steps) == records[1]["n"]
+
+    @pytest.mark.parametrize("key", ["fired", "window_full", "position", "floats", "n",
+                                     "dtype", "columns"])
+    def test_missing_block_key_is_named(self, key):
+        records = v2_records()
+        del records[1][key]
+        with pytest.raises(ConfigError, match=f"trace line 2: missing key '{key}'"):
+            parse_trace(v2_text(records))
+
+    @pytest.mark.parametrize("key, value", [
+        ("fired", "yes"), ("fired", [1] * 70), ("fired", [True] * 3),
+        ("window_full", None), ("position", [0.0] * 70), ("position", [True] * 70),
+        ("position", list(range(69))), ("floats", 3.5), ("floats", ["AAAA"]),
+        ("floats", "not base64!"), ("n", 70.0), ("n", -1), ("dtype", ">f8"),
+        ("columns", ["logprob", "entropy", "wall_time", "mean", "std", "threshold"])])
+    def test_wrongly_typed_block_key_is_named(self, key, value):
+        records = v2_records()
+        records[1][key] = value
+        with pytest.raises(ConfigError, match=f"trace line 2: malformed record .*'{key}'"):
+            parse_trace(v2_text(records))
+
+    @pytest.mark.parametrize("cut", [1, 8, 48])
+    def test_short_block_is_rejected(self, cut):
+        records = v2_records()
+        raw = base64.b64decode(records[1]["floats"])[:-cut]
+        records[1]["floats"] = base64.b64encode(raw).decode("ascii")
+        with pytest.raises(ConfigError, match=r"trace line 2: .*'floats' must hold 6 \* n"):
+            parse_trace(v2_text(records))
+
+    def test_step_count_must_match_the_output(self):
+        records = v2_records()
+        records[-1]["output"].append(1)
+        with pytest.raises(ConfigError, match="output does not match"):
+            parse_trace(v2_text(records))
+
+    def test_needs_a_steps_record(self):
+        records = v2_records()
+        with pytest.raises(ConfigError, match="trace line 2: expected the steps record"):
+            parse_trace(v2_text([records[0]] + records[2:]))
+        with pytest.raises(ConfigError, match="needs a steps record"):
+            parse_trace(v2_text([records[0], records[-1]]))
+
+    def test_rejects_a_second_steps_record(self):
+        records = v2_records()
+        with pytest.raises(ConfigError, match="trace line 3: unexpected trace record kind"):
+            parse_trace(v2_text(records[:2] + records[1:]))
+
+    @pytest.mark.parametrize("step", [-1, 70, 29, "29", 29.0, True])
+    def test_correction_step_is_checked(self, step):
+        # the corrections sit at steps 29 and 59: the second must come later
+        records = v2_records()
+        records[3]["step"] = step
+        with pytest.raises(ConfigError, match="trace line 4: malformed record .*'step'"):
+            parse_trace(v2_text(records))
+
+    def test_correction_needs_its_step(self):
+        records = v2_records()
+        del records[2]["step"]
+        with pytest.raises(ConfigError, match="trace line 3: missing key 'step'"):
+            parse_trace(v2_text(records))
+
+    def test_unknown_version_is_rejected(self):
+        text = serialize_trace(spike_trace()).replace('"version":2', '"version":3', 1)
+        with pytest.raises(ConfigError, match="unsupported trace version: 3"):
+            parse_trace(text)
+
+    def test_flag_version_is_rejected(self):
+        text = replay_form(spike_trace()).replace('"version":1', '"version":true', 1)
+        with pytest.raises(ConfigError, match="unsupported trace version: True"):
+            parse_trace(text)
+
+
+class TestTriggerColumnChecks:
+    """parse_trace checks every step's trigger fields against the trigger
+    rule, in both versions."""
+
+    def test_flipped_fired_is_rejected(self):
+        records = v2_records()
+        records[1]["fired"][29] = False
+        with pytest.raises(ConfigError, match="trace step 29: fired must be"):
+            parse_trace(v2_text(records))
+
+    def test_entropy_crossing_the_threshold_is_rejected(self):
+        records = v2_records()
+        floats = block_floats(records)
+        floats[ENTROPY, 40] = floats[THRESHOLD, 40] + 1.0
+        with pytest.raises(ConfigError, match="trace step 40: fired must be"):
+            parse_trace(v2_text(with_floats(records, floats)))
+
+    def test_fired_without_a_correction_is_rejected(self):
+        records = v2_records()
+        del records[2]
+        with pytest.raises(ConfigError, match="trace step 29: a step must have a correction"):
+            parse_trace(v2_text(records))
+
+    def test_threshold_is_checked_bit_for_bit(self):
+        records = v2_records()
+        floats = block_floats(records)
+        floats[THRESHOLD, 30] = np.nextafter(floats[THRESHOLD, 30], np.inf)
+        with pytest.raises(ConfigError, match="trace step 30: threshold must be"):
+            parse_trace(v2_text(with_floats(records, floats)))
+
+    @pytest.mark.parametrize("step, value", [(0, 0.1), (1, math.nan), (5, -0.0)])
+    def test_threshold_is_nan_exactly_where_the_window_is_empty(self, step, value):
+        records = v2_records()
+        floats = block_floats(records)
+        floats[[MEAN, STD, THRESHOLD], step] = value, 0.0, value
+        if step:
+            floats[STD, step] = math.nan
+        with pytest.raises(ConfigError, match=f"trace step {step}: threshold must be"):
+            parse_trace(v2_text(with_floats(records, floats)))
+
+    def test_window_full_must_follow_the_position(self):
+        records = v2_records()
+        records[1]["window_full"][24] = True
+        with pytest.raises(ConfigError, match="trace step 24: window_full must be"):
+            parse_trace(v2_text(records))
+        records = v2_records()
+        records[1]["position"][25] = 24
+        with pytest.raises(ConfigError, match="trace step 25: window_full must be"):
+            parse_trace(v2_text(records))
+
+    def test_baseline_trace_may_not_fire(self):
+        # reflect=False records fired=False everywhere, also where the
+        # entropy crosses the threshold; a flag set there is still wrong
+        records = v2_records(spike_trace(seed=3, reflect=False))
+        step = parse_trace(v2_text(records)).steps[29]
+        assert step.entropy > step.trigger.threshold and not step.trigger.fired
+        records[1]["fired"][29] = True
+        with pytest.raises(ConfigError, match="trace step 29: a step must have a correction"):
+            parse_trace(v2_text(records))
+        records[1]["fired"][29] = False
+        records[1]["fired"][10] = True
+        with pytest.raises(ConfigError, match="trace step 10: a fired step needs"):
+            parse_trace(v2_text(records))
+
+    def test_version_1_steps_are_checked_too(self):
+        lines = replay_form(spike_trace(seed=3)).splitlines()
+        step = json.loads(lines[1 + 29])
+        step["trigger"]["fired"] = False
+        lines[1 + 29] = json.dumps(step)
+        with pytest.raises(ConfigError, match="trace step 29: fired must be"):
+            parse_trace("\n".join(lines) + "\n")
+
+
+def _paths(value, path=()):
+    """The path of every value inside a JSON value: dict keys, list indices."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield path + (key,)
+        yield from _paths(item, path + (key,))
+
+
+def _analyze_code(text: str) -> int:
+    """The exit code of `analyze --report entropy` on a file holding text; a
+    rejected file must be reported as an error, not as a traceback."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "trace.jsonl"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["analyze", "--traces", str(path), "--report", "entropy"])
+    assert code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")
+    return code
+
+
+def _parses(text: str) -> bool:
+    """Whether parse_trace takes text; it may raise nothing but ConfigError,
+    and analyze must exit 2 exactly when it does."""
+    try:
+        parse_trace(text)
+    except ConfigError:
+        ok = False
+    else:
+        ok = True
+    assert _analyze_code(text) == (0 if ok else 2)
+    return ok
+
+
+# one reflective decode with two corrections, in both layouts
+_TRACE = spike_trace(seed=3)
+TEXTS = {1: replay_form(_TRACE), 2: serialize_trace(_TRACE)}
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=4),
+    st.just([]), st.just({}), st.just([1.5]), st.just([True]))
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True)
+
+
+class TestMalformedTraces:
+    """Random damage to v1 and v2 texts ends in ConfigError and exit code 2,
+    never in another exception or a traceback."""
+
+    @PROPERTY
+    @given(st.sampled_from([1, 2]), st.data())
+    def test_truncated_text_is_rejected(self, version, data):
+        text = TEXTS[version]
+        cut = data.draw(st.integers(0, len(text) - 2))  # the last is the final newline
+        assert not _parses(text[:cut])
+
+    @PROPERTY
+    @given(st.sampled_from([1, 2]), st.data())
+    def test_mutated_field_is_rejected_or_read(self, version, data):
+        records = [json.loads(ln) for ln in TEXTS[version].splitlines()]
+        # header, the steps (v2: the block, then its two corrections), footer
+        index = data.draw(st.integers(0, len(records) - 1))
+        path = data.draw(st.sampled_from(list(_paths(records[index]))))
+        *outer, last = path
+        parent = records[index]
+        for key in outer:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            parent[last] = data.draw(JSON_VALUES)
+        elif isinstance(parent, dict):
+            del parent[last]
+        else:
+            parent.pop(last)
+        _parses("\n".join(json.dumps(r) for r in records) + "\n")
+
+    @PROPERTY
+    @given(st.data())
+    def test_mutated_float_block_is_rejected_or_read(self, data):
+        records = [json.loads(ln) for ln in TEXTS[2].splitlines()]
+        raw = bytearray(base64.b64decode(records[1]["floats"]))
+        at = data.draw(st.integers(0, len(raw) - 1))
+        change = data.draw(st.sampled_from(["flip", "drop", "add"]))
+        if change == "flip":
+            raw[at] ^= 1 << data.draw(st.integers(0, 7))
+        elif change == "drop":
+            del raw[at:at + data.draw(st.integers(1, 16))]
+        else:
+            raw[at:at] = bytes(data.draw(st.integers(1, 16)))
+        records[1]["floats"] = base64.b64encode(bytes(raw)).decode("ascii")
+        ok = _parses("\n".join(json.dumps(r) for r in records) + "\n")
+        assert change == "flip" or not ok  # a block of the wrong length never reads
 
 
 def rich_config():

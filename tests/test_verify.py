@@ -10,9 +10,9 @@ import pytest
 
 from selfreflect import optimizer, verify
 from selfreflect import (DecodeConfig, GridSpec, InputError, ParetoPoint,
-                         ReflectionConfig, SamplingConfig, TriggerConfig,
-                         build_spike_backend, check_joint_descent,
-                         check_theorem1, check_tradeoff_bounds, decode,
+                         PrefixActivations, ProjectionHead, ReflectionConfig,
+                         SamplingConfig, TriggerConfig, build_spike_backend,
+                         check_joint_descent, check_theorem1, check_tradeoff_bounds, decode,
                          default_grid, export_pareto, golden_min, lambda_sweep,
                          optimize_delta, pareto_from_correction,
                          pareto_from_trace, quadratic_instance,
@@ -62,6 +62,28 @@ class TestInstances:
                 e[j] = h
                 fd = (f(d + e) - f(d - e)) / (2 * h)
                 assert g[j] == pytest.approx(fd, abs=1e-6)
+
+    @pytest.mark.parametrize("fd_step", [0.0, math.nan, -1e-6, math.inf])
+    def test_central_differences_need_a_positive_finite_step(self, fd_step):
+        inst = small_prefix_instance(seed=3)
+        fd_only = LossInstance(inst.dim, inst.f_ce, inst.f_aem, label="fd-only")
+        with pytest.raises(InputError, match="positive finite fd_step"):
+            fd_only.gradients(np.array([0.3, -0.2]), fd_step)
+        # an analytic pair takes no differences, so it needs no step
+        g1, g2 = inst.gradients(np.array([0.3, -0.2]), fd_step)
+        assert np.isfinite(g1).all() and np.isfinite(g2).all()
+
+    def test_grid_entropy_counts_a_vanishing_probability_as_zero(self):
+        # token 1's logit overflows to -inf, so its log-probability is -inf
+        # and its probability 0: the term 0 * -inf must add 0, not NaN
+        head = ProjectionHead(np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]]))
+        acts = PrefixActivations((0, 1), [np.array([1.0, 0.0])] * 2, "m")
+        inst = verify.prefix_instance(acts, head, ce_scope="last-1")
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, aem = inst.batch_eval(np.zeros((3, 2)))
+            scalar = inst.aem(np.zeros(2))
+        assert aem.tobytes() == np.full(3, -0.0).tobytes()
+        assert math.copysign(1.0, scalar) == -1.0 and scalar == 0.0
 
 
 def nan_corner(vectorized):
