@@ -515,6 +515,14 @@ def _numbers(key: str, value) -> np.ndarray | None:
         raise ConfigError(f"backend config key {key!r} holds a number beyond float range") from None
 
 
+def _fits(key: str, *shape: int) -> None:
+    """ConfigError naming key when numpy would refuse a float64 array of this
+    shape before allocating it: one whose byte count exceeds the largest intp."""
+    if min(shape) > 0 and math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"backend config key {key!r} is too large: numpy cannot "
+                          f"hold a float64 array of shape {shape}")
+
+
 def _of_type(key: str, value, kind: type, what: str):
     if value is not None and not isinstance(value, kind):
         raise ConfigError(f"backend config key {key!r} must be {what}, got {value!r}")
@@ -552,8 +560,11 @@ def build_toy_backend(kind: str, config: dict) -> ModelBackend:
         if kind == "scripted":
             prefixes = _of_type("by_prefix", cfg.get("by_prefix"), dict, "an object") or {}
             rows = _of_type("by_position", cfg.get("by_position"), list, "a list") or []
+            vocab = _integer("vocab_size", cfg["vocab_size"])
+            if cfg.get("head") is None:
+                _fits("vocab_size", vocab, vocab)  # the identity head
             return ScriptedBackend(
-                _integer("vocab_size", cfg["vocab_size"]),
+                vocab,
                 by_prefix={_prefix_key(k): _numbers("by_prefix", v) for k, v in prefixes.items()},
                 by_position=[_numbers("by_position", v) for v in rows],
                 fallback=_numbers("fallback", cfg.get("fallback")),
@@ -562,11 +573,15 @@ def build_toy_backend(kind: str, config: dict) -> ModelBackend:
             return MarkovBackend(_numbers("transition", cfg["transition"]),
                                  smoothing=_number("smoothing", cfg.get("smoothing", 0.0)),
                                  token_names=names)
-        return AttentionBackend(_integer("vocab_size", cfg["vocab_size"]),
-                                _integer("hidden_dim", cfg["hidden_dim"]),
-                                _integer("seed", cfg["seed"]),
-                                max_len=_integer("max_len", cfg.get("max_len", 512)),
-                                token_names=names)
+        vocab = _integer("vocab_size", cfg["vocab_size"])
+        dim = _integer("hidden_dim", cfg["hidden_dim"])
+        seed = _integer("seed", cfg["seed"])
+        max_len = _integer("max_len", cfg.get("max_len", 512))
+        # the largest weights each dimension sizes: w1, emb and head, pos
+        _fits("hidden_dim", dim, 2 * dim)
+        _fits("vocab_size", vocab, dim)
+        _fits("max_len", max_len, dim)
+        return AttentionBackend(vocab, dim, seed, max_len=max_len, token_names=names)
     except KeyError as exc:
         raise ConfigError(f"backend config missing key: {exc.args[0]!r}") from None
 

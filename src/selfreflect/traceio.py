@@ -333,15 +333,17 @@ def _build_steps(cols: _Columns, tokens, config: DecodeConfig) -> list[StepRecor
 
 def _load_records(numbered) -> list[dict]:
     """The JSON object of each (line number, text) pair, parsed with one
-    json.loads over the records joined as a JSON array. When that fails, the
-    lines are parsed one by one, so that the error names the bad line. The
-    joined parse also takes lines that are not objects alone but complete
-    each other, as long as the object count matches the line count; every
-    record is checked in full afterwards either way."""
-    try:
-        records = json.loads("[" + ",".join(ln for _, ln in numbered) + "]")
-    except (json.JSONDecodeError, RecursionError):
-        records = None
+    json.loads over the records joined as a JSON array. That parse is tried
+    only when every line starts with '{' and ends with '}', and kept only
+    when it gives one object per line; otherwise the lines are parsed one by
+    one, so that the error names the bad line. Every record is checked in
+    full afterwards either way."""
+    records = None
+    if all(ln[0] == "{" and ln[-1] == "}" for _, ln in numbered):
+        try:
+            records = json.loads("[" + ",".join(ln for _, ln in numbered) + "]")
+        except (json.JSONDecodeError, RecursionError):
+            pass
     if records is not None and len(records) == len(numbered) and \
             all(type(rec) is dict for rec in records):
         return records

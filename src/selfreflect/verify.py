@@ -41,7 +41,6 @@ from .monitor import TriggerConfig
 from .optimizer import (Correction, ReflectionConfig, _context_rows,
                         _context_terms, _sharpening_rows, _stack_terms, loss_aem,
                         loss_ce, loss_gradients)
-from .utils import ScaledRows
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TOL, _MAX_ITER = 1e-10, 200  # golden_min's defaults, which the polish uses
@@ -327,14 +326,18 @@ def default_grid(dim: int) -> GridSpec:
 
 class _PrefixBlend:
     """The blend (1-w)*l_ce + w*l_aem of many prefix-instance rows (one weight
-    and one point each), bitwise equal to each row's scalar `hybrid`.
+    and one point each), evaluated by the optimizer's own row kernels and
+    bitwise equal to each row's scalar `hybrid`.
 
-    The rows are padded to one (rows, V, dim) head block and one (rows, S, V)
-    base-logit block. Padded logit columns are set to -inf by a mask and
-    padded scope rows are masked to 0, so they add exact zeros to each row's
-    sums as long as padded lengths stay within _SUM_BLOCK (the suites have
-    V <= 5, |scope| <= 3). The stacked gemv `W @ x[:, :, None]` rounds like
-    the per-instance one.
+    The blend is the kernels' head: its project_rows runs the stacked gemv
+    `W @ x[:, :, None]` over a (rows, V, dim) head block, which rounds like
+    the per-instance one, and sets each row's padded logit columns to -inf.
+    A padded scope row has base logits [0, -inf, ...] and target 0, so its
+    term is (log 1 + m) - m, an exact 0.0, wherever m = W[0] @ x is finite
+    (where W[0] @ x overflows, near the top of the float range, it is NaN).
+    Padded columns and scope rows leave each row's sums bitwise unchanged as
+    long as padded lengths stay within _SUM_BLOCK (the suites have V <= 5,
+    |scope| <= 3).
     """
 
     def __init__(self, terms: list[PrefixTerms], weights):
@@ -342,37 +345,33 @@ class _PrefixBlend:
         vocab = max(t.w.shape[0] for t in terms)
         scope = max(t.scope for t in terms)
         self.w = np.zeros((rows, vocab, dim))
-        self.last = np.array([t.last_hidden for t in terms])
-        self.base = np.zeros((rows, scope, vocab))
-        targets = np.zeros((rows, scope), dtype=np.intp)
-        self.in_scope = np.zeros((rows, scope), dtype=bool)
         self.padded = np.ones((rows, vocab), dtype=bool)
+        padded_terms = []
         for r, t in enumerate(terms):
             v = t.w.shape[0]
             self.w[r, :v] = t.w
             self.padded[r, :v] = False
+            targets = np.zeros(scope, dtype=np.intp)
+            base = np.full((scope, vocab), -np.inf)
+            base[:, 0] = 0.0
             if t.scope:
-                self.base[r, :t.scope, :v] = t.base
-                targets[r, :t.scope] = t.targets
-                self.in_scope[r, :t.scope] = True
-        # each target logit's index in the flat (rows, S, V) block
-        self.picks = np.arange(rows * scope).reshape(rows, scope) * vocab + targets
+                targets[:t.scope] = t.targets
+                base[:t.scope, :v] = t.base
+            padded_terms.append((targets, base))
+        self.terms = _stack_terms(padded_terms) if scope else None
+        self.last = np.array([t.last_hidden for t in terms])
         self.tau = terms[0].tau
         self.weights = np.asarray(weights, dtype=np.float64)
 
+    def project_rows(self, rows: np.ndarray) -> np.ndarray:
+        logits = np.matmul(self.w, rows[:, :, None])[:, :, 0]
+        logits[self.padded] = -np.inf
+        return logits
+
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """(rows,) blend values at a (rows, dim) block of points."""
-        z = self.base + (self.w @ points[:, :, None]).transpose(0, 2, 1)
-        np.copyto(z, -np.inf, where=self.padded[:, None, :])
-        picked = z.ravel()[self.picks]
-        m = z.max(axis=2)
-        z -= m[:, :, None]
-        np.exp(z, out=z)
-        # a non-finite max makes its row's term NaN, as in the scalar loss
-        ce = np.where(self.in_scope, np.log(z.sum(axis=2)) + m - picked, 0.0).sum(axis=1)
-        logits = (self.w @ (self.last + points)[:, :, None])[:, :, 0]
-        np.copyto(logits, -np.inf, where=self.padded)
-        aem = ScaledRows(logits, self.tau).entropy()[0]
+        ce, _ = _context_rows(self, self.terms, points, grad=False)
+        aem, _ = _sharpening_rows(self, self.last, points, self.tau, grad=False)
         return (1.0 - self.weights) * ce + self.weights * aem
 
 

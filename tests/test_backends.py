@@ -538,6 +538,19 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             build_toy_backend("mystery", {"kind": "mystery"})
 
+    @pytest.mark.parametrize("key,definition", [
+        ("hidden_dim", {"kind": "attention", "vocab_size": 4, "hidden_dim": 10 ** 23, "seed": 0}),
+        ("max_len", {"kind": "attention", "vocab_size": 4, "hidden_dim": 10, "seed": 0,
+                     "max_len": 10 ** 23}),
+        ("vocab_size", {"kind": "attention", "vocab_size": 10 ** 23, "hidden_dim": 10,
+                        "seed": 0}),
+        ("vocab_size", {"kind": "scripted", "vocab_size": 4_000_000_000}),
+    ])
+    def test_dimension_numpy_cannot_hold(self, key, definition):
+        # sizes whose arrays numpy refuses before allocating anything
+        with pytest.raises(ConfigError, match=f"backend config key {key!r} is too large"):
+            backend_from_dict(definition)
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

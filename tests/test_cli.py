@@ -203,6 +203,20 @@ class TestDecode:
         assert f"backend config key {key!r} holds a number beyond float range" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key,definition", [
+        ("hidden_dim", {"kind": "attention", "vocab_size": 4, "hidden_dim": 10 ** 23, "seed": 0}),
+        ("max_len", {"kind": "attention", "vocab_size": 4, "hidden_dim": 10, "seed": 0,
+                     "max_len": 10 ** 23}),
+        ("vocab_size", {"kind": "scripted", "vocab_size": 4_000_000_000}),
+    ])
+    def test_dimension_numpy_cannot_hold(self, capsys, tmp_path, key, definition):
+        path = tmp_path / "backend.json"
+        path.write_text(json.dumps(definition))
+        code, out, err = run(capsys, "decode", "--backend", str(path), "--prompt", "0")
+        assert code == 2 and out == ""
+        assert f"backend config key {key!r} is too large" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("definition", [
         '{"kind": "scripted", "vocab_size": 2, "fallback": [1e308, 0], "head": [[10, 0], [0, 10]]}',
         '{"kind": "scripted", "vocab_size": 2, "fallback": [Infinity, 0]}',
@@ -554,6 +568,16 @@ class TestMakeBackend:
                          "--out", str(path))
         assert code == 0
         assert load_backend(path).model_id.startswith("markov")
+
+    @pytest.mark.parametrize("flag,key", [("--vocab-size", "vocab_size"),
+                                          ("--max-len", "max_len")])
+    def test_dimension_numpy_cannot_hold(self, capsys, tmp_path, flag, key):
+        path = tmp_path / "attn.json"
+        code, out, err = run(capsys, "make-backend", "--kind", "attention",
+                             flag, str(10 ** 23), "--out", str(path))
+        assert code == 2 and out == ""
+        assert f"backend config key {key!r} is too large" in err
+        assert not path.exists()
 
     def test_needs_family_or_kind(self, capsys, tmp_path):
         code, _, err = run(capsys, "make-backend", "--out",

@@ -164,10 +164,12 @@ class TestLockStep:
         assert isinstance(blend, verify._PrefixBlend)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            points = rng.uniform(-3.5, 3.5, size=(len(instances), 2))
-            got = blend(points)
-            want = [inst.hybrid(p, w) for inst, p, w in zip(instances, points, weights)]
-            assert got.tolist() == want
+            unit = rng.uniform(-3.5, 3.5, size=(len(instances), 2))
+            # at large finite scales every exp but each row max's underflows
+            for points in (unit, unit * 1e150, unit * 1e300):
+                got = blend(points)
+                want = [inst.hybrid(p, w) for inst, p, w in zip(instances, points, weights)]
+                assert got.tolist() == want
 
     def test_padded_group_equals_one_row_polish(self):
         instances, weights, starts = mixed_group()

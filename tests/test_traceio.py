@@ -513,6 +513,19 @@ class TestMalformedTraces:
             parent.pop(last)
         _parses("\n".join(json.dumps(r) for r in records) + "\n")
 
+    def test_record_split_across_lines_is_rejected(self):
+        # the steps record split in its position list at a dropped comma, and
+        # the last correction and the footer on one line: the joined parse
+        # would read the same records as the intact text
+        header, steps, *corrections, footer = TEXTS[2].splitlines()
+        at = steps.index('"position":[0,1,') + len('"position":[0,1')
+        lines = [header, steps[:at], steps[at + 1:], *corrections[:-1],
+                 corrections[-1] + "," + footer]
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ConfigError, match="trace line 2 is not valid JSON"):
+            parse_trace(text)
+        assert not _parses(text)
+
     @PROPERTY
     @given(st.data())
     def test_mutated_float_block_is_rejected_or_read(self, data):
