@@ -18,7 +18,7 @@ from .optimizer import (AdaptiveWeightConfig, Correction, HybridLossReport,
                         grad_hybrid, loss_aem, loss_ce, loss_gradients,
                         optimize_delta, parse_ce_scope)
 from .engine import (CorrectionSummary, DecodeConfig, DecodeTrace,
-                     SamplingConfig, StepRecord, TraceTotals, decode,
+                     SamplingConfig, StepColumns, StepRecord, TraceTotals, decode,
                      decode_batch, nucleus_distribution, sample)
 from .config import (RunConfig, decode_config_from_dict, decode_config_to_dict,
                      load_run_config, run_config_from_dict)

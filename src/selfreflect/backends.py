@@ -584,6 +584,8 @@ def build_toy_backend(kind: str, config: dict) -> ModelBackend:
         return AttentionBackend(vocab, dim, seed, max_len=max_len, token_names=names)
     except KeyError as exc:
         raise ConfigError(f"backend config missing key: {exc.args[0]!r}") from None
+    except MemoryError as exc:  # sizes numpy accepts but this machine cannot hold
+        raise ConfigError(f"{kind} backend does not fit in memory: {exc}") from None
 
 
 def backend_to_dict(backend: ModelBackend) -> dict:

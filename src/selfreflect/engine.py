@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -173,8 +174,12 @@ class CorrectionSummary:
     trajectory: list[HybridLossReport] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepRecord:
+    """One generated token, as a trace's steps hand it out. Frozen: a trace
+    keeps its steps as columns (StepColumns) and builds these on read, so a
+    write to one would change nothing that the trace holds."""
+
     position: int
     token: int
     entropy: float
@@ -182,6 +187,91 @@ class StepRecord:
     logprob: float
     wall_time: float
     correction: CorrectionSummary | None = None
+
+
+# the six float fields of a step, in the row order of StepColumns.floats
+STEP_FLOATS = ("entropy", "logprob", "wall_time", "mean", "std", "threshold")
+
+
+class StepColumns(Sequence):
+    """A trace's steps as columns: the in-memory form of a version 2 steps
+    record, which the decode loop fills, serialize_trace writes and
+    parse_trace reads.
+
+    floats is one (6, n) float64 block, one row per STEP_FLOATS name;
+    position, fired and window_full are lists; tokens is the trace's output;
+    corrections maps the index of each corrected step to its summary, in step
+    order. Indexing or iterating builds the StepRecords, and their
+    TriggerDecisions, once, on the first read.
+    """
+
+    __slots__ = ("floats", "position", "fired", "window_full", "tokens", "corrections",
+                 "_records")
+
+    def __init__(self, floats: np.ndarray, position: list[int], fired: list[bool],
+                 window_full: list[bool], tokens, corrections: dict[int, CorrectionSummary]):
+        self.floats = floats
+        self.position = position
+        self.fired = fired
+        self.window_full = window_full
+        self.tokens = tokens
+        self.corrections = corrections
+        self._records: list[StepRecord] | None = None
+
+    @classmethod
+    def from_rows(cls, rows, position, fired, window_full, tokens, corrections) -> StepColumns:
+        """Columns whose floats come as one flat list: six per step, in
+        STEP_FLOATS order."""
+        floats = np.array(rows, dtype=np.float64).reshape(-1, len(STEP_FLOATS)).T
+        return cls(floats, position, fired, window_full, tokens, corrections)
+
+    @classmethod
+    def of(cls, steps: Sequence[StepRecord]) -> StepColumns:
+        """The columns of a sequence of StepRecords; columns are their own."""
+        if isinstance(steps, StepColumns):
+            return steps
+        steps = list(steps)
+        rows = [x for s in steps for x in (s.entropy, s.logprob, s.wall_time, s.trigger.mean,
+                                           s.trigger.std, s.trigger.threshold)]
+        cols = cls.from_rows(rows, [s.position for s in steps], [s.trigger.fired for s in steps],
+                             [s.trigger.window_full for s in steps], [s.token for s in steps],
+                             {i: s.correction for i, s in enumerate(steps)
+                              if s.correction is not None})
+        cols._records = steps
+        return cols
+
+    def rows(self):
+        """(position, token, entropy, logprob, wall_time, mean, std, threshold,
+        fired, window_full, correction) of each step, as Python values."""
+        get = self.corrections.get
+        return ((p, token, h, lp, wall, m, sd, thr, f, full, get(i))
+                for i, (p, token, h, lp, wall, m, sd, thr, f, full) in enumerate(zip(
+                    self.position, self.tokens, *self.floats.tolist(), self.fired,
+                    self.window_full)))
+
+    def _read(self) -> list[StepRecord]:
+        if self._records is None:
+            self._records = [StepRecord(p, token, h, TriggerDecision(h, m, sd, thr, f, full),
+                                        lp, wall, c)
+                             for p, token, h, lp, wall, m, sd, thr, f, full, c in self.rows()]
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self.position)
+
+    def __getitem__(self, index):
+        return self._read()[index]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __eq__(self, other):
+        if isinstance(other, (StepColumns, list)):
+            return self._read() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"StepColumns({self._read()!r})"
 
 
 @dataclass
@@ -197,7 +287,7 @@ class DecodeTrace:
     model_id: str
     prompt: tuple[int, ...]
     output: tuple[int, ...]
-    steps: list[StepRecord]
+    steps: Sequence[StepRecord]  # a StepColumns, unless built by hand
     totals: TraceTotals
     config: DecodeConfig
     seed: int
@@ -222,8 +312,8 @@ class _Row:
     """One decode of a batch: its prefix, random stream, adaptive weight, and
     the trace it is building."""
 
-    __slots__ = ("config", "prompt", "acts", "rng", "weight", "steps", "output",
-                 "activations", "inner_steps", "wall")
+    __slots__ = ("config", "prompt", "acts", "rng", "weight", "floats", "fired",
+                 "window_full", "corrections", "output", "activations", "inner_steps", "wall")
 
     def __init__(self, backend: ModelBackend, prompt, config: DecodeConfig):
         if config.eos_token is not None and not 0 <= config.eos_token < backend.vocab.size:
@@ -238,7 +328,11 @@ class _Row:
         self.prompt = self.acts.tokens
         self.rng = np.random.default_rng(config.seed)
         self.weight = config.reflection.entropy_weight
-        self.steps: list[StepRecord] = []
+        # the trace's StepColumns, filled one step at a time
+        self.floats: list[float] = []  # six per step, in STEP_FLOATS order
+        self.fired: list[bool] = []
+        self.window_full: list[bool] = []
+        self.corrections: dict[int, CorrectionSummary] = {}
         self.output: list[int] = []
         self.activations = 0
         self.inner_steps = 0
@@ -247,9 +341,12 @@ class _Row:
     def trace(self, backend: ModelBackend) -> DecodeTrace:
         totals = TraceTotals(n_activations=self.activations, inner_steps=self.inner_steps,
                              wall_time=self.wall)
-        return DecodeTrace(model_id=backend.model_id, prompt=self.prompt,
-                           output=tuple(self.output), steps=self.steps, totals=totals,
-                           config=self.config, seed=self.config.seed)
+        output = tuple(self.output)
+        steps = StepColumns.from_rows(self.floats, list(range(len(output))), self.fired,
+                                      self.window_full, output, self.corrections)
+        return DecodeTrace(model_id=backend.model_id, prompt=self.prompt, output=output,
+                           steps=steps, totals=totals, config=self.config,
+                           seed=self.config.seed)
 
 
 def _correct(rows: list[_Row], head, reflection: ReflectionConfig) -> list:
@@ -378,16 +475,17 @@ def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
         stepped = max(n - len(failed), 1)  # rows that record this step
         corrections = sum(own.values())
         share = (time.perf_counter() - t_step - corrections) / stepped
+        full = windows.full
         columns = zip(rows, tokens, logprob, entropy.tolist(), mean.tolist(), std.tolist(),
                       threshold.tolist(), fired)
         for i, (row, token, lp, h, m, sd, thr, fire) in enumerate(columns):
             if i in failed:
                 continue
-            row.steps.append(StepRecord(
-                position=len(row.output), token=token, entropy=h,
-                trigger=TriggerDecision(entropy=h, mean=m, std=sd, threshold=thr,
-                                        fired=fire, window_full=windows.full),
-                logprob=lp, wall_time=share + own.get(i, 0.0), correction=summaries.get(i)))
+            if i in summaries:
+                row.corrections[len(row.output)] = summaries[i]
+            row.floats += (h, lp, share + own.get(i, 0.0), m, sd, thr)
+            row.fired.append(fire)
+            row.window_full.append(full)
             row.output.append(token)
         windows.push(entropy)  # pre-correction entropies, after consultation
 
@@ -420,7 +518,7 @@ def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
 
 
 def decode(backend: ModelBackend, prompt, config: DecodeConfig) -> DecodeTrace:
-    """Generate until EOS or max_tokens, recording one StepRecord per token.
+    """Generate until EOS or max_tokens, recording one step per token.
 
     The one-row case of decode_batch. With reflect=False the monitor still
     runs (entropies and thresholds are recorded) but the trigger is disabled:

@@ -16,8 +16,9 @@ totals and the output tokens. Two layouts sit between them:
   otherwise deterministic decode cannot reproduce: two decodes of one seed
   and config compare equal byte for byte.
 
-parse_trace reads both. Each version's records fill the same columns, and
-one builder checks them against the trigger rule and makes the StepRecords.
+A trace's steps are an engine.StepColumns, the v2 layout in memory: the
+writers read the columns, and parse_trace reads both versions into them and
+checks them against the trigger rule. No StepRecord is built on the way.
 """
 
 from __future__ import annotations
@@ -25,22 +26,18 @@ from __future__ import annotations
 import base64
 import json
 import os
-from itertools import chain
 
 import numpy as np
 
 from .config import decode_config_from_dict, decode_config_to_dict
-from .engine import (CorrectionSummary, DecodeConfig, DecodeTrace, StepRecord,
+from .engine import (STEP_FLOATS, CorrectionSummary, DecodeConfig, DecodeTrace, StepColumns,
                      TraceTotals)
 from .errors import ConfigError
-from .monitor import TriggerDecision
 from .optimizer import HybridLossReport
 from .utils import read_text
 
 TRACE_VERSION = 2
 _REPLAY_VERSION = 1  # the layout replay_form writes
-# the float columns of a version 2 steps record, in block order
-_FLOAT_COLUMNS = ("entropy", "logprob", "wall_time", "mean", "std", "threshold")
 _DTYPE = "<f8"
 
 
@@ -94,19 +91,17 @@ def _correction_dict(c: CorrectionSummary, zero_times: bool) -> dict:
 
 def _v1_lines(trace: DecodeTrace, zero_times: bool) -> list[str]:
     lines = [_header(trace, _REPLAY_VERSION)]
-    for s in trace.steps:
-        d = s.trigger
+    for p, token, h, lp, wall, m, sd, thr, fired, full, c in StepColumns.of(trace.steps).rows():
         rec = {
             "record": "step",
-            "position": s.position,
-            "token": s.token,
-            "entropy": s.entropy,
-            "logprob": s.logprob,
-            "wall_time": 0.0 if zero_times else s.wall_time,
-            "trigger": {"mean": d.mean, "std": d.std, "threshold": d.threshold,
-                        "fired": d.fired, "window_full": d.window_full},
-            "correction": None if s.correction is None
-                          else _correction_dict(s.correction, zero_times),
+            "position": p,
+            "token": token,
+            "entropy": h,
+            "logprob": lp,
+            "wall_time": 0.0 if zero_times else wall,
+            "trigger": {"mean": m, "std": sd, "threshold": thr,
+                        "fired": fired, "window_full": full},
+            "correction": None if c is None else _correction_dict(c, zero_times),
         }
         lines.append(_dumps(rec))
     lines.append(_footer(trace, zero_times))
@@ -115,27 +110,22 @@ def _v1_lines(trace: DecodeTrace, zero_times: bool) -> list[str]:
 
 def serialize_trace(trace: DecodeTrace) -> str:
     """The version 2 text of a trace."""
-    steps = trace.steps
-    n = len(steps)
-    floats = np.fromiter(chain.from_iterable([
-        (s.entropy, s.logprob, s.wall_time, s.trigger.mean, s.trigger.std, s.trigger.threshold)
-        for s in steps]), _DTYPE, 6 * n).reshape(n, 6)
+    cols = StepColumns.of(trace.steps)
     block = _dumps({
         "record": "steps",
-        "n": n,
+        "n": len(cols),
         "dtype": _DTYPE,
-        "columns": list(_FLOAT_COLUMNS),
-        "position": [s.position for s in steps],
-        "fired": [s.trigger.fired for s in steps],
-        "window_full": [s.trigger.window_full for s in steps],
+        "columns": list(STEP_FLOATS),
+        "position": cols.position,
+        "fired": cols.fired,
+        "window_full": cols.window_full,
     })
     # base64 text needs no JSON escaping, and the encoder's escape scan of it
     # would cost more than the rest of the record
-    block = f'{block[:-1]},"floats":"{base64.b64encode(floats.T.tobytes()).decode("ascii")}"}}'
-    lines = [_header(trace, TRACE_VERSION), block]
-    lines += [_dumps({"record": "correction", "step": i,
-                      **_correction_dict(s.correction, False)})
-              for i, s in enumerate(steps) if s.correction is not None]
+    floats = base64.b64encode(cols.floats.astype(_DTYPE, copy=False).tobytes()).decode("ascii")
+    lines = [_header(trace, TRACE_VERSION), f'{block[:-1]},"floats":"{floats}"}}']
+    lines += [_dumps({"record": "correction", "step": i, **_correction_dict(c, False)})
+              for i, c in cols.corrections.items()]
     lines.append(_footer(trace, False))
     return "\n".join(lines) + "\n"
 
@@ -220,73 +210,63 @@ def _parse_correction(data) -> CorrectionSummary:
         opt_wall_time=_number(data, "opt_wall_time"), trajectory=trajectory)
 
 
-class _Columns:
-    """A trace's step fields gathered column by column, as either version's
-    records fill them."""
+def _read_v1(cols: StepColumns, rec) -> None:
+    """One version 1 step record, onto columns whose floats are still a flat
+    list and whose tokens are still the steps' own."""
+    if rec.get("record") != "step":
+        raise ConfigError(f"unexpected trace record kind: {rec.get('record')!r}")
+    t = rec["trigger"]
+    cols.floats += (_float(rec, "entropy"), _float(rec, "logprob"), _float(rec, "wall_time"),
+                    _float(t, "mean"), _float(t, "std"), _float(t, "threshold"))
+    cols.fired.append(_flag(t, "fired"))
+    cols.window_full.append(_flag(t, "window_full"))
+    cols.position.append(_integer(rec, "position"))
+    cols.tokens.append(_integer(rec, "token"))
+    corr = rec.get("correction")
+    if corr is not None:
+        cols.corrections[len(cols.position) - 1] = _parse_correction(corr)
 
-    def __init__(self):
-        self.floats = None  # a (6, n) block in _FLOAT_COLUMNS order
-        self.rows: list[tuple] = []  # version 1: the six floats of each step
-        self.position: list[int] = []
-        self.tokens: list[int] = []  # version 1 only: version 2 steps take the output's
-        self.fired: list[bool] = []
-        self.window_full: list[bool] = []
-        self.corrections: dict[int, CorrectionSummary] = {}
 
-    def read_v1(self, rec) -> None:
-        """One version 1 step record."""
-        if rec.get("record") != "step":
-            raise ConfigError(f"unexpected trace record kind: {rec.get('record')!r}")
-        t = rec["trigger"]
-        self.rows.append((_float(rec, "entropy"), _float(rec, "logprob"),
-                          _float(rec, "wall_time"), _float(t, "mean"), _float(t, "std"),
-                          _float(t, "threshold")))
-        self.fired.append(_flag(t, "fired"))
-        self.window_full.append(_flag(t, "window_full"))
-        self.position.append(_integer(rec, "position"))
-        self.tokens.append(_integer(rec, "token"))
-        corr = rec.get("correction")
-        if corr is not None:
-            self.corrections[len(self.rows) - 1] = _parse_correction(corr)
+def _read_v2(cols: StepColumns, rec) -> None:
+    """The version 2 steps record onto empty columns, then one correction
+    record at a time."""
+    kind = rec.get("record")
+    if cols.floats is None:
+        if kind != "steps":
+            raise ConfigError(f"expected the steps record, got {kind!r}")
+        _read_block(cols, rec)
+        return
+    if kind != "correction":
+        raise ConfigError(f"unexpected trace record kind: {kind!r}")
+    step, n = _integer(rec, "step"), len(cols.position)
+    last = next(reversed(cols.corrections), -1)  # kept in step order
+    if not last < step < n:
+        raise ValueError(f"'step' must be a step index in ({last}, {n}), after the "
+                         f"previous correction's, got {step}")
+    cols.corrections[step] = _parse_correction(rec)
 
-    def read_v2(self, rec) -> None:
-        """The version 2 steps record, then one correction record at a time."""
-        kind = rec.get("record")
-        if self.floats is None:
-            if kind != "steps":
-                raise ConfigError(f"expected the steps record, got {kind!r}")
-            self._read_block(rec)
-            return
-        if kind != "correction":
-            raise ConfigError(f"unexpected trace record kind: {kind!r}")
-        step, n = _integer(rec, "step"), len(self.position)
-        last = next(reversed(self.corrections), -1)  # kept in step order
-        if not last < step < n:
-            raise ValueError(f"'step' must be a step index in ({last}, {n}), after the "
-                             f"previous correction's, got {step}")
-        self.corrections[step] = _parse_correction(rec)
 
-    def _read_block(self, rec) -> None:
-        n = _integer(rec, "n")
-        if n < 0:
-            raise ValueError(f"'n' must not be negative, got {n}")
-        for key, want in (("dtype", _DTYPE), ("columns", list(_FLOAT_COLUMNS))):
-            if rec[key] != want:
-                raise ValueError(f"{key!r} must be {want!r}, got {rec[key]!r}")
-        text = rec["floats"]
-        if type(text) is not str:
-            raise TypeError(f"'floats' must be a base64 string, got {text!r}")
-        try:
-            raw = base64.b64decode(text, validate=True)
-        except ValueError as exc:  # binascii.Error, or text beyond ASCII
-            raise ValueError(f"'floats' is not base64 text ({exc})") from None
-        if len(raw) != 8 * 6 * n:
-            raise ValueError(f"'floats' must hold 6 * n = {6 * n} float64 values, "
-                             f"got {len(raw)} bytes")
-        self.position = _list(rec, "position", int, n)
-        self.fired = _list(rec, "fired", bool, n)
-        self.window_full = _list(rec, "window_full", bool, n)
-        self.floats = np.frombuffer(raw, _DTYPE).astype(np.float64).reshape(6, n)
+def _read_block(cols: StepColumns, rec) -> None:
+    n = _integer(rec, "n")
+    if n < 0:
+        raise ValueError(f"'n' must not be negative, got {n}")
+    for key, want in (("dtype", _DTYPE), ("columns", list(STEP_FLOATS))):
+        if rec[key] != want:
+            raise ValueError(f"{key!r} must be {want!r}, got {rec[key]!r}")
+    text = rec["floats"]
+    if type(text) is not str:
+        raise TypeError(f"'floats' must be a base64 string, got {text!r}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or text beyond ASCII
+        raise ValueError(f"'floats' is not base64 text ({exc})") from None
+    if len(raw) != 8 * 6 * n:
+        raise ValueError(f"'floats' must hold 6 * n = {6 * n} float64 values, "
+                         f"got {len(raw)} bytes")
+    cols.position = _list(rec, "position", int, n)
+    cols.fired = _list(rec, "fired", bool, n)
+    cols.window_full = _list(rec, "window_full", bool, n)
+    cols.floats = np.frombuffer(raw, _DTYPE).astype(np.float64).reshape(6, n)
 
 
 def _first(bad: np.ndarray, message: str) -> None:
@@ -294,11 +274,11 @@ def _first(bad: np.ndarray, message: str) -> None:
         raise ConfigError(f"trace step {int(bad.argmax())}: {message}")
 
 
-def _build_steps(cols: _Columns, tokens, config: DecodeConfig) -> list[StepRecord]:
-    """The StepRecords of a trace from its columns, after checking each
-    step's trigger fields against the trigger rule (monitor.trigger_rows),
-    vectorized over the columns. Windows fill one entry per step, so a
-    step's window is empty at position 0 and full from window_size on."""
+def _check_steps(cols: StepColumns, config: DecodeConfig) -> StepColumns:
+    """The columns, after checking each step's trigger fields against the
+    trigger rule (monitor.trigger_rows), vectorized over the columns.
+    Windows fill one entry per step, so a step's window is empty at position
+    0 and full from window_size on."""
     entropy, _, _, mean, std, threshold = cols.floats
     position = np.array(cols.position)
     fired = np.array(cols.fired, dtype=bool)
@@ -321,14 +301,7 @@ def _build_steps(cols: _Columns, tokens, config: DecodeConfig) -> list[StepRecor
     corrected = np.zeros(len(fired), dtype=bool)
     corrected[list(cols.corrections)] = True
     _first(corrected != fired, "a step must have a correction exactly when it fired")
-
-    corrections = [None] * len(fired)
-    for i, c in cols.corrections.items():
-        corrections[i] = c
-    return [StepRecord(p, token, h, TriggerDecision(h, m, sd, thr, f, full), lp, wall, c)
-            for p, token, h, lp, wall, m, sd, thr, f, full, c in zip(
-                cols.position, tokens, *cols.floats.tolist(), cols.fired, cols.window_full,
-                corrections)]
+    return cols
 
 
 def _load_records(numbered) -> list[dict]:
@@ -390,11 +363,13 @@ def parse_trace(text: str) -> DecodeTrace:
                              inner_steps=_integer(tot, "inner_steps"),
                              wall_time=_number(tot, "wall_time"),
                              baseline_time=_number_or_none(tot, "baseline_time"))
-        cols = _Columns()
-        read = cols.read_v1 if version == 1 else cols.read_v2
+        if version == 1:
+            cols, read = StepColumns([], [], [], [], [], {}), _read_v1
+        else:
+            cols, read = StepColumns(None, [], [], [], output, {}), _read_v2
         for line, rec in zip(lines[1:-1], records[1:-1]):
             try:
-                read(rec)
+                read(cols, rec)
             except ConfigError as exc:
                 raise ConfigError(f"trace line {line}: {exc}") from None
     except KeyError as exc:
@@ -404,16 +379,16 @@ def parse_trace(text: str) -> DecodeTrace:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"trace line {line}: malformed record ({exc})") from None
     if version == 1:
-        cols.floats = np.array(cols.rows, dtype=np.float64).reshape(-1, 6).T
         if cols.tokens != list(output):
             raise ConfigError("trace output does not match its step records")
+        cols = StepColumns.from_rows(cols.floats, cols.position, cols.fired, cols.window_full,
+                                     output, cols.corrections)
     elif cols.floats is None:
         raise ConfigError("a version 2 trace needs a steps record after its header")
     elif len(output) != len(cols.position):
         raise ConfigError("trace output does not match its step records")
-    steps = _build_steps(cols, output, config)
-    return DecodeTrace(model_id=model_id, prompt=prompt, output=output, steps=steps,
-                       totals=totals, config=config, seed=seed)
+    return DecodeTrace(model_id=model_id, prompt=prompt, output=output,
+                       steps=_check_steps(cols, config), totals=totals, config=config, seed=seed)
 
 
 def read_trace(path) -> DecodeTrace:

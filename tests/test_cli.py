@@ -1,14 +1,22 @@
 """Command line surface, exercised through main(argv) without subprocesses."""
 
 import base64
+import io
 import json
+import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from selfreflect import (DecodeConfig, build_spike_backend, decode,
-                         load_backend, parse_trace, read_trace, replay_form,
-                         save_backend, serialize_trace)
+from selfreflect import (AdaptiveWeightConfig, ConfigError, DecodeConfig, InputError,
+                         ReflectionConfig, build_spike_backend, build_toy_backend, decode,
+                         decode_config_from_dict, decode_config_to_dict, load_backend,
+                         parse_trace, read_trace, replay_form, save_backend, serialize_trace)
 from selfreflect.cli import main
 
 
@@ -583,3 +591,164 @@ class TestMakeBackend:
         code, _, err = run(capsys, "make-backend", "--out",
                            str(tmp_path / "x.json"))
         assert code == 2
+
+
+@pytest.fixture
+def refusing_allocator(monkeypatch):
+    """numpy.random.default_rng whose generators raise the MemoryError that
+    numpy raises when memory runs out for any draw beyond 2**20 values, so
+    that no test asks for more memory than a machine holds."""
+    real = np.random.default_rng
+
+    class Refusing:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def standard_normal(self, shape):
+            if math.prod(shape) > 2 ** 20:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return self.rng.standard_normal(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", Refusing)
+
+
+class TestBackendBeyondMemory:
+    """A backend that numpy would size but memory cannot hold: hidden_dim
+    2**20 needs a 16 TiB w1, which _fits lets through."""
+
+    DEFINITION = {"kind": "attention", "vocab_size": 4, "hidden_dim": 2 ** 20, "seed": 0}
+
+    def test_is_a_config_error_naming_the_kind(self, refusing_allocator):
+        with pytest.raises(ConfigError, match="attention backend does not fit in memory"):
+            build_toy_backend("attention", self.DEFINITION)
+
+    def test_decode_and_make_backend_exit_2(self, capsys, tmp_path, refusing_allocator):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(self.DEFINITION))
+        out_path = tmp_path / "a.json"
+        for argv in (("decode", "--backend", str(path), "--prompt", "0"),
+                     ("make-backend", "--kind", "attention", "--hidden-dim", str(2 ** 20),
+                      "--out", str(out_path))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "attention backend does not fit in memory" in err
+            assert "Traceback" not in err
+        assert not out_path.exists()
+
+
+# --- random backend and config dicts ----------------------------------------
+
+SMALL_INTS = st.integers(-2, 64)  # every dimension and count stays small
+NUMBERS = st.one_of(SMALL_INTS, st.floats(allow_nan=True, allow_infinity=True))
+ENTRIES = st.floats(-5, 5) | st.integers(-2, 5)
+ANY_VALUE = st.one_of(st.none(), st.booleans(), NUMBERS, st.text(max_size=3),
+                      st.lists(NUMBERS, max_size=5), st.builds(dict))
+MATRICES = st.lists(st.lists(ENTRIES, min_size=1, max_size=5), max_size=5)
+# a value of about the right shape for each backend key
+BACKEND_VALUES = {
+    "kind": st.sampled_from(["scripted", "markov", "attention", "mystery"]),
+    "vocab_size": SMALL_INTS, "hidden_dim": SMALL_INTS, "seed": SMALL_INTS,
+    "max_len": SMALL_INTS, "smoothing": NUMBERS, "fallback": st.lists(NUMBERS, max_size=5),
+    "transition": MATRICES, "head": MATRICES, "by_position": MATRICES,
+    "by_prefix": st.dictionaries(st.sampled_from(["0", "1", "0,1", "", "x"]),
+                                 st.lists(ENTRIES, max_size=5), max_size=3),
+    "token_names": st.lists(st.text(max_size=2), max_size=5),
+}
+CONFIG_VALUES = st.one_of(ANY_VALUE, st.sampled_from(
+    ["greedy", "temperature", "last-3", "full-prefix", "last-0"]))
+CONFIG_BASES = [decode_config_to_dict(DecodeConfig()), decode_config_to_dict(DecodeConfig(
+    reflection=ReflectionConfig(adaptive=AdaptiveWeightConfig(target=0.3, rate=0.2,
+                                                               min_weight=0.05,
+                                                               max_weight=0.8))))]
+RANDOM_INPUT = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def backend_dicts(draw):
+    """A well-formed backend dict of a random kind, then up to two keys
+    changed, removed or added."""
+    kind = draw(st.sampled_from(["scripted", "markov", "attention"]))
+    v = draw(st.integers(2, 6))
+    rows = st.lists(st.lists(ENTRIES, min_size=v, max_size=v), min_size=v, max_size=v)
+    if kind == "attention":
+        data = {"vocab_size": draw(st.integers(2, 64)), "hidden_dim": draw(st.integers(1, 64)),
+                "seed": draw(st.integers(0, 64)), "max_len": draw(st.integers(1, 64))}
+    elif kind == "markov":
+        data = {"transition": draw(rows), "smoothing": draw(st.floats(0, 1))}
+    else:
+        data = {"vocab_size": v, "fallback": draw(rows)[0], "by_position": draw(rows),
+                "by_prefix": {"0": draw(rows)[0]}}
+    data["kind"] = kind
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(BACKEND_VALUES) + ["typo"]))
+        if draw(st.integers(0, 3)) == 0:
+            data.pop(key, None)
+        else:
+            data[key] = draw(BACKEND_VALUES.get(key, ANY_VALUE) | ANY_VALUE)
+    return data
+
+
+@st.composite
+def config_dicts(draw):
+    """A decode-config dict with one to three keys changed, removed or added,
+    at any depth."""
+    data = json.loads(json.dumps(draw(st.sampled_from(CONFIG_BASES))))
+    for _ in range(draw(st.integers(1, 3))):
+        section = data
+        while True:  # walk down to a key, stopping at a section or a leaf
+            key = draw(st.sampled_from(sorted(section) + ["typo"]))
+            if isinstance(section.get(key), dict) and draw(st.booleans()):
+                section = section[key]
+                continue
+            break
+        if draw(st.integers(0, 4)) == 0:
+            section.pop(key, None)
+        else:
+            section[key] = draw(CONFIG_VALUES)
+    return data
+
+
+def _main_code(*argv) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")
+    return code
+
+
+class TestRandomInputs:
+    """Random backend and decode-config dicts are built or refused with
+    ConfigError or InputError, and a refused one exits 2 through main,
+    never in a traceback."""
+
+    @RANDOM_INPUT
+    @given(backend_dicts())
+    def test_backend_dict(self, data):
+        try:
+            build_toy_backend(data.get("kind"), data)
+            refused = False
+        except (ConfigError, InputError):
+            refused = True
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "backend.json"
+            path.write_text(json.dumps(data))
+            code = _main_code("decode", "--backend", str(path), "--prompt", "0",
+                              "--max-tokens", "2", "--seed", "0")
+        assert code == 2 or not refused
+
+    @RANDOM_INPUT
+    @given(config_dicts())
+    def test_decode_config_dict(self, data):
+        try:
+            decode_config_from_dict(data)
+            refused = False
+        except (ConfigError, InputError):
+            refused = True
+        with tempfile.TemporaryDirectory() as d:
+            backend, config = Path(d) / "backend.json", Path(d) / "run.json"
+            save_backend(build_spike_backend(1)[0], backend)
+            config.write_text(json.dumps(data))
+            code = _main_code("decode", "--backend", str(backend), "--prompt", "0",
+                              "--config", str(config), "--max-tokens", "2", "--seed", "0")
+        assert code == 2 or not refused

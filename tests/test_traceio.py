@@ -6,8 +6,11 @@ import json
 import math
 import re
 import struct
+import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import FrozenInstanceError, replace
 from hashlib import sha256
 from pathlib import Path
 
@@ -17,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfreflect import (TRACE_VERSION, AdaptiveWeightConfig, ConfigError, DecodeConfig,
-                         InputError, ReflectionConfig, RunConfig, SamplingConfig,
-                         TriggerConfig, build_spike_backend, decode, decode_config_from_dict,
+                         DecodeTrace, InputError, ReflectionConfig, RunConfig, SamplingConfig,
+                         StepColumns, StepRecord, TriggerConfig, TriggerDecision,
+                         build_spike_backend, decode, decode_batch, decode_config_from_dict,
                          decode_config_to_dict, parse_trace, read_trace,
                          replay_form, run_config_from_dict, serialize_trace,
                          trace_files, write_trace)
@@ -161,8 +165,11 @@ class TestTraceFormatV2:
     def test_negative_zero_and_nan_payloads_survive(self):
         trace = spike_trace(seed=3)
         nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0123))[0]
-        trace.steps[0].wall_time = -0.0
-        trace.steps[1].logprob = nan
+        steps = list(trace.steps)
+        steps[0] = replace(steps[0], wall_time=-0.0)
+        steps[1] = replace(steps[1], logprob=nan)
+        trace = DecodeTrace(trace.model_id, trace.prompt, trace.output, steps, trace.totals,
+                            trace.config, trace.seed)
         text = serialize_trace(trace)
         back = parse_trace(text)
         assert math.copysign(1.0, back.steps[0].wall_time) == -1.0
@@ -172,6 +179,71 @@ class TestTraceFormatV2:
     def test_smaller_than_version_1(self):
         trace = spike_trace(seed=3)
         assert len(serialize_trace(trace)) < len(replay_form(trace)) / 2
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts of the StepRecords and TriggerDecisions constructed from here
+    on, through counting stand-ins for the two types in every selfreflect
+    module that binds them."""
+    counts = Counter()
+
+    def counting(cls):
+        class Counted(cls):
+            def __init__(self, *args, **kwargs):
+                counts[cls.__name__] += 1
+                super().__init__(*args, **kwargs)
+        return Counted
+
+    for cls in (StepRecord, TriggerDecision):
+        stand_in = counting(cls)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "selfreflect" and getattr(module, cls.__name__, None) is cls:
+                monkeypatch.setattr(module, cls.__name__, stand_in)
+    return counts
+
+
+class TestStepColumns:
+    """A trace's steps are columns; StepRecords are built on read, once."""
+
+    def test_decode_write_and_read_build_no_records(self, constructions):
+        backend, length, _ = build_spike_backend(2)
+        runs = [((0,), DecodeConfig(max_tokens=length, seed=seed)) for seed in range(4)]
+        traces = decode_batch(backend, runs)
+        assert sum(t.totals.n_activations for t in traces) > 0
+        texts = [serialize_trace(t) for t in traces]
+        parsed = [parse_trace(text) for text in texts]
+        assert [serialize_trace(t) for t in parsed] == texts
+        parsed += [parse_trace(replay_form(t)) for t in traces]
+        assert not constructions
+
+        for trace in traces + parsed:
+            constructions.clear()
+            n = len(trace.output)
+            assert [s.position for s in trace.steps] == list(range(n))
+            assert trace.steps[-1].token == trace.output[-1]
+            assert list(trace.steps) == trace.steps[:]
+            assert constructions == {"StepRecord": n, "TriggerDecision": n}
+
+    def test_records_and_columns_write_the_same_text(self):
+        trace = spike_trace(seed=3)
+        for steps in (trace.steps, parse_trace(serialize_trace(trace)).steps):
+            listed = replace(trace, steps=list(steps))
+            assert isinstance(steps, StepColumns) and type(listed.steps) is list
+            assert listed.steps == steps
+            assert serialize_trace(listed) == serialize_trace(trace)
+            assert replay_form(listed) == replay_form(trace)
+
+    @pytest.mark.parametrize("read", ["decoded", "v2", "v1"])
+    def test_a_step_cannot_be_written(self, read):
+        trace = spike_trace(seed=3)
+        if read != "decoded":
+            trace = parse_trace(serialize_trace(trace) if read == "v2" else replay_form(trace))
+        with pytest.raises(FrozenInstanceError):
+            trace.steps[0].wall_time = -0.0
+        with pytest.raises(FrozenInstanceError):
+            trace.steps[29].trigger.fired = False
+        assert trace.steps[29].trigger.fired
 
 
 # written by write_trace of the release before version 2: a reflective
