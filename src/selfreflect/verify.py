@@ -44,10 +44,6 @@ from .optimizer import (Correction, ReflectionConfig, _context_rows,
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TOL, _MAX_ITER = 1e-10, 200  # golden_min's defaults, which the polish uses
-# check_theorem1 holds each instance's grid losses (~170 KB) until its
-# delta* is polished, so the suites check at most this many instances of a
-# dim at once
-_GRID_CHUNK = 6
 # numpy sums up to this many terms left to right (8 or more go through its
 # unrolled pairwise sum), so zeros padded onto the end of a row this short
 # leave its sum bitwise unchanged, and adding the rows of a block this tall
@@ -475,27 +471,32 @@ def _evaluate_grid(instance, grid, weights):
 def _minimizers(instances, weights, starts, grid, refine_sweeps) -> np.ndarray:
     """Each (instance, weight) row's blend minimizer from its grid start; the
     rows share one dim."""
+    if not _is_int(refine_sweeps) or refine_sweeps < 0:
+        raise InputError(f"refine_sweeps must be a non-negative integer, "
+                         f"got {refine_sweeps!r}")
     if refine_sweeps > 0:
         return _polish(_blend_rows(instances, weights), starts, grid.step,
                        refine_sweeps)
     return starts
 
 
-def _groups(rows, size=None):
+def _groups(rows):
     """Batches of (index, row) pairs, rows being (instance, ...) tuples, whose
     instances share a dim and a loss temperature (one grid and one probe
-    kernel), in input order. A batch is yielded as soon as `size` rows of its
-    group have arrived, and the rest at the end, so a lazy iterable of rows
-    is only drawn as far as needed."""
-    pending: dict = {}
+    kernel), in input order."""
+    groups: dict = {}
     for n, row in enumerate(rows):
         inst = row[0]
         key = (inst.dim, None if inst.prefix is None else inst.prefix.tau)
-        batch = pending.setdefault(key, [])
-        batch.append((n, row))
-        if len(batch) == size:
-            yield pending.pop(key)
-    yield from pending.values()
+        groups.setdefault(key, []).append((n, row))
+    return groups.values()
+
+
+def _check_tolerance(tolerance) -> None:
+    # an infinite tolerance passes any check, and a NaN one counts no
+    # theorem1 violation and fails every tradeoff bound
+    if not (_is_finite(tolerance) and tolerance >= 0):
+        raise InputError(f"check needs a finite tolerance >= 0, got {tolerance!r}")
 
 
 # --- theorem checks ---------------------------------------------------------
@@ -533,40 +534,34 @@ def _theorem1_reports(rows, grid: GridSpec | None = None,
                       tolerance: float = 1e-9,
                       refine_sweeps: int = 2) -> list[TheoremCheckReport]:
     """check_theorem1 for each (instance, weight) row, in input order. A
-    group's rows are checked together, _GRID_CHUNK at a time, as they
-    arrive, so rows drawn lazily keep at most that many instances and grids
-    per group alive."""
-    reports = {}
-    for batch in _groups(rows, _GRID_CHUNK):
-        order, instances, weights = zip(*((n, inst, w) for n, (inst, w) in batch))
-        reports.update(zip(order, _theorem1_chunk(instances, weights, grid,
-                                                  tolerance, refine_sweeps)))
-    return [reports[n] for n in range(len(reports))]
-
-
-def _theorem1_chunk(instances, weights, grid, tolerance, refine_sweeps):
-    # the chunk's grid losses live until this returns
-    if not all(0.0 < w <= 1.0 for w in weights):
+    group's rows are polished together. Its grids are evaluated twice, once
+    for the polish's starts and once for the reports, so that at most one
+    grid's losses (~170 KB each in the theorem1 suite) are alive at a time."""
+    rows = list(rows)
+    _check_tolerance(tolerance)
+    if not all(0.0 < w <= 1.0 for _, w in rows):
         raise InputError("theorem check needs entropy_weight in (0, 1]")
-    if grid is None:
-        grid = default_grid(instances[0].dim)
-    grids = [_evaluate_grid(inst, grid, [w]) for inst, w in zip(instances, weights)]
-    deltas = _minimizers(instances, weights, np.concatenate([e[0] for e in grids]),
-                       grid, refine_sweeps)
-    reports = []
-    for inst, w, (_, ce, aem), delta in zip(instances, weights, grids, deltas):
-        epsilon, aem_star = inst.ce(delta), inst.aem(delta)
-        feasible = ce <= epsilon
-        margin = aem_star - aem[feasible]
-        violations = int(np.sum(margin > tolerance))
-        reports.append(TheoremCheckReport(
-            entropy_weight=w, delta_star=tuple(float(x) for x in delta),
-            epsilon_implied=epsilon, aem_star=aem_star,
-            candidates_tested=len(ce), violations=violations,
-            worst_violation=float(np.max(margin)) if margin.size else 0.0,
-            tolerance=tolerance, degenerate=bool(np.all(feasible)),
-            passed=violations == 0))
-    return reports
+    reports = {}
+    for batch in _groups(rows):
+        order, instances, weights = zip(*((n, inst, w) for n, (inst, w) in batch))
+        g = default_grid(instances[0].dim) if grid is None else grid
+        starts = np.concatenate([_evaluate_grid(inst, g, [w])[0]
+                                 for inst, w in zip(instances, weights)])
+        deltas = _minimizers(instances, weights, starts, g, refine_sweeps)
+        for n, inst, w, delta in zip(order, instances, weights, deltas):
+            _, ce, aem = _evaluate_grid(inst, g, ())
+            epsilon, aem_star = inst.ce(delta), inst.aem(delta)
+            feasible = ce <= epsilon
+            margin = aem_star - aem[feasible]
+            violations = int(np.sum(margin > tolerance))
+            reports[n] = TheoremCheckReport(
+                entropy_weight=w, delta_star=tuple(float(x) for x in delta),
+                epsilon_implied=epsilon, aem_star=aem_star,
+                candidates_tested=len(ce), violations=violations,
+                worst_violation=float(np.max(margin)) if margin.size else 0.0,
+                tolerance=tolerance, degenerate=bool(np.all(feasible)),
+                passed=violations == 0)
+    return [reports[n] for n in range(len(reports))]
 
 
 @dataclass
@@ -609,6 +604,7 @@ def _tradeoff_reports(instances, w1: float, w2: float,
     (instance, weight) rows are polished together."""
     if not (0.0 < w1 < w2 < 1.0):
         raise InputError("tradeoff bounds need 0 < w1 < w2 < 1")
+    _check_tolerance(tolerance)
     reports = {}
     for batch in _groups((inst,) for inst in instances):
         order, group = zip(*((n, inst) for n, (inst,) in batch))
@@ -765,24 +761,21 @@ def run_gradient_suite(seed: int = 0, count: int = 200,
 
 def run_theorem1_suite(seed: int = 0, count: int = 100) -> SuiteReport:
     """Constrained-optimality brute force over random instances of dim 1-3,
-    each searched over at least 10^4 candidates. No draw depends on a
-    result, so the instances are drawn as the chunked checks need them."""
+    each searched over at least 10^4 candidates."""
     started = time.perf_counter()
     rng = _suite_rng(seed, count)
-
-    def draws():
-        for i in range(count):
-            dim = (i % 3) + 1
-            vocab = int(rng.integers(2, 6))
-            plen = int(rng.integers(2, 5))
-            weight = float(rng.uniform(0.05, 0.95))
-            yield random_prefix_instance(rng, dim, vocab, plen), weight
-
+    rows = []
+    for i in range(count):
+        dim = (i % 3) + 1
+        vocab = int(rng.integers(2, 6))
+        plen = int(rng.integers(2, 5))
+        weight = float(rng.uniform(0.05, 0.95))
+        rows.append((random_prefix_instance(rng, dim, vocab, plen), weight))
     violations = 0
     tested = 0
     degenerate = 0
     worst = 0.0
-    for report in _theorem1_reports(draws()):
+    for report in _theorem1_reports(rows):
         violations += report.violations
         tested += report.candidates_tested
         degenerate += int(report.degenerate)

@@ -13,8 +13,8 @@ from selfreflect import (AdaptiveWeightConfig, AttentionBackend, DecodeConfig,
                          EntropyWindow, InputError, MarkovBackend, ReflectionConfig, SamplingConfig, ScriptedBackend,
                          TriggerConfig, adapt_lambda, build_spike_backend, corpus_backend,
                          decode, entropy_from_logits, gen_corpus, log_softmax, logits_at,
-                         nucleus_distribution, optimize_delta, replay_form, run_benchmark,
-                         sample, should_trigger, softmax)
+                         nucleus_distribution, optimize_delta, parse_trace, replay_form,
+                         run_benchmark, sample, serialize_trace, should_trigger, softmax)
 from selfreflect import engine
 from selfreflect.engine import (CorrectionSummary, DecodeTrace, StepRecord, TraceTotals,
                                 _nucleus_draw, decode_batch)
@@ -309,6 +309,85 @@ def row_sets(draw, vocab):
 def test_random_batches_equal_one_row_decodes(data):
     backend = data.draw(backends())
     assert_rows_match(backend, data.draw(row_sets(backend.vocab.size)))
+
+
+# --- locality and replay on random small backends ------------------------------
+
+@st.composite
+def small_backends(draw):
+    """Markov and attention backends with V and the hidden dim at most 8."""
+    vocab = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        return AttentionBackend(vocab, draw(st.integers(1, 8)), seed, max_len=20)
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.full(vocab, draw(st.sampled_from([0.2, 1.0, 5.0]))), size=vocab)
+    return MarkovBackend(rows, smoothing=0.01 / vocab)
+
+
+@st.composite
+def reflective_runs(draw, vocab):
+    """1-3 rows of one config whose trigger fires whenever a step's entropy
+    beats the mean of the two before it."""
+    shared = DecodeConfig(
+        trigger=TriggerConfig(window_size=2, sensitivity=0.0,
+                              temperature=draw(st.sampled_from([0.6, 1.0]))),
+        reflection=ReflectionConfig(
+            steps=draw(st.integers(1, 3)),
+            learning_rate=draw(st.sampled_from([0.01, 0.5])),
+            entropy_weight=draw(st.sampled_from([0.05, 0.5, 1.0])),
+            ce_scope=draw(st.sampled_from(["full-prefix", "generated-only", "last-2"])),
+            backtracking=draw(st.booleans())),
+        sampling=draw(st.sampled_from([GREEDY, SamplingConfig(),
+                                       SamplingConfig(temperature=1.3, top_p=0.7)])))
+    token = st.integers(0, vocab - 1)
+    return [(tuple(draw(st.lists(token, min_size=1, max_size=3))),
+             replace(shared, seed=draw(st.integers(0, 2**31)),
+                     max_tokens=draw(st.integers(2, 10))))
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+def corrected(step) -> bool:
+    """The step sampled from corrected logits."""
+    c = step.correction
+    return c is not None and c.steps_taken > 0 and not c.aborted
+
+
+def assert_corrections_stay_local(backend, trace):
+    """c07 on any backend: the step after a correction sees the unmodified
+    model, recomputed from the token prefix, within 1e-12."""
+    config = trace.config
+    lp_temp = config.sampling.temperature if config.sampling.mode == "temperature" else 1.0
+    for step, nxt in zip(trace.steps, trace.steps[1:]):
+        if not corrected(step):
+            continue
+        acts = backend.forward_prefix(trace.prompt + trace.output[:step.position + 1])
+        z = logits_at(backend.head, acts.last_hidden)
+        assert abs(nxt.entropy - entropy_from_logits(z, config.trigger.temperature)) <= 1e-12
+        if corrected(nxt):
+            continue  # it sampled from its own correction
+        if config.sampling.mode == "greedy":
+            assert nxt.token == int(np.argmax(z))
+        assert abs(nxt.logprob - float(log_softmax(z, lp_temp)[nxt.token])) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_corrections_stay_local_and_traces_replay(data):
+    backend = data.draw(small_backends())
+    runs = data.draw(reflective_runs(backend.vocab.size))
+    for (prompt, config), batched in zip(runs, decode_batch(backend, runs)):
+        alone = decode(backend, prompt, config)
+        assert replay_form(batched) == replay_form(alone)
+        for trace in (batched, alone):
+            assert_corrections_stay_local(backend, trace)
+        text = serialize_trace(alone)
+        parsed = parse_trace(text)
+        assert serialize_trace(parsed) == text
+        assert replay_form(parsed) == replay_form(alone)
+        again = decode(backend, parsed.prompt, parsed.config)
+        assert replay_form(again) == replay_form(alone)
 
 
 # --- vectorized pieces ---------------------------------------------------------

@@ -5,9 +5,12 @@ before the lock-step one, so they check the instance reports (delta*, the
 losses there and the worst violation), which the suite-level pins in
 test_verify.py summarize away, against an independent record. Each pin is
 asserted through the one-instance API and through the multi-row helpers the
-suites use.
+suites use. REPORT_PINS hash every field of every theorem1 report; they were
+recorded when the suite polished a dim's instances six at a time and kept
+their grids' losses for the reports.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -18,11 +21,19 @@ from selfreflect import (GridSpec, InputError, check_theorem1, check_tradeoff_bo
                          golden_min, lambda_sweep, quadratic_instance,
                          random_prefix_instance)
 from selfreflect import verify
+from selfreflect.verify import LossInstance
 
 THEOREM1_PINS = {
     0: "b929c1b71cf1a9c74b27eb3f81b80d6315bde804097771b817c349265552fec4",
     1: "e81b57b55c7389b3a0380333459e2e8591fafcdbbfd11a6d177e247b2088489a",
 }
+REPORT_PINS = {
+    0: "e1083ff272ba4d28c42620fec854237718dd73d695b61701e5e1e3b3a847b474",
+    1: "73f3198723ceb1c74bdbc115dbaf2b043d07b81f287cb35bafceb1ce66428567",
+    2: "d116d5c27d586bcbc9d619c8a65b8822a6513babeb676573ce631f3db991d8f5",
+    3: "0f18343f964439b2ead7fcbd8df04d27fe2a3e0cde78fc6ecf3bc8d663101425",
+}
+UNDERSTATED_PIN = "31030fbc57267b10cbc3a173c10fa63f8639e434afa44c3ac6910ad649e86820"
 TRADEOFF_PIN = "695aecaaae5682995f402e6229163bdaa9be334a99d89f796b80aa82893c8446"
 SWEEP_PIN = "49528f8d8bd940d52412dfcd603ec275df3af0726f6c7e145714bd62d4d7da6d"
 GOLDEN_PIN = "56dfbc4ae8e794cbc80d9909301966f2947f7f17f01dcbb7489e007f8f7ec960"
@@ -60,6 +71,24 @@ def tradeoff_draws(seed, count=50):
 def theorem1_lines(reports):
     return [f"{r.delta_star!r} {r.epsilon_implied!r} {r.aem_star!r} "
             f"{r.worst_violation!r}" for r in reports]
+
+
+def report_lines(reports):
+    return [repr(dataclasses.astuple(r)) for r in reports]
+
+
+def understated(a, b, cut):
+    """A quadratic whose batch reports every grid candidate's aem `cut` too
+    low, while its scalar losses (which give delta*) are exact: candidates
+    near delta* undercut aem(delta*), so the check finds violations."""
+    exact = quadratic_instance(a, b)
+
+    def batch(deltas):
+        ce, aem = exact.batch(deltas)
+        return ce, aem - cut
+
+    return LossInstance(dim=exact.dim, f_ce=exact.f_ce, f_aem=exact.f_aem,
+                        batch=batch, label="understated")
 
 
 def tradeoff_lines(reports):
@@ -103,11 +132,26 @@ class TestInstancePins:
     def test_golden_min(self):
         assert sha(golden_lines()) == GOLDEN_PIN
 
-    @pytest.mark.parametrize("seed", sorted(THEOREM1_PINS))
+    @pytest.mark.parametrize("seed", sorted(REPORT_PINS))
     def test_theorem1_reports_through_the_suite_helper(self, seed):
         instances, weights = theorem1_draws(seed)
         reports = verify._theorem1_reports(zip(instances, weights))
-        assert sha(theorem1_lines(reports)) == THEOREM1_PINS[seed]
+        assert sha(report_lines(reports)) == REPORT_PINS[seed]
+        if seed in THEOREM1_PINS:
+            assert sha(theorem1_lines(reports)) == THEOREM1_PINS[seed]
+
+    def test_violations_are_counted_in_the_report_pass(self):
+        # one group of three rows: the counts come from each grid's second
+        # evaluation, after the group's polish
+        rows = [(understated((1.0, 0.0), (0.0, 1.0), 0.25), 0.3),
+                (understated((0.5, -0.5), (-0.2, 0.4), 0.05), 0.7),
+                (understated((0.0, 0.0), (1.0, 1.0), 0.5), 0.5)]
+        grid = GridSpec(-2.0, 2.0, 41)
+        reports = verify._theorem1_reports(rows, grid)
+        assert [(r.violations, r.passed) for r in reports] == \
+            [(5, False), (1, False), (17, False)]
+        assert sha(report_lines(reports)) == UNDERSTATED_PIN
+        assert reports == [check_theorem1(inst, w, grid) for inst, w in rows]
 
     def test_tradeoff_reports_through_the_suite_helper(self):
         reports = verify._tradeoff_reports(tradeoff_draws(0), 0.2, 0.8)

@@ -179,6 +179,20 @@ class TestGridEvaluatorMemory:
             tracemalloc.stop()
         assert peak <= 4.5 * vocab * len(cand) * 8
 
+    def test_theorem1_suite_holds_one_grid_at_a_time(self):
+        # a dim-3 grid's losses are about 170 KB. The bound is the largest of
+        # three peaks measured when the suite polished a dim's instances six
+        # at a time, holding their grids until the polish ended; holding a
+        # whole dim's grids (up to 34) through one polish exceeds it
+        run_theorem1_suite(seed=0, count=3)
+        tracemalloc.start()
+        try:
+            run_theorem1_suite(seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_874_683
+
 
 class TestGrids:
     def test_spec_candidates(self):
@@ -264,6 +278,31 @@ class TestTheorem1:
         with pytest.raises(InputError):
             check_theorem1(quadratic_instance([], []), 0.5)
 
+    # an infinite or NaN tolerance would count no candidate as a violation
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-9, None])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        inst = random_prefix_instance(np.random.default_rng(0), 2, 4, 3)
+        with pytest.raises(InputError, match="tolerance"):
+            check_theorem1(inst, 0.5, tolerance=tolerance)
+
+    def test_zero_tolerance_is_a_check(self):
+        inst = quadratic_instance((1.0, 0.0), (0.0, 1.0))
+        rep = check_theorem1(inst, 0.5, GridSpec(-2.0, 2.0, 21), tolerance=0.0)
+        assert rep.tolerance == 0.0 and rep.passed
+
+    @pytest.mark.parametrize("sweeps", [1.5, -1, True, "2", None])
+    def test_refine_sweeps_must_be_a_non_negative_integer(self, sweeps):
+        inst = quadratic_instance((1.0, 0.0), (0.0, 1.0))
+        with pytest.raises(InputError, match="refine_sweeps"):
+            check_theorem1(inst, 0.5, GridSpec(-2.0, 2.0, 21), refine_sweeps=sweeps)
+
+    def test_zero_refine_sweeps_keep_the_grid_argmin(self):
+        inst = quadratic_instance((1.0, 0.0), (0.0, 1.0))
+        grid = GridSpec(-2.0, 2.0, 21)
+        rep = check_theorem1(inst, 0.4, grid, refine_sweeps=0)
+        assert list(rep.delta_star) in grid.candidates(2).tolist()
+        assert rep.delta_star == pytest.approx((0.6, 0.4), abs=1e-12)
+
 
 class TestTradeoff:
     def test_quadratic_bounds_hold(self):
@@ -285,6 +324,19 @@ class TestTradeoff:
         for w1, w2 in ((0.5, 0.5), (0.8, 0.2), (0.0, 0.5), (0.2, 1.0)):
             with pytest.raises(InputError):
                 check_tradeoff_bounds(inst, w1, w2)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-6, "1e-6"])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        inst = random_prefix_instance(np.random.default_rng(0), 2, 4, 3)
+        with pytest.raises(InputError, match="tolerance"):
+            check_tradeoff_bounds(inst, 0.2, 0.8, tolerance=tolerance)
+
+    @pytest.mark.parametrize("sweeps", [1.5, -1, True])
+    def test_refine_sweeps_must_be_a_non_negative_integer(self, sweeps):
+        inst = quadratic_instance((1.0, 0.0), (0.0, 1.0))
+        with pytest.raises(InputError, match="refine_sweeps"):
+            check_tradeoff_bounds(inst, 0.2, 0.8, GridSpec(-2.0, 2.0, 21),
+                                  refine_sweeps=sweeps)
 
 
 class TestJointDescent:
@@ -476,6 +528,12 @@ class TestPareto:
             lambda_sweep(inst, [0.0])
         with pytest.raises(InputError):
             lambda_sweep(inst, [1.0])
+
+    @pytest.mark.parametrize("sweeps", [1.5, -1, True])
+    def test_lambda_sweep_refine_sweeps_validation(self, sweeps):
+        inst = quadratic_instance((1.0, 0.0), (0.0, 1.0))
+        with pytest.raises(InputError, match="refine_sweeps"):
+            lambda_sweep(inst, [0.5], GridSpec(-2.0, 2.0, 21), refine_sweeps=sweeps)
 
     def test_export_csv_shape(self):
         pts = [ParetoPoint(0.5, 1, 0.25, 0.1, "b"),
