@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pin_platform import where
 from selfreflect import (AdaptiveWeightConfig, AttentionBackend, DecodeConfig,
                          EntropyWindow, InputError, MarkovBackend, ReflectionConfig, SamplingConfig, ScriptedBackend,
                          TriggerConfig, adapt_lambda, build_spike_backend, corpus_backend,
@@ -23,6 +24,9 @@ from selfreflect.monitor import EntropyWindows, trigger_rows
 from selfreflect.optimizer import ce_positions, optimize_rows
 
 GREEDY = SamplingConfig(mode="greedy")
+
+# the platform these pins were recorded on (see pin_platform)
+RECORDED_ON = "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, OpenBLAS SkylakeX"
 
 # sha256 of the concatenated replay_form of every trace, recorded with the
 # per-token decode loop that preceded batching
@@ -140,7 +144,7 @@ class TestReplayPins:
             result = run_benchmark(backend, tasks, cfg, 5, reflect=reflect)
             traces += [t for _, _, t in result.traces]
         assert sum(t.totals.n_activations for t in traces) == 100
-        assert digest(traces) == RECALL_PIN
+        assert digest(traces) == RECALL_PIN, where(RECORDED_ON)
 
     def test_spike_decodes(self):
         backend, length, _ = build_spike_backend(3)
@@ -150,7 +154,7 @@ class TestReplayPins:
                   for scope in ("full-prefix", "last-3")
                   for sampling in (GREEDY, SamplingConfig())]
         assert sum(t.totals.n_activations for t in traces) == 12
-        assert digest(traces) == SPIKE_PIN
+        assert digest(traces) == SPIKE_PIN, where(RECORDED_ON)
 
 
 # --- rows are independent -----------------------------------------------------

@@ -17,11 +17,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pin_platform import where
 from selfreflect import ProjectionHead, random_prefix_instance, run_gradient_suite
 from selfreflect import verify
 from selfreflect.backends import PrefixActivations
 from selfreflect.optimizer import _context_terms, loss_aem, loss_ce
 from selfreflect.verify import LossInstance
+
+# the platform these pins were recorded on (see pin_platform)
+RECORDED_ON = "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, OpenBLAS SkylakeX"
 
 # sha256 of json.dumps([passed, details], sort_keys=True, default=repr), as
 # test_verify.SUITE_PINS hashes seed 0
@@ -64,14 +68,14 @@ def fd_cases():
 
 def test_gradients_without_analytic_gradients_are_pinned():
     got = sha(g.tobytes() for inst, x, h in fd_cases() for g in inst.gradients(x, h))
-    assert got == GRADIENTS_PIN
+    assert got == GRADIENTS_PIN, where(RECORDED_ON)
 
 
 @pytest.mark.parametrize("seed", sorted(GRADIENT_SUITE_PINS))
 def test_gradient_suite_report_is_pinned(seed):
     report = run_gradient_suite(seed=seed)
     text = json.dumps([report.passed, report.details], sort_keys=True, default=repr)
-    assert hashlib.sha256(text.encode()).hexdigest() == GRADIENT_SUITE_PINS[seed]
+    assert hashlib.sha256(text.encode()).hexdigest() == GRADIENT_SUITE_PINS[seed], where(RECORDED_ON)
 
 
 def one_row_differences(acts, head, terms, delta, w, gamma, h):

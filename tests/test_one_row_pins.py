@@ -11,8 +11,12 @@ import math
 
 import numpy as np
 
+from pin_platform import where
 from selfreflect import (EntropyWindow, SamplingConfig, TriggerConfig, entropy_from_logits,
                          log_softmax, sample, should_trigger, softmax)
+
+# the platform these pins were recorded on (see pin_platform)
+RECORDED_ON = "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, OpenBLAS SkylakeX"
 
 SOFTMAX_PIN = "243e7b5c90ee8b71e9d1ce0da61f6aa6aeee855152f6c8115ec7d97b2483583f"
 LOG_SOFTMAX_PIN = "0287929c1bc87cb616d460596a1eaca817dd4beb320d9d0a57ec11da55cb00de"
@@ -46,15 +50,15 @@ def sha(chunks) -> str:
 
 
 def test_softmax_pin():
-    assert sha(softmax(z, t).tobytes() for z, t in logit_cases()) == SOFTMAX_PIN
+    assert sha(softmax(z, t).tobytes() for z, t in logit_cases()) == SOFTMAX_PIN, where(RECORDED_ON)
 
 
 def test_log_softmax_pin():
-    assert sha(log_softmax(z, t).tobytes() for z, t in logit_cases()) == LOG_SOFTMAX_PIN
+    assert sha(log_softmax(z, t).tobytes() for z, t in logit_cases()) == LOG_SOFTMAX_PIN, where(RECORDED_ON)
 
 
 def test_entropy_from_logits_pin():
-    assert sha(repr(entropy_from_logits(z, t)).encode() for z, t in logit_cases()) == ENTROPY_PIN
+    assert sha(repr(entropy_from_logits(z, t)).encode() for z, t in logit_cases()) == ENTROPY_PIN, where(RECORDED_ON)
 
 
 def trigger_decisions():
@@ -77,7 +81,7 @@ def trigger_decisions():
 
 
 def test_should_trigger_pin():
-    assert sha(line.encode() for line in trigger_decisions()) == TRIGGER_PIN
+    assert sha(line.encode() for line in trigger_decisions()) == TRIGGER_PIN, where(RECORDED_ON)
 
 
 SAMPLING_MODES = (SamplingConfig(mode="greedy"),) + tuple(
@@ -107,4 +111,4 @@ def sample_draws():
 
 
 def test_sample_pin():
-    assert sha(line.encode() for line in sample_draws()) == SAMPLE_PIN
+    assert sha(line.encode() for line in sample_draws()) == SAMPLE_PIN, where(RECORDED_ON)

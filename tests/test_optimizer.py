@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pin_platform import where
 import selfreflect.optimizer as optimizer
 from selfreflect import (AdaptiveWeightConfig, InputError, MarkovBackend,
                          PrefixActivations, ProjectionHead, ReflectionConfig,
@@ -528,6 +529,9 @@ def overflow_groups(count, seed):
         yield rows, head, config, weights
 
 
+# the platform these pins were recorded on (see pin_platform)
+RECORDED_ON = "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, OpenBLAS SkylakeX"
+
 # sha256 of the outcome() of every row of overflow_groups(150, 20261018), each
 # corrected alone, recorded with the one-row inner loop that preceded
 # optimize_rows (warnings suppressed there: 50 of the 297 rows warned)
@@ -550,7 +554,7 @@ class TestRowBatchedLoop:
                 digest.update(outcome(alone).encode())
                 aborted += alone.aborted
         assert aborted == 18
-        assert digest.hexdigest() == OVERFLOW_PIN
+        assert digest.hexdigest() == OVERFLOW_PIN, where(RECORDED_ON)
 
     @pytest.mark.parametrize("head_scale, learning_rate, rows, reasons", [
         # a huge step: rows stop early, find no descending step, take the

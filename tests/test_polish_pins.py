@@ -17,11 +17,15 @@ import math
 import numpy as np
 import pytest
 
+from pin_platform import where
 from selfreflect import (GridSpec, InputError, check_theorem1, check_tradeoff_bounds,
                          golden_min, lambda_sweep, quadratic_instance,
                          random_prefix_instance)
 from selfreflect import verify
 from selfreflect.verify import LossInstance
+
+# the platform these pins were recorded on (see pin_platform)
+RECORDED_ON = "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, OpenBLAS SkylakeX"
 
 THEOREM1_PINS = {
     0: "b929c1b71cf1a9c74b27eb3f81b80d6315bde804097771b817c349265552fec4",
@@ -118,27 +122,27 @@ class TestInstancePins:
     def test_theorem1_reports_one_instance_at_a_time(self, seed):
         instances, weights = theorem1_draws(seed)
         reports = [check_theorem1(inst, w) for inst, w in zip(instances, weights)]
-        assert sha(theorem1_lines(reports)) == THEOREM1_PINS[seed]
+        assert sha(theorem1_lines(reports)) == THEOREM1_PINS[seed], where(RECORDED_ON)
 
     def test_tradeoff_reports_one_instance_at_a_time(self):
         reports = [check_tradeoff_bounds(inst, 0.2, 0.8)
                    for inst in tradeoff_draws(0)]
-        assert sha(tradeoff_lines(reports)) == TRADEOFF_PIN
+        assert sha(tradeoff_lines(reports)) == TRADEOFF_PIN, where(RECORDED_ON)
 
     def test_lambda_sweep(self):
         points = lambda_sweep(sweep_instance(), SWEEP_WEIGHTS)
-        assert sha(f"{p.l_ce!r} {p.l_aem!r}" for p in points) == SWEEP_PIN
+        assert sha(f"{p.l_ce!r} {p.l_aem!r}" for p in points) == SWEEP_PIN, where(RECORDED_ON)
 
     def test_golden_min(self):
-        assert sha(golden_lines()) == GOLDEN_PIN
+        assert sha(golden_lines()) == GOLDEN_PIN, where(RECORDED_ON)
 
     @pytest.mark.parametrize("seed", sorted(REPORT_PINS))
     def test_theorem1_reports_through_the_suite_helper(self, seed):
         instances, weights = theorem1_draws(seed)
         reports = verify._theorem1_reports(zip(instances, weights))
-        assert sha(report_lines(reports)) == REPORT_PINS[seed]
+        assert sha(report_lines(reports)) == REPORT_PINS[seed], where(RECORDED_ON)
         if seed in THEOREM1_PINS:
-            assert sha(theorem1_lines(reports)) == THEOREM1_PINS[seed]
+            assert sha(theorem1_lines(reports)) == THEOREM1_PINS[seed], where(RECORDED_ON)
 
     def test_violations_are_counted_in_the_report_pass(self):
         # one group of three rows: the counts come from each grid's second
@@ -150,17 +154,17 @@ class TestInstancePins:
         reports = verify._theorem1_reports(rows, grid)
         assert [(r.violations, r.passed) for r in reports] == \
             [(5, False), (1, False), (17, False)]
-        assert sha(report_lines(reports)) == UNDERSTATED_PIN
+        assert sha(report_lines(reports)) == UNDERSTATED_PIN, where(RECORDED_ON)
         assert reports == [check_theorem1(inst, w, grid) for inst, w in rows]
 
     def test_tradeoff_reports_through_the_suite_helper(self):
         reports = verify._tradeoff_reports(tradeoff_draws(0), 0.2, 0.8)
-        assert sha(tradeoff_lines(reports)) == TRADEOFF_PIN
+        assert sha(tradeoff_lines(reports)) == TRADEOFF_PIN, where(RECORDED_ON)
 
     def test_lambda_sweep_one_weight_at_a_time(self):
         inst = sweep_instance()
         points = [lambda_sweep(inst, [w])[0] for w in SWEEP_WEIGHTS]
-        assert sha(f"{p.l_ce!r} {p.l_aem!r}" for p in points) == SWEEP_PIN
+        assert sha(f"{p.l_ce!r} {p.l_aem!r}" for p in points) == SWEEP_PIN, where(RECORDED_ON)
 
 
 def reference_refine(instance, weight, start, radius, sweeps=2):

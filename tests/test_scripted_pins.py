@@ -10,12 +10,16 @@ did not change when those products became copies.
 import hashlib
 from dataclasses import replace
 
+from pin_platform import where
 from selfreflect import (AdaptiveWeightConfig, DecodeConfig, ReflectionConfig, SamplingConfig,
                          build_spike_backend, decode, replay_form)
 from selfreflect.engine import DecodeTrace, decode_batch
 
 SCOPES = ("full-prefix", "generated-only", "last-5")
 PROMPT = (0, 5, 3)  # three tokens, so generated-only differs from full-prefix
+# the platform these pins were recorded on (see pin_platform)
+RECORDED_ON = "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, OpenBLAS SkylakeX"
+
 PINS = {
     32: "89eea78173509ad5de8faf68509100927af71c34645ed95a54ea2a7dad3dede0",
     512: "41f5f317d80ac86a97416ae07c5d4607531f9497d6c4a5ffc7f4026076e5b6df",
@@ -51,13 +55,13 @@ def test_spike_decodes_v32():
     traces = spike_runs(32)
     assert traces[0].totals.n_activations == 0
     assert all(t.totals.n_activations == 2 and t.totals.inner_steps for t in traces[1:])
-    assert digest(traces) == PINS[32]
+    assert digest(traces) == PINS[32], where(RECORDED_ON)
 
 
 def test_spike_decodes_v512():
     traces = spike_runs(512)
     assert all(t.totals.n_activations == 2 for t in traces[1:])
-    assert digest(traces) == PINS[512]
+    assert digest(traces) == PINS[512], where(RECORDED_ON)
 
 
 def test_spike_batch_corrects_rows_together():
@@ -70,4 +74,4 @@ def test_spike_batch_corrects_rows_together():
                           max_tokens=length - len(PROMPT) + 1)
     traces = decode_batch(backend, [(PROMPT, replace(config, seed=s)) for s in range(4)])
     assert all(isinstance(t, DecodeTrace) and t.totals.n_activations == 2 for t in traces)
-    assert digest(traces) == BATCH_PIN
+    assert digest(traces) == BATCH_PIN, where(RECORDED_ON)
