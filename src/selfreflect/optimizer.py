@@ -17,6 +17,14 @@ optimize_rows runs the inner loop for many prefixes at once, each with its own
 blend weight, on stacked row kernels that reduce every row on its own;
 optimize_delta is its one-row case, and grad_hybrid, loss_ce and loss_aem are
 the one-row case of its gradient and value kernels.
+
+The inner loop evaluates the context loss in factorized form: with
+s = W @ delta, every logit base_t + s of the scope is exp(base_t - mb_t) *
+exp(s - M) up to the constants mb_t = max base_t and M = max s, so the
+(|scope|, V) block exp(base - mb) is built once per correction and every
+gradient or trial is two gemvs over it. _context_rows, the direct kernel,
+stays: a row the factorized form cannot evaluate falls back to it, and the
+verification suites check against it.
 """
 
 from __future__ import annotations
@@ -32,6 +40,10 @@ from .utils import ScaledRows
 
 _EARLY_STOP = 1e-12
 _MAX_HALVINGS = 20
+# a factorized row with a normalizer den_t below this goes direct: a den_t
+# near or below the subnormal range has lost its relative precision, and
+# log(0) would lose the loss altogether
+_DEN_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -224,6 +236,93 @@ def _context_rows(head, terms, deltas, grad: bool):
         return l_ce, head.backproject_rows(z.sum(axis=1))
 
 
+class _ContextFactors:
+    """The factorized context terms of rows corrected together, built once
+    per correction. Per row r and in-scope position t: the target's base
+    logit picked, the row max mb = max_v base[r, t] and E = exp(base - mb);
+    per row, how often each token is a target. E is built in place in the
+    stacked base block, so a correction never holds the base logits and E
+    together; a row that goes direct rebuilds its base logits with
+    _context_terms."""
+
+    __slots__ = ("head", "acts", "scope", "at", "picked", "mb", "counts", "exp_base",
+                 "finite_base")
+
+    def __init__(self, acts_list, head, scope, terms=None):
+        self.head, self.acts, self.scope = head, acts_list, scope
+        # E overwrites the block it is built in: a caller's terms are copied
+        owned = terms is None
+        if owned:
+            terms = [_context_terms(acts, head, scope) for acts in acts_list]
+        stacked = _stack_terms(terms)
+        del terms
+        if stacked is None:
+            self.exp_base = None
+            return
+        at, base = stacked
+        if not owned:
+            base = base.copy()
+        rows, scope_len, vocab = base.shape
+        self.picked = base.reshape(-1)[at]
+        self.mb = base.max(axis=2)
+        self.finite_base = np.isfinite(self.mb).all(axis=1)
+        # the targets' offsets in the (R, V) block of s = W @ delta
+        self.at = at % vocab + np.arange(0, rows * vocab, vocab)[:, None]
+        self.counts = np.bincount(self.at.reshape(-1), minlength=rows * vocab) \
+            .reshape(rows, vocab).astype(np.float64)
+        with np.errstate(all="ignore"):  # a row with a non-finite max goes direct
+            base -= self.mb[:, :, None]
+            np.exp(base, out=base)
+        self.exp_base = base
+
+
+def _factored_rows(ctx: _ContextFactors, deltas, grad: bool):
+    """Each row's context loss l_ce at its delta, with grad its gradient, and
+    the mask of the rows that went direct.
+
+    With s = W @ delta, M = max s and e = exp(s - M), per row:
+      den = E @ e (one gemv per row, as utils.gemv_rows runs them, so a row's
+      bits do not depend on the rows beside it),
+      l_ce = sum_t (log den_t + mb_t + M - picked_t - s[y_t]) and the
+      gradient W.T @ (e * (E.T @ (1/den)) - counts), a second gemv.
+    A row goes direct (_context_rows on its rebuilt base logits) when a max
+    mb_t or M is not finite, when a den_t falls below _DEN_FLOOR (base
+    [0, -800] with s = [-800, 0] gives den = 0, where the log-normalizer
+    log den + mb + M is -800 + log 2), or when a sum mb_t + M leaves the
+    float range, where the direct kernel's logits overflow and its loss is
+    NaN. So a row's loss is finite in one form exactly when it is in the
+    other.
+    """
+    if ctx.exp_base is None:
+        return (np.zeros(len(deltas)), np.zeros_like(deltas) if grad else None,
+                np.zeros(len(deltas), dtype=bool))
+    with np.errstate(all="ignore"):
+        s = ctx.head.project_rows(deltas)
+        m = s.max(axis=1)
+        e = np.exp(s - m[:, None])
+        den = np.matmul(ctx.exp_base, e[:, :, None])[:, :, 0]
+        # grouped as the direct kernel's (log sum + max) - target logit, with
+        # mb + M standing in for its max and picked + s[y] for its target
+        top = ctx.mb + m[:, None]
+        l_ce = ((np.log(den) + top) - (ctx.picked + s.reshape(-1)[ctx.at])).sum(axis=1)
+        direct = ~(ctx.finite_base & np.isfinite(m) & (den >= _DEN_FLOOR).all(axis=1)
+                   & np.isfinite(top).all(axis=1))
+        g = None
+        if grad:
+            col = np.matmul((1.0 / den)[:, None, :], ctx.exp_base)[:, 0, :]
+            ds = e * col - ctx.counts
+            ds[direct] = 0.0  # replaced below; a NaN row would send the block through gemv
+            g = ctx.head.backproject_rows(ds)
+    if direct.any():
+        fall = np.flatnonzero(direct)
+        terms = _stack_terms([_context_terms(ctx.acts[r], ctx.head, ctx.scope) for r in fall])
+        l_direct, g_direct = _context_rows(ctx.head, terms, deltas[fall], grad)
+        l_ce[fall] = l_direct
+        if grad:
+            g[fall] = g_direct
+    return l_ce, g, direct
+
+
 def _sharpening_rows(head, last, deltas, tau, grad: bool):
     """Each row's sharpening loss l_aem at its delta, and with grad its
     gradient: the entropy of softmax(W @ (last + delta) / tau). A row whose
@@ -244,19 +343,17 @@ def _sharpening_rows(head, last, deltas, tau, grad: bool):
 class _Rows:
     """What the losses of rows corrected together share across deltas: the
     head, the config, and per row its blend weight, its last hidden state and
-    its context terms, stacked. The context terms are built once per row, and
-    every gradient and every backtracking trial reuses them."""
+    its factorized context terms. The context terms are built once per row,
+    and every gradient and every backtracking trial reuses them."""
 
-    __slots__ = ("head", "config", "weights", "last", "terms")
+    __slots__ = ("head", "config", "weights", "last", "context")
 
     def __init__(self, acts_list, head, config, weights, terms=None):
-        if terms is None:
-            terms = [_context_terms(acts, head, config.ce_scope) for acts in acts_list]
         self.head = head
         self.config = config
         self.weights = np.array(weights, dtype=np.float64)
         self.last = np.array([acts.last_hidden for acts in acts_list])
-        self.terms = _stack_terms(terms)
+        self.context = _ContextFactors(acts_list, head, config.ce_scope, terms)
 
     def blend(self, l_ce, l_aem):
         """f_lambda = (1 - w) * l_ce + w * l_aem of every row."""
@@ -277,7 +374,7 @@ def _grad_rows(rows: _Rows, deltas, step_sizes=None):
     (None: the start point). Gradient clipping is the inner loop's concern,
     not applied here. It runs under its caller's errstate guard."""
     config = rows.config
-    l_ce, g_ce = _context_rows(rows.head, rows.terms, deltas, grad=True)
+    l_ce, g_ce, _ = _factored_rows(rows.context, deltas, grad=True)
     l_aem, g_aem = _sharpening_rows(rows.head, rows.last, deltas, config.loss_temperature,
                                     grad=True)
     lam = rows.weights[:, None]
@@ -303,23 +400,21 @@ def _trial_rows(rows: _Rows, deltas):
     """The descent objective of each row at a backtracking trial, from the
     value-only losses, one delta per row of rows. It runs under
     optimize_rows' errstate guard."""
-    l_ce, _ = _context_rows(rows.head, rows.terms, deltas, grad=False)
+    l_ce, _, _ = _factored_rows(rows.context, deltas, grad=False)
     l_aem, _ = _sharpening_rows(rows.head, rows.last, deltas, rows.config.loss_temperature,
                                 grad=False)
     return _objective_rows(rows.blend(l_ce, l_aem), deltas, rows.config)
 
 
 def loss_ce(acts: PrefixActivations, head: ProjectionHead, delta,
-            scope: str = "full-prefix", *, _terms=None) -> float:
+            scope: str = "full-prefix") -> float:
     """Negative log-likelihood of the realized prefix under the shifted head.
 
     The same delta is applied to every in-scope cached hidden state. A
     single-token prefix has an empty scope and scores 0.
     """
-    if _terms is None:
-        _terms = _context_terms(acts, head, scope)
     delta = np.asarray(delta, dtype=np.float64)
-    l_ce, _ = _context_rows(head, _stack_terms([_terms]), delta[None], grad=False)
+    l_ce, _, _ = _factored_rows(_ContextFactors([acts], head, scope), delta[None], grad=False)
     return float(l_ce[0])
 
 
@@ -340,8 +435,7 @@ def loss_gradients(acts: PrefixActivations, head: ProjectionHead, delta,
     if not loss_temperature > 0:
         raise InputError("loss_temperature must be positive")
     delta = np.asarray(delta, dtype=np.float64)[None]
-    terms = _stack_terms([_context_terms(acts, head, ce_scope)])
-    _, g_ce = _context_rows(head, terms, delta, grad=True)
+    _, g_ce, _ = _factored_rows(_ContextFactors([acts], head, ce_scope), delta, grad=True)
     _, g_aem = _sharpening_rows(head, acts.last_hidden[None], delta, loss_temperature,
                                 grad=True)
     return g_ce[0], g_aem[0]
@@ -398,7 +492,7 @@ def optimize_rows(acts_list, head: ProjectionHead, config: ReflectionConfig,
     every row stays in place, every kernel call evaluates the whole group, and
     a mask of the rows still descending decides which rows take their new
     point; a row that stopped keeps its point and its trajectory. The
-    context-loss terms, base logits included, are built once per row and
+    context-loss terms, exp(base - max) included, are built once per row and
     shared by every gradient and every backtracking trial.
     """
     acts_list = list(acts_list)

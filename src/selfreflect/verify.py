@@ -36,8 +36,10 @@ from .engine import CorrectionSummary, DecodeConfig, DecodeTrace, SamplingConfig
 from .errors import InputError
 from .harness import build_spike_backend
 from .monitor import TriggerConfig
-# loss_gradients is not called here; it stays importable as
-# verify.loss_gradients, a name perfbench/tracing.py wraps
+# loss_ce and loss_gradients, the optimizer's factorized kernel, are not
+# called here: the checks evaluate the direct kernel, _context_rows. They stay
+# importable as verify.loss_ce and verify.loss_gradients, names
+# perfbench/tracing.py wraps
 from .optimizer import (Correction, ReflectionConfig, _context_rows,
                         _context_terms, _sharpening_rows, _stack_terms, loss_aem,
                         loss_ce, loss_gradients)
@@ -211,7 +213,9 @@ def prefix_instance(acts: PrefixActivations, head: ProjectionHead,
 
     The context-loss terms (targets and base logits) are built once, here, and
     shared by the scalar losses, their gradients and the vectorized batch
-    evaluator, which evaluate them with the optimizer's own kernels.
+    evaluator. The scalar losses and gradients evaluate them with the
+    optimizer's direct row kernels, not the factorized one its inner loop
+    runs, so the checks test that loop against an independent form.
     """
     if not loss_temperature > 0:
         raise InputError("loss_temperature must be positive")
@@ -246,12 +250,14 @@ def prefix_instance(acts: PrefixActivations, head: ProjectionHead,
         z[zero] = 0.0
         return ce, -_vocab_sum(z)
 
+    def context(d, grad):
+        return _context_rows(head, stacked, np.asarray(d, dtype=np.float64)[None], grad)
+
     return LossInstance(
         dim=head.hidden_dim,
-        f_ce=lambda d: loss_ce(acts, head, d, ce_scope, _terms=terms),
+        f_ce=lambda d: float(context(d, False)[0][0]),
         f_aem=lambda d: loss_aem(acts, head, d, tau),
-        g_ce=lambda d: _context_rows(head, stacked, np.asarray(d, dtype=np.float64)[None],
-                                     grad=True)[1][0],
+        g_ce=lambda d: context(d, True)[1][0],
         g_aem=lambda d: _sharpening_rows(head, acts.last_hidden[None],
                                          np.asarray(d, dtype=np.float64)[None], tau,
                                          grad=True)[1][0],
@@ -703,8 +709,9 @@ def _suite_rng(seed, count):
 def _objective_differences(acts, head, terms, delta, weight, gamma, h):
     """Central differences of the descent objective (1-w)*l_ce + w*l_aem +
     0.5*gamma*|d|^2 at delta. The probes go through the loss kernels as one
-    row block; each row reduces on its own, as the one-row loss_ce and
-    loss_aem reduce theirs, and is blended in Python floats."""
+    row block; each row reduces on its own, as the one-row direct kernels
+    (a prefix instance's f_ce, and loss_aem) reduce theirs, and is blended in
+    Python floats."""
     probes = _probes(delta, h)
     l_ce, _ = _context_rows(head, _stack_terms([terms] * len(probes)), probes, grad=False)
     l_aem, _ = _sharpening_rows(head, acts.last_hidden[None], probes, 1.0, grad=False)

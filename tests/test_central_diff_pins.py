@@ -18,10 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pin_platform import where
-from selfreflect import ProjectionHead, random_prefix_instance, run_gradient_suite
+from selfreflect import ProjectionHead, prefix_instance, random_prefix_instance, run_gradient_suite
 from selfreflect import verify
 from selfreflect.backends import PrefixActivations
-from selfreflect.optimizer import _context_terms, loss_aem, loss_ce
+from selfreflect.optimizer import _context_terms, loss_aem
 from selfreflect.verify import LossInstance
 
 # the platform these pins were recorded on (see pin_platform)
@@ -78,11 +78,15 @@ def test_gradient_suite_report_is_pinned(seed):
     assert hashlib.sha256(text.encode()).hexdigest() == GRADIENT_SUITE_PINS[seed], where(RECORDED_ON)
 
 
-def one_row_differences(acts, head, terms, delta, w, gamma, h):
+def one_row_differences(acts, head, scope, delta, w, gamma, h):
     """The gradient suite's objective, one probe at a time through the
-    one-row losses, differenced as the suite did before probe blocks."""
+    one-row losses, differenced as the suite did before probe blocks. The
+    context loss is the direct kernel's, as in the suite's probe block: a
+    prefix instance's f_ce (the optimizer's loss_ce is factorized)."""
+    f_ce = prefix_instance(acts, head, ce_scope=scope).f_ce
+
     def objective(d):
-        val = ((1.0 - w) * loss_ce(acts, head, d, _terms=terms)
+        val = ((1.0 - w) * f_ce(d)
                + w * loss_aem(acts, head, d))
         return val + 0.5 * gamma * float(d @ d)
 
@@ -112,5 +116,5 @@ def test_probe_block_equals_one_row_loop(seed, dim, vocab, plen, prompt, weight,
     delta = scale * rng.standard_normal(dim)
     delta[rng.random(dim) < 0.2] = -0.0
     got = verify._objective_differences(acts, head, terms, delta, weight, gamma, h)
-    want = one_row_differences(acts, head, terms, delta, weight, gamma, h)
+    want = one_row_differences(acts, head, scope, delta, weight, gamma, h)
     assert got.tobytes() == want.tobytes()

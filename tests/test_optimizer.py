@@ -647,6 +647,88 @@ def test_each_batched_row_equals_its_one_row_correction(group):
             assert float(np.linalg.norm(corr.delta)) <= config.trust_radius * (1 + 1e-12)
 
 
+@st.composite
+def factor_groups(draw):
+    """(rows, head, scope, deltas, expected fallback mask): R <= 4 rows of one
+    prefix length over V <= 16, an identity or a dense head. A row of kind
+    'underflow' has base logits 0 at one token and -800 elsewhere and a delta
+    -800 everywhere but another token, so every den_t underflows to 0; a row
+    of kind 'non-finite' has an inf or NaN in its delta."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vocab = draw(st.integers(2, 16))
+    identity = draw(st.booleans())
+    dim = vocab if identity else draw(st.integers(1, 6))
+    head = ProjectionHead(np.eye(vocab) if identity
+                          else rng.standard_normal((vocab, dim)) / math.sqrt(dim))
+    plen = draw(st.integers(1, 9))
+    prompt_len = draw(st.integers(1, plen))
+    scope = draw(st.sampled_from(("full-prefix", "generated-only", "last-1", "last-3")))
+    kinds = draw(st.lists(st.sampled_from(("plain", "plain", "non-finite")
+                                          + (("underflow",) if identity else ())),
+                          min_size=1, max_size=4))
+    rows, deltas = [], []
+    for kind in kinds:
+        hidden = rng.standard_normal((plen, dim))
+        delta = draw(st.sampled_from((0.0, 0.3, 3.0))) * rng.standard_normal(dim)
+        if kind == "underflow":
+            hidden = np.full((plen, dim), -800.0)
+            hidden[:, 0] = 0.0
+            delta = np.full(dim, -800.0)
+            delta[1] = 0.0
+        elif kind == "non-finite":
+            delta[int(rng.integers(dim))] = draw(st.sampled_from((math.inf, -math.inf, math.nan)))
+        rows.append(make_acts(hidden, rng.integers(0, vocab, size=plen), prompt_len=prompt_len))
+        deltas.append(delta)
+    expected = np.array([kind != "plain" for kind in kinds]) & bool(ce_positions(rows[0], scope))
+    return rows, head, scope, np.array(deltas), expected
+
+
+def same_bits(a, b) -> bool:
+    """Bitwise equal, but for a NaN's sign and payload, which the direct
+    kernel's SIMD loops do not keep from one block shape to another."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(factor_groups())
+def test_factorized_context_loss_agrees_with_the_direct_kernel(group):
+    rows, head, scope, deltas, expected = group
+    context = optimizer._ContextFactors(rows, head, scope)
+    terms = optimizer._stack_terms([optimizer._context_terms(a, head, scope) for a in rows])
+    for grad in (False, True):
+        l_ce, g_ce, fallback = optimizer._factored_rows(context, deltas, grad)
+        want_l, want_g = optimizer._context_rows(head, terms, deltas, grad)
+        assert np.array_equal(fallback, expected)
+        for r in range(len(rows)):
+            if fallback[r]:  # the direct kernel's own result
+                assert same_bits(l_ce[r], want_l[r])
+                assert grad is False or same_bits(g_ce[r], want_g[r])
+            else:
+                assert abs(l_ce[r] - want_l[r]) <= 1e-13 * abs(want_l[r])
+                if grad:
+                    assert np.abs(g_ce[r] - want_g[r]).max() <= 1e-12 * np.abs(want_g[r]).max()
+            # a batched row equals its one-row call, bit for bit
+            one_l, one_g, one_fallback = optimizer._factored_rows(
+                optimizer._ContextFactors([rows[r]], head, scope), deltas[r:r + 1], grad)
+            assert same_bits(one_l[0], l_ce[r])
+            assert one_fallback[0] == fallback[r]
+            assert grad is False or same_bits(one_g[0], g_ce[r])
+
+
+def test_factorized_terms_passed_in_are_left_unchanged():
+    # the gradient suite passes its own terms and reuses them afterwards
+    rng = np.random.default_rng(5)
+    acts, head = random_case(rng, 3, 7, 6)
+    targets, base = optimizer._context_terms(acts, head, "full-prefix")
+    kept = base.copy()
+    grad_hybrid(acts, head, 0.1 * rng.standard_normal(3), ReflectionConfig(),
+                _terms=(targets, base))
+    assert base.tobytes() == kept.tobytes()
+
+
 class TestAdaptiveWeight:
     def test_fixed_point(self):
         cfg = ReflectionConfig(adaptive=AdaptiveWeightConfig(
