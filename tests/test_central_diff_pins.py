@@ -28,10 +28,11 @@ from selfreflect.verify import LossInstance
 RECORDED_ON = "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, OpenBLAS SkylakeX"
 
 # sha256 of json.dumps([passed, details], sort_keys=True, default=repr), as
-# test_verify.SUITE_PINS hashes seed 0
+# test_verify.SUITE_PINS hashes seed 0; seed 2's worst relative error moved
+# by 1.8e-7 of itself when grad_hybrid's context gradient became factorized
 GRADIENT_SUITE_PINS = {
     1: "af6714c59cc54be625c4498166cb4e82616eaa2d4039754da2d61b2e89719aec",
-    2: "17f16ccca58f301d3e6a2529c5fdebe81913611b716fa608e94370366326c0da",
+    2: "1e946d07723189afa0c35489f3fc2df06b4ddf8ea81a10178bd24aab663bd151",
     3: "dde2f8fb8f772822334562ccb1214c5857c8e34323c903137ca13ca161558624",
 }
 GRADIENTS_PIN = "5eac7d5c880986c65c7ed34c653fd7da281c54bf8f5cda8604570b57807e294f"

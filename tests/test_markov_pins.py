@@ -3,7 +3,10 @@
 The digests are sha256 of the concatenated replay_form of every trace, recorded
 while the decode loop still formed each Markov step's logits as the dense
 product W @ one_hot(last token). MarkovBackend.step_logits now reads that
-column of W directly; these pins check that the traces did not change.
+column of W directly; the pins checked that the traces did not change. They
+were re-recorded when the inner loop's context loss became factorized: every
+token and every other non-float field is as before, and the recorded floats
+moved by rounding only (see CHANGES.md).
 """
 
 import hashlib
@@ -22,9 +25,9 @@ GREEDY = SamplingConfig(mode="greedy")
 # the platform these pins were recorded on (see pin_platform)
 RECORDED_ON = "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, OpenBLAS SkylakeX"
 
-RECALL_PIN = "b7e0381a3ed5a10a09029fcbbb5227ec1960cb6d78cca4e157c2d479ef63bb27"
-BATCH_PIN = "b6c30f19cc296e8be37c75be3631e0d4f8d083fa81ddb96fe493f85f6746a000"
-LONG_PIN = "9c52ed190a8166b60a4b3fd136809480b15d297311b9297b486ac892c1fa6305"
+RECALL_PIN = "12655bf1dcccac5840dc3f122ebf501010d137f4cc526a8f6ab99d290fffbe01"
+BATCH_PIN = "e3fbfb1f383598faf94290b527188f279322f26d0200b663139ec6e0c5c7d382"
+LONG_PIN = "d9f9a47e5b1ee6998f3297c88a830085ca964dcefa1f6570a4a73615900dbb30"
 
 
 def digest(traces):

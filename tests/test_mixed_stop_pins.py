@@ -4,8 +4,11 @@ optimize_rows keeps advancing a group while some of its rows have stopped:
 they ran out of steps, stopped early, found no descending step, or aborted at
 a gradient or at a backtracking trial. The digests were recorded with the
 inner loop that copied the rows still descending into smaller arrays
-whenever a row stopped, so they check the way stopped rows are carried
-along against an independent record. Each test also checks that the seeded
+whenever a row stopped, so they checked the way stopped rows are carried
+along against an independent record. They were re-recorded when the context
+loss became factorized; rows whose losses sit near 0 or 1e4 round
+differently there, and one backtracking row takes three steps where it took
+two (see CHANGES.md). Each test also checks that the seeded
 groups still reach every ending of their mode and that most of them mix rows
 that stop at different iterations.
 """
@@ -23,8 +26,8 @@ SCOPES = ("full-prefix", "generated-only", "last-1", "last-3")
 # the platform these pins were recorded on (see pin_platform)
 RECORDED_ON = "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, OpenBLAS SkylakeX"
 
-BACKTRACKING_PIN = "1a7debe66086781e7ea90226d521b681ec081caffd680ff9b7a05557cb62d89c"
-PLAIN_PIN = "4d3c10eb18efb987f1397398fc8158d8ec4033f402c277c6905b64045a941213"
+BACKTRACKING_PIN = "d66f23bc9dd6a6d233b98445519cf6f6181bb428e6bf56704e0f551c872c8574"
+PLAIN_PIN = "2fd5f2c70f10a2f8da4dfcfcd350ec2851832aeb857ca04d24d555db9c57fc78"
 
 
 def ending(corr, config):
