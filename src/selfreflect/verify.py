@@ -152,6 +152,12 @@ def _is_finite(value) -> bool:
     return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
+def _is_weight(value) -> bool:
+    """A blend weight is a real number; a bool is refused, though it compares
+    as 0 or 1, so that a report never carries entropy_weight=True."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _probes(x, h):
     """The central-difference probes of x as one (2*dim, dim) block: rows
     x + h*e_j, then rows x - h*e_j, each built as x + e or x - e with e zero
@@ -545,8 +551,9 @@ def _theorem1_reports(rows, grid: GridSpec | None = None,
     grid's losses (~170 KB each in the theorem1 suite) are alive at a time."""
     rows = list(rows)
     _check_tolerance(tolerance)
-    if not all(0.0 < w <= 1.0 for _, w in rows):
-        raise InputError("theorem check needs entropy_weight in (0, 1]")
+    for _, w in rows:
+        if not (_is_weight(w) and 0.0 < w <= 1.0):
+            raise InputError(f"theorem check needs a real entropy_weight in (0, 1], got {w!r}")
     reports = {}
     for batch in _groups(rows):
         order, instances, weights = zip(*((n, inst, w) for n, (inst, w) in batch))
@@ -608,8 +615,9 @@ def _tradeoff_reports(instances, w1: float, w2: float,
                       refine_sweeps: int = 2) -> list[TradeoffReport]:
     """check_tradeoff_bounds for each instance, in input order; a group's
     (instance, weight) rows are polished together."""
-    if not (0.0 < w1 < w2 < 1.0):
-        raise InputError("tradeoff bounds need 0 < w1 < w2 < 1")
+    if not (_is_weight(w1) and _is_weight(w2) and 0.0 < w1 < w2 < 1.0):
+        raise InputError(f"tradeoff bounds need real weights 0 < w1 < w2 < 1, "
+                         f"got w1={w1!r}, w2={w2!r}")
     _check_tolerance(tolerance)
     reports = {}
     for batch in _groups((inst,) for inst in instances):
@@ -996,8 +1004,10 @@ def lambda_sweep(instance: LossInstance, weights,
                  refine_sweeps: int = 2) -> list[ParetoPoint]:
     """Loss pair at the blend minimizer for each weight: the achievable front."""
     weights = list(weights)
-    if not all(0.0 < w < 1.0 for w in weights):
-        raise InputError("sweep weights must lie strictly inside (0, 1)")
+    for w in weights:
+        if not (_is_weight(w) and 0.0 < w < 1.0):
+            raise InputError(f"sweep weights must be real numbers strictly inside (0, 1), "
+                             f"got {w!r}")
     if not weights:
         return []
     if grid is None:

@@ -275,6 +275,14 @@ class TestTheorem1:
         with pytest.raises(InputError):
             check_theorem1(inst, 1.2)
 
+    # a weight that is not a real number raised a bare TypeError, and True
+    # passed as 1 into a report's entropy_weight
+    @pytest.mark.parametrize("weight", ["0.5", True, None, 0.5j])
+    def test_weight_must_be_a_real_number(self, weight):
+        inst = quadratic_instance((1.0, 0.0), (0.0, 1.0))
+        with pytest.raises(InputError, match="entropy_weight"):
+            check_theorem1(inst, weight, GridSpec(-2.0, 2.0, 21))
+
     def test_zero_dimensional_instance_rejected(self):
         with pytest.raises(InputError):
             check_theorem1(quadratic_instance([], []), 0.5)
@@ -331,6 +339,12 @@ class TestTradeoff:
         inst = random_prefix_instance(np.random.default_rng(0), 2, 4, 3)
         with pytest.raises(InputError, match="tolerance"):
             check_tradeoff_bounds(inst, 0.2, 0.8, tolerance=tolerance)
+
+    @pytest.mark.parametrize("w1, w2", [("0.2", 0.8), (0.2, "0.8"), (None, 0.8), (0.2, 0.8j)])
+    def test_weights_must_be_real_numbers(self, w1, w2):
+        inst = quadratic_instance((1.0, 0.0), (0.0, 1.0))
+        with pytest.raises(InputError, match="real weights"):
+            check_tradeoff_bounds(inst, w1, w2, GridSpec(-2.0, 2.0, 21))
 
     @pytest.mark.parametrize("sweeps", [1.5, -1, True])
     def test_refine_sweeps_must_be_a_non_negative_integer(self, sweeps):
@@ -532,6 +546,12 @@ class TestPareto:
             lambda_sweep(inst, [0.0])
         with pytest.raises(InputError):
             lambda_sweep(inst, [1.0])
+
+    @pytest.mark.parametrize("weights", [["0.5"], [0.5, None], [0.5j]])
+    def test_lambda_sweep_weights_must_be_real_numbers(self, weights):
+        inst = quadratic_instance((1.0, 0.0), (0.0, 1.0))
+        with pytest.raises(InputError, match="real numbers"):
+            lambda_sweep(inst, weights, GridSpec(-2.0, 2.0, 21))
 
     @pytest.mark.parametrize("sweeps", [1.5, -1, True])
     def test_lambda_sweep_refine_sweeps_validation(self, sweeps):
