@@ -255,7 +255,6 @@ class _ContextFactors:
         if owned:
             terms = [_context_terms(acts, head, scope) for acts in acts_list]
         stacked = _stack_terms(terms)
-        del terms
         if stacked is None:
             self.exp_base = None
             return
