@@ -480,28 +480,34 @@ def _evaluate_grid(instance, grid, weights):
     return starts, ce, aem
 
 
-def _minimizers(instances, weights, starts, grid, refine_sweeps) -> np.ndarray:
-    """Each (instance, weight) row's blend minimizer from its grid start; the
-    rows share one dim."""
+def _minimizers(rows, grid, refine_sweeps):
+    """Each (instance, weights) row's blend minimizers, in input order, with
+    the grid it searched: `grid`, or its instance's default grid. Instances
+    of one dim and one loss temperature share a grid and a probe kernel, so
+    their rows are polished together, one polish row per (instance, weight)
+    pair in input order, each from its grid argmin."""
     if not _is_int(refine_sweeps) or refine_sweeps < 0:
         raise InputError(f"refine_sweeps must be a non-negative integer, "
                          f"got {refine_sweeps!r}")
-    if refine_sweeps > 0:
-        return _polish(_blend_rows(instances, weights), starts, grid.step,
-                       refine_sweeps)
-    return starts
-
-
-def _groups(rows):
-    """Batches of (index, row) pairs, rows being (instance, ...) tuples, whose
-    instances share a dim and a loss temperature (one grid and one probe
-    kernel), in input order."""
+    rows = list(rows)
     groups: dict = {}
-    for n, row in enumerate(rows):
-        inst = row[0]
+    for n, (inst, _) in enumerate(rows):
         key = (inst.dim, None if inst.prefix is None else inst.prefix.tau)
-        groups.setdefault(key, []).append((n, row))
-    return groups.values()
+        groups.setdefault(key, []).append(n)
+    found = [None] * len(rows)
+    for group in groups.values():
+        members = [rows[n] for n in group]
+        g = default_grid(members[0][0].dim) if grid is None else grid
+        deltas = np.concatenate([_evaluate_grid(inst, g, weights)[0]
+                                 for inst, weights in members])
+        if refine_sweeps > 0:
+            blend = _blend_rows([inst for inst, weights in members for _ in weights],
+                                [w for _, weights in members for w in weights])
+            deltas = _polish(blend, deltas, g.step, refine_sweeps)
+        ends = np.cumsum([len(weights) for _, weights in members])[:-1]
+        for n, row_deltas in zip(group, np.split(deltas, ends)):
+            found[n] = (row_deltas, g)
+    return found
 
 
 def _check_tolerance(tolerance) -> None:
@@ -546,7 +552,7 @@ def _theorem1_reports(rows, grid: GridSpec | None = None,
                       tolerance: float = 1e-9,
                       refine_sweeps: int = 2) -> list[TheoremCheckReport]:
     """check_theorem1 for each (instance, weight) row, in input order. A
-    group's rows are polished together. Its grids are evaluated twice, once
+    group's rows are polished together. Their grids are evaluated twice, once
     for the polish's starts and once for the reports, so that at most one
     grid's losses (~170 KB each in the theorem1 suite) are alive at a time."""
     rows = list(rows)
@@ -554,27 +560,22 @@ def _theorem1_reports(rows, grid: GridSpec | None = None,
     for _, w in rows:
         if not (_is_weight(w) and 0.0 < w <= 1.0):
             raise InputError(f"theorem check needs a real entropy_weight in (0, 1], got {w!r}")
-    reports = {}
-    for batch in _groups(rows):
-        order, instances, weights = zip(*((n, inst, w) for n, (inst, w) in batch))
-        g = default_grid(instances[0].dim) if grid is None else grid
-        starts = np.concatenate([_evaluate_grid(inst, g, [w])[0]
-                                 for inst, w in zip(instances, weights)])
-        deltas = _minimizers(instances, weights, starts, g, refine_sweeps)
-        for n, inst, w, delta in zip(order, instances, weights, deltas):
-            _, ce, aem = _evaluate_grid(inst, g, ())
-            epsilon, aem_star = inst.ce(delta), inst.aem(delta)
-            feasible = ce <= epsilon
-            margin = aem_star - aem[feasible]
-            violations = int(np.sum(margin > tolerance))
-            reports[n] = TheoremCheckReport(
-                entropy_weight=w, delta_star=tuple(float(x) for x in delta),
-                epsilon_implied=epsilon, aem_star=aem_star,
-                candidates_tested=len(ce), violations=violations,
-                worst_violation=float(np.max(margin)) if margin.size else 0.0,
-                tolerance=tolerance, degenerate=bool(np.all(feasible)),
-                passed=violations == 0)
-    return [reports[n] for n in range(len(reports))]
+    found = _minimizers(((inst, (w,)) for inst, w in rows), grid, refine_sweeps)
+    reports = []
+    for (inst, w), ((delta,), g) in zip(rows, found):
+        _, ce, aem = _evaluate_grid(inst, g, ())
+        epsilon, aem_star = inst.ce(delta), inst.aem(delta)
+        feasible = ce <= epsilon
+        margin = aem_star - aem[feasible]
+        violations = int(np.sum(margin > tolerance))
+        reports.append(TheoremCheckReport(
+            entropy_weight=w, delta_star=tuple(float(x) for x in delta),
+            epsilon_implied=epsilon, aem_star=aem_star,
+            candidates_tested=len(ce), violations=violations,
+            worst_violation=float(np.max(margin)) if margin.size else 0.0,
+            tolerance=tolerance, degenerate=bool(np.all(feasible)),
+            passed=violations == 0))
+    return reports
 
 
 @dataclass
@@ -619,31 +620,26 @@ def _tradeoff_reports(instances, w1: float, w2: float,
         raise InputError(f"tradeoff bounds need real weights 0 < w1 < w2 < 1, "
                          f"got w1={w1!r}, w2={w2!r}")
     _check_tolerance(tolerance)
-    reports = {}
-    for batch in _groups((inst,) for inst in instances):
-        order, group = zip(*((n, inst) for n, (inst,) in batch))
-        g = default_grid(group[0].dim) if grid is None else grid
-        starts = np.concatenate([_evaluate_grid(inst, g, (w1, w2))[0]
-                                 for inst in group])
-        deltas = _minimizers([inst for inst in group for _ in (w1, w2)],
-                           [w1, w2] * len(group), starts, g, refine_sweeps)
-        for n, inst, d1, d2 in zip(order, group, deltas[0::2], deltas[1::2]):
-            # cross-check so F_{w1}(d1) <= F_{w1}(d2) and vice versa hold exactly
-            if inst.hybrid(d2, w1) < inst.hybrid(d1, w1):
-                d1 = d2
-            if inst.hybrid(d1, w2) < inst.hybrid(d2, w2):
-                d2 = d1
-            ce1, aem1 = inst.ce(d1), inst.aem(d1)
-            ce2, aem2 = inst.ce(d2), inst.aem(d2)
-            lower = (1.0 - w1) / w1 * (ce1 - ce2)
-            upper = (1.0 - w2) / w2 * (ce1 - ce2)
-            gap = aem2 - aem1
-            passed = (lower - tolerance <= gap) and (gap <= upper + tolerance)
-            reports[n] = TradeoffReport(
-                w1=w1, w2=w2, l_ce_1=ce1, l_aem_1=aem1, l_ce_2=ce2, l_aem_2=aem2,
-                lower_bound=lower, gap=gap, upper_bound=upper,
-                tolerance=tolerance, passed=passed)
-    return [reports[n] for n in range(len(reports))]
+    instances = list(instances)
+    reports = []
+    for inst, ((d1, d2), _) in zip(instances, _minimizers(
+            ((inst, (w1, w2)) for inst in instances), grid, refine_sweeps)):
+        # cross-check so F_{w1}(d1) <= F_{w1}(d2) and vice versa hold exactly
+        if inst.hybrid(d2, w1) < inst.hybrid(d1, w1):
+            d1 = d2
+        if inst.hybrid(d1, w2) < inst.hybrid(d2, w2):
+            d2 = d1
+        ce1, aem1 = inst.ce(d1), inst.aem(d1)
+        ce2, aem2 = inst.ce(d2), inst.aem(d2)
+        lower = (1.0 - w1) / w1 * (ce1 - ce2)
+        upper = (1.0 - w2) / w2 * (ce1 - ce2)
+        gap = aem2 - aem1
+        passed = (lower - tolerance <= gap) and (gap <= upper + tolerance)
+        reports.append(TradeoffReport(
+            w1=w1, w2=w2, l_ce_1=ce1, l_aem_1=aem1, l_ce_2=ce2, l_aem_2=aem2,
+            lower_bound=lower, gap=gap, upper_bound=upper,
+            tolerance=tolerance, passed=passed))
+    return reports
 
 
 @dataclass
@@ -1010,11 +1006,7 @@ def lambda_sweep(instance: LossInstance, weights,
                              f"got {w!r}")
     if not weights:
         return []
-    if grid is None:
-        grid = default_grid(instance.dim)
-    starts = _evaluate_grid(instance, grid, weights)[0]
-    deltas = _minimizers([instance] * len(weights), weights, starts, grid,
-                       refine_sweeps)
+    deltas, _ = _minimizers([(instance, weights)], grid, refine_sweeps)[0]
     return [ParetoPoint(float(w), 0, instance.ce(d), instance.aem(d),
                         "lambda-sweep") for w, d in zip(weights, deltas)]
 

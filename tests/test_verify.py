@@ -493,6 +493,20 @@ class TestSharedLossTerms:
         lambda_sweep(inst, [0.1, 0.5, 0.9], GridSpec(-3.0, 3.0, 61))
         assert len(calls) == 2
 
+    def test_bad_refine_sweeps_raise_before_any_grid_is_evaluated(self, monkeypatch):
+        instances = [small_prefix_instance(seed=s) for s in (21, 22)]
+        grid = GridSpec(-2.0, 2.0, 21)
+        calls = self.count_calls(monkeypatch, (LossInstance,), "batch_eval")
+        checks = [lambda: verify._theorem1_reports([(inst, 0.4) for inst in instances],
+                                                   grid, refine_sweeps=-1),
+                  lambda: verify._tradeoff_reports(instances, 0.2, 0.8, grid,
+                                                   refine_sweeps=1.5),
+                  lambda: lambda_sweep(instances[0], [0.3, 0.6], grid, refine_sweeps=True)]
+        for check in checks:
+            with pytest.raises(InputError, match="refine_sweeps"):
+                check()
+        assert calls == []
+
     def test_gradient_suite_builds_terms_once_per_instance(self, monkeypatch):
         calls = self.count_calls(monkeypatch, (optimizer, verify), "_context_terms")
         run_gradient_suite(seed=0, count=6)
