@@ -290,7 +290,7 @@ def _factored_rows(ctx: _ContextFactors, deltas, grad: bool):
     log den + mb + M is -800 + log 2), or when a sum mb_t + M leaves the
     float range, where the direct kernel's logits overflow and its loss is
     NaN. So a row's loss is finite in one form exactly when it is in the
-    other.
+    other. A row's loss is reported as max(l_ce, 0.0): a NaN stays NaN.
     """
     if ctx.exp_base is None:
         return (np.zeros(len(deltas)), np.zeros_like(deltas) if grad else None,
@@ -319,6 +319,8 @@ def _factored_rows(ctx: _ContextFactors, deltas, grad: bool):
         l_ce[fall] = l_direct
         if grad:
             g[fall] = g_direct
+    # a loss near 0 can round below it here, where the direct kernel reads 0.0
+    np.maximum(l_ce, 0.0, out=l_ce)
     return l_ce, g, direct
 
 

@@ -287,6 +287,22 @@ class TestSpikeTrigger:
         assert corr[1].entropy_weight == pytest.approx(want, abs=1e-15)
         assert corr[1].entropy_weight != corr[0].entropy_weight
 
+    @pytest.mark.parametrize("learning_rate", [0.01, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("spike", [[0.1, 0.3, -0.2], [0.0, 0.2, 0.1], [0.05, 0.06, 0.0]])
+    def test_adaptive_weight_after_a_context_loss_near_zero(self, learning_rate, spike):
+        # 30 confident steps, then a flat one that fires: the context loss
+        # over the confident prefix (below 1e-20) rounds to within 1e-15 of 0
+        # and must not reach adapt_lambda below 0, which would fail the decode
+        backend = ScriptedBackend(3, by_position=[[0, -50, -50]] * 30 + [spike],
+                                  fallback=[0, -50, -50])
+        adaptive = AdaptiveWeightConfig(1.0, 0.5, 0.01, 0.9)
+        cfg = DecodeConfig(sampling=GREEDY, max_tokens=35,
+                           reflection=ReflectionConfig(steps=3, learning_rate=learning_rate,
+                                                       adaptive=adaptive))
+        trace = decode(backend, (0,), cfg)
+        corr = [s.correction for s in trace.steps if s.correction is not None]
+        assert corr and all(rep.l_ce >= 0.0 for c in corr for rep in c.trajectory)
+
 
 class TestStepRecords:
     def test_logprob_matches_sampling_distribution(self):

@@ -720,6 +720,27 @@ def test_factorized_context_loss_agrees_with_the_direct_kernel(group):
             assert grad is False or same_bits(one_g[0], g_ce[r])
 
 
+def test_context_loss_near_zero_is_not_negative():
+    # each target logit leads the others by 40-60 (identity head), so every
+    # term is about exp(-50) and the factorized sum can round below 0, where
+    # the direct kernel reads 0.0; about 4 rows in 10 did before the clamp
+    head = ProjectionHead(np.eye(3))
+    acts = make_acts([[0.0, -50.0, -50.0], np.zeros(3)], (0, 0))
+    assert loss_ce(acts, head, [0.1, 0.3, -0.2]) == 0.0
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        vocab, plen = int(rng.integers(3, 7)), int(rng.integers(2, 8))
+        tokens = rng.integers(0, vocab, size=plen)
+        hidden = -rng.uniform(40, 60, size=(plen, vocab))
+        hidden[np.arange(plen - 1), tokens[1:]] = 0.0
+        acts, head = make_acts(hidden, tokens), ProjectionHead(np.eye(vocab))
+        deltas = 0.5 * rng.standard_normal((4, vocab))
+        context = optimizer._ContextFactors([acts] * 4, head, "full-prefix")
+        for grad in (False, True):
+            l_ce, _, _ = optimizer._factored_rows(context, deltas, grad)
+            assert (l_ce >= 0.0).all() and (l_ce < 1e-15).all()
+
+
 def test_factorized_terms_passed_in_are_left_unchanged():
     # the gradient suite passes its own terms and reuses them afterwards
     rng = np.random.default_rng(5)
