@@ -534,10 +534,12 @@ RECORDED_ON = "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, OpenBLAS S
 
 # sha256 of the outcome() of every row of overflow_groups(150, 20261018), each
 # corrected alone, recorded with the one-row inner loop that preceded
-# optimize_rows (warnings suppressed there: 50 of the 297 rows warned), and
+# optimize_rows (warnings suppressed there: 50 of the 297 rows warned),
 # re-recorded when the context loss became factorized (the same steps and
-# aborts, floats moved by rounding)
-OVERFLOW_PIN = "20b1da90d625f21b447bd3ad9efcf9057d8642d32b41b529a095143bb58035c0"
+# aborts, floats moved by rounding), and again when its loss was clamped at 0
+# (4 trajectory l_ce values of 3 rows, and their f_lambda, went from below 0
+# to 0.0)
+OVERFLOW_PIN = "29170c3eb8c5dcd95b45ad20d535751e5e5b536328caf21a6472614e018ca745"
 
 
 class TestRowBatchedLoop:
