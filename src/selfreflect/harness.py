@@ -376,6 +376,11 @@ def run_benchmark(backend: ModelBackend, tasks, config: DecodeConfig, k: int,
         raise InputError("k must be at least 1")
     if seeds is None:
         seeds = list(range(k))
+    seeds = list(seeds)
+    for s in seeds:
+        # int() would run 1.5 and True as seed 1, and SeedSequence refuses -1
+        if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s < 0:
+            raise InputError(f"sample seed {s!r} is not a non-negative integer")
     seeds = [int(s) for s in seeds]
     if len(seeds) != k:
         raise InputError(f"need exactly {k} sample seeds, got {len(seeds)}")

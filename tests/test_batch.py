@@ -206,6 +206,48 @@ class TestRows:
         assert [[s.position for s in t.steps if s.correction] for t in traces] == [[29]] * 4
         assert_rows_match(backend, runs)
 
+    def spike_runs(self, **reflection):
+        """Prompts of 1, 31, 1 and 61 tokens that all fire at step 29 and
+        group by scope length as [0, 2], [1], [3]."""
+        base = DecodeConfig(reflection=ReflectionConfig(steps=3, **reflection),
+                            sampling=GREEDY, max_tokens=40)
+        return [((0,), replace(base, seed=1)), ((0,) * 31, replace(base, seed=2)),
+                ((0,), replace(base, seed=3)), ((0,) * 61, replace(base, seed=4))]
+
+    def test_an_exception_in_optimize_rows_ends_every_row_of_its_group(self, monkeypatch):
+        backend, _, _ = build_spike_backend(3)
+
+        def failing(acts_list, head, config, weights):
+            if len(acts_list) == 2:
+                raise RuntimeError("optimizer failed")
+            return optimize_rows(acts_list, head, config, weights)
+
+        monkeypatch.setattr(engine, "optimize_rows", failing)
+        runs = self.spike_runs()
+        results = decode_batch(backend, runs)
+        assert str(results[0]) == "optimizer failed" and results[2] is results[0]
+        for i in (1, 3):
+            assert replay_form(results[i]) == replay_form(decode(backend, *runs[i]))
+
+    def test_a_row_that_fails_after_its_correction_fails_alone(self, monkeypatch):
+        backend, _, _ = build_spike_backend(3)
+        calls = []
+
+        def failing_first(config, observed_l_ce):
+            calls.append(observed_l_ce)
+            if len(calls) == 1:
+                raise InputError("adaptation failed")
+            return adapt_lambda(config, observed_l_ce)
+
+        monkeypatch.setattr(engine, "adapt_lambda", failing_first)
+        runs = self.spike_runs(adaptive=AdaptiveWeightConfig(0.5, 0.3, 0.01, 0.9))
+        results = decode_batch(backend, runs)
+        # row 0 is the first row of the first group corrected; row 2 shares
+        # its optimize_rows call and goes on
+        assert len(calls) == 4 and str(results[0]) == "adaptation failed"
+        for i in (1, 2, 3):
+            assert replay_form(results[i]) == replay_form(decode(backend, *runs[i]))
+
     def test_an_overflowing_row_fails_alone(self):
         # at their second step the prompt (2,) meets a hidden state whose
         # logits overflow to +inf, and the prompt (1, 2) one whose logits hold

@@ -130,6 +130,15 @@ class TestDecode:
         assert code == 0
         assert stdout_line(first, "output:") == stdout_line(second, "output:")
 
+    def test_config_seed_is_used_without_a_seed_flag(self, capsys, tmp_path, spike_file):
+        backend_path, length = spike_file
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"seed": 5}')
+        code, out, _ = run(capsys, "decode", "--backend", backend_path, "--prompt", "0",
+                           "--max-tokens", str(length), "--config", str(cfg))
+        assert code == 0
+        assert stdout_line(out, "seed:") == "seed: 5"
+
     def test_missing_backend_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "decode", "--backend",
                            str(tmp_path / "nope.json"), "--prompt", "0")
@@ -265,6 +274,33 @@ class TestBench:
         assert code == 2
         assert "'seed'" in err
         assert "Traceback" not in err
+
+    def test_negative_sample_seed(self, capsys, tmp_path):
+        # SeedSequence refused it with a ValueError traceback, exit code 1
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"corpus": "copy-recall:count=1", "k": 1, "seeds": [-2]}')
+        for args, seed in ((("--corpus", "copy-recall:count=1", "--k", "1", "--seeds", "-1"), -1),
+                           (("--config", str(cfg)), -2)):
+            code, _, err = run(capsys, "bench", *args)
+            assert code == 2
+            assert f"sample seed {seed} " in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seeds", ["1,x", " , ", "1.5"])
+    def test_malformed_seeds_flag(self, capsys, seeds):
+        code, _, err = run(capsys, "bench", "--corpus", "copy-recall:count=1", "--k", "1",
+                           "--seeds", seeds)
+        assert code == 2
+        assert "--seeds must" in err
+
+    def test_seeds_flag_overrides_the_config_and_the_config_the_default(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"corpus": "copy-recall:count=1", "k": 2, "seeds": [7, 8]}')
+        for extra, want in (((), [7, 8]), (("--seeds", "3,4"), [3, 4])):
+            out_dir = tmp_path / "-".join(map(str, want))
+            code, _, _ = run(capsys, "bench", "--config", str(cfg), "--out", str(out_dir), *extra)
+            assert code == 0
+            assert json.loads((out_dir / "summary.json").read_text())["seeds"] == want
 
     def test_writes_metrics_summary_traces(self, capsys, tmp_path):
         out_dir = tmp_path / "results"

@@ -1,5 +1,6 @@
 """Task corpora, answer extraction, sample metrics, benchmark orchestration."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -175,6 +176,21 @@ class TestBenchmark:
             run_benchmark(backend, tasks, DecodeConfig(), k=0)
         with pytest.raises(InputError):
             run_benchmark(backend, tasks, DecodeConfig(), k=2, seeds=[1])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0), "1", None])
+    def test_sample_seeds_must_be_non_negative_integers(self, seed):
+        # SeedSequence refused -1 with a ValueError; 1.5 and True ran as seed 1
+        backend = corpus_backend("modular-chain")
+        tasks = gen_corpus("modular-chain", seed=0, count=1)
+        with pytest.raises(InputError, match=re.escape(f"sample seed {seed!r} ")):
+            run_benchmark(backend, tasks, DecodeConfig(), k=2, seeds=[0, seed])
+
+    def test_numpy_integer_seeds_run_as_their_value(self):
+        backend = corpus_backend("modular-chain")
+        tasks = gen_corpus("modular-chain", seed=0, count=2)
+        run = lambda seeds: [r.seeds for r in run_benchmark(
+            backend, tasks, DecodeConfig(), k=2, seeds=seeds, keep_traces=False).metrics.results]
+        assert run([np.int64(3), np.uint8(4)]) == run([3, 4])
 
     def test_result_structure(self):
         backend = corpus_backend("modular-chain")
