@@ -248,19 +248,13 @@ class _ContextFactors:
     __slots__ = ("head", "acts", "scope", "at", "picked", "mb", "counts", "exp_base",
                  "finite_base")
 
-    def __init__(self, acts_list, head, scope, terms=None):
+    def __init__(self, acts_list, head, scope):
         self.head, self.acts, self.scope = head, acts_list, scope
-        # E overwrites the block it is built in: a caller's terms are copied
-        owned = terms is None
-        if owned:
-            terms = [_context_terms(acts, head, scope) for acts in acts_list]
-        stacked = _stack_terms(terms)
+        stacked = _stack_terms([_context_terms(acts, head, scope) for acts in acts_list])
         if stacked is None:
             self.exp_base = None
             return
         at, base = stacked
-        if not owned:
-            base = base.copy()
         rows, scope_len, vocab = base.shape
         self.picked = base.reshape(-1)[at]
         self.mb = base.max(axis=2)
@@ -349,12 +343,12 @@ class _Rows:
 
     __slots__ = ("head", "config", "weights", "last", "context")
 
-    def __init__(self, acts_list, head, config, weights, terms=None):
+    def __init__(self, acts_list, head, config, weights):
         self.head = head
         self.config = config
         self.weights = np.array(weights, dtype=np.float64)
         self.last = np.array([acts.last_hidden for acts in acts_list])
-        self.context = _ContextFactors(acts_list, head, config.ce_scope, terms)
+        self.context = _ContextFactors(acts_list, head, config.ce_scope)
 
     def blend(self, l_ce, l_aem):
         """f_lambda = (1 - w) * l_ce + w * l_aem of every row."""
@@ -443,15 +437,14 @@ def loss_gradients(acts: PrefixActivations, head: ProjectionHead, delta,
 
 
 def grad_hybrid(acts: PrefixActivations, head: ProjectionHead, delta,
-                config: ReflectionConfig, *, _terms=None) -> tuple[np.ndarray, HybridLossReport]:
+                config: ReflectionConfig) -> tuple[np.ndarray, HybridLossReport]:
     """Exact gradient of the descent objective (blend + quadratic penalty) at delta,
     with a full loss report. Gradient clipping is an optimize_delta concern, not
     applied here, so finite-difference checks see the analytic gradient."""
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape != (head.hidden_dim,):
         raise InputError(f"delta must have shape ({head.hidden_dim},)")
-    rows = _Rows([acts], head, config, [config.entropy_weight],
-                 None if _terms is None else [_terms])
+    rows = _Rows([acts], head, config, [config.entropy_weight])
     with np.errstate(all="ignore"):
         grad, reports = _grad_rows(rows, delta[None])
     return grad[0], reports[0]

@@ -754,7 +754,7 @@ def run_gradient_suite(seed: int = 0, count: int = 200,
         config = ReflectionConfig(entropy_weight=w, reg_gamma=gamma)
         delta = 0.1 * rng.standard_normal(dim)
         terms = _context_terms(acts, head, config.ce_scope)
-        grad, _ = grad_hybrid(acts, head, delta, config, _terms=terms)
+        grad, _ = grad_hybrid(acts, head, delta, config)
         fd = _objective_differences(acts, head, terms, delta, w, gamma, fd_step)
         denom = max(float(np.linalg.norm(fd)), 1e-9)
         rel = float(np.linalg.norm(grad - fd)) / denom

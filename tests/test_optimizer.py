@@ -743,17 +743,6 @@ def test_context_loss_near_zero_is_not_negative():
             assert (l_ce >= 0.0).all() and (l_ce < 1e-15).all()
 
 
-def test_factorized_terms_passed_in_are_left_unchanged():
-    # the gradient suite passes its own terms and reuses them afterwards
-    rng = np.random.default_rng(5)
-    acts, head = random_case(rng, 3, 7, 6)
-    targets, base = optimizer._context_terms(acts, head, "full-prefix")
-    kept = base.copy()
-    grad_hybrid(acts, head, 0.1 * rng.standard_normal(3), ReflectionConfig(),
-                _terms=(targets, base))
-    assert base.tobytes() == kept.tobytes()
-
-
 class TestAdaptiveWeight:
     def test_fixed_point(self):
         cfg = ReflectionConfig(adaptive=AdaptiveWeightConfig(

@@ -507,10 +507,11 @@ class TestSharedLossTerms:
                 check()
         assert calls == []
 
-    def test_gradient_suite_builds_terms_once_per_instance(self, monkeypatch):
+    def test_gradient_suite_builds_terms_twice_per_instance(self, monkeypatch):
+        # once for its central differences, once inside grad_hybrid
         calls = self.count_calls(monkeypatch, (optimizer, verify), "_context_terms")
         run_gradient_suite(seed=0, count=6)
-        assert len(calls) == 6
+        assert len(calls) == 12
 
 
 class TestPareto:
