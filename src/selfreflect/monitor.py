@@ -50,13 +50,14 @@ class EntropyWindows:
     row's contiguous last axis: a row's statistics do not depend on the rows
     beside it, and a one-row block is an EntropyWindow. Columns left of the
     filled part are never read: a sum over them would change the order.
+    The block doubles as it fills, so a window longer than a decode costs its steps.
     """
 
     def __init__(self, rows: int, capacity: int):
         if capacity < 2:
             raise InputError("window capacity must be at least 2")
         self.capacity = int(capacity)
-        self.block = np.zeros((rows, self.capacity))
+        self.block = np.zeros((rows, min(self.capacity, 64)))
         self.count = 0
 
     @property
@@ -66,6 +67,9 @@ class EntropyWindows:
     def push(self, entropies) -> None:
         """Append one entropy per row, evicting each row's oldest when full."""
         v = self.block
+        if self.count == v.shape[1] < self.capacity:
+            grown = min(self.capacity, 2 * self.count)
+            v = self.block = np.concatenate([np.zeros((len(v), grown - self.count)), v], axis=1)
         v[:, :-1] = v[:, 1:]
         v[:, -1] = entropies
         self.count = min(self.count + 1, self.capacity)
@@ -98,7 +102,7 @@ class EntropyWindow(EntropyWindows):
         return self.count
 
     def values(self) -> list[float]:
-        return self.block[0, self.capacity - self.count:].tolist()
+        return self.block[0, self.block.shape[1] - self.count:].tolist()
 
     def observe(self, value: float) -> None:
         """Push one entropy, evicting the oldest when full. Rejects non-finite

@@ -251,6 +251,17 @@ class TestDecode:
         assert err.strip().endswith("step entropy must be finite")
         assert "Warning" not in err and "Traceback" not in err
 
+    def test_window_longer_than_any_decode(self, capsys, tmp_path, spike_file):
+        # the window block holds the steps taken, not window_size columns
+        backend_path, length = spike_file
+        config = tmp_path / "config.json"
+        config.write_text('{"trigger": {"window_size": 100000000000000000000}}')
+        code, out, err = run(capsys, "decode", "--backend", backend_path, "--prompt", "0",
+                             "--seed", "0", "--max-tokens", str(length),
+                             "--config", str(config))
+        assert code == 0, err
+        assert stdout_line(out, "steps:") == f"steps: {length}  activations: 0  inner_steps: 0"
+
     def test_max_tokens_validated(self, capsys, spike_file):
         backend_path, _ = spike_file
         code, _, err = run(capsys, "decode", "--backend", backend_path,
