@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .utils import gemv_rows, read_text, softmax
+from .utils import gemv_rows, json_array, json_integer, json_list, json_number, read_json, softmax
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -488,31 +488,13 @@ _BACKEND_KEYS = {
 }
 
 
-def _integer(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"backend config key {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"backend config key {key!r} must be a number, got {value!r}")
+def _read(key: str, value, read, *args):
+    """value read by one of the utils JSON readers: ConfigError naming the
+    backend config key otherwise."""
     try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond float range
-        raise ConfigError(f"backend config key {key!r} holds a number beyond float range") from None
-
-
-def _numbers(key: str, value) -> np.ndarray | None:
-    """A numeric array from a JSON value; None stays None."""
-    if value is None:
-        return None
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ConfigError(f"backend config key {key!r} must hold only numbers") from None
-    except OverflowError:  # an integer literal beyond float range
-        raise ConfigError(f"backend config key {key!r} holds a number beyond float range") from None
+        return read(value, *args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"backend config key {key!r} {exc}") from None
 
 
 def _fits(key: str, *shape: int) -> None:
@@ -521,12 +503,6 @@ def _fits(key: str, *shape: int) -> None:
     if min(shape) > 0 and math.prod(shape) * 8 > np.iinfo(np.intp).max:
         raise ConfigError(f"backend config key {key!r} is too large: numpy cannot "
                           f"hold a float64 array of shape {shape}")
-
-
-def _of_type(key: str, value, kind: type, what: str):
-    if value is not None and not isinstance(value, kind):
-        raise ConfigError(f"backend config key {key!r} must be {what}, got {value!r}")
-    return value
 
 
 def _prefix_key(key) -> tuple:
@@ -551,32 +527,37 @@ def build_toy_backend(kind: str, config: dict) -> ModelBackend:
     for key in config:
         if key not in allowed:
             raise ConfigError(f"unknown backend config key: {key!r}")
-    cfg = dict(config)
-    cfg.pop("kind", None)
-    names = _of_type("token_names", cfg.pop("token_names", None), list, "a list of names")
-    if names is not None:
-        names = tuple(names)
+
+    def optional(key, *read):  # null or absent is None
+        value = config.get(key)
+        return None if value is None else _read(key, value, *read)
+
+    names = optional("token_names", json_list, str)
     try:
         if kind == "scripted":
-            prefixes = _of_type("by_prefix", cfg.get("by_prefix"), dict, "an object") or {}
-            rows = _of_type("by_position", cfg.get("by_position"), list, "a list") or []
-            vocab = _integer("vocab_size", cfg["vocab_size"])
-            if cfg.get("head") is None:
+            prefixes = config.get("by_prefix") or {}
+            if not isinstance(prefixes, dict):
+                raise ConfigError("backend config key 'by_prefix' must be an object")
+            rows = optional("by_position", json_array)
+            vocab = _read("vocab_size", config["vocab_size"], json_integer)
+            if config.get("head") is None:
                 _fits("vocab_size", vocab, vocab)  # the identity head
             return ScriptedBackend(
                 vocab,
-                by_prefix={_prefix_key(k): _numbers("by_prefix", v) for k, v in prefixes.items()},
-                by_position=[_numbers("by_position", v) for v in rows],
-                fallback=_numbers("fallback", cfg.get("fallback")),
-                head=_numbers("head", cfg.get("head")), token_names=names)
+                by_prefix={_prefix_key(k): _read("by_prefix", v, json_array)
+                           for k, v in prefixes.items()},
+                by_position=None if rows is None else list(rows),
+                fallback=optional("fallback", json_array), head=optional("head", json_array),
+                token_names=names)
         if kind == "markov":
-            return MarkovBackend(_numbers("transition", cfg["transition"]),
-                                 smoothing=_number("smoothing", cfg.get("smoothing", 0.0)),
+            return MarkovBackend(_read("transition", config["transition"], json_array),
+                                 smoothing=_read("smoothing", config.get("smoothing", 0.0),
+                                                 json_number),
                                  token_names=names)
-        vocab = _integer("vocab_size", cfg["vocab_size"])
-        dim = _integer("hidden_dim", cfg["hidden_dim"])
-        seed = _integer("seed", cfg["seed"])
-        max_len = _integer("max_len", cfg.get("max_len", 512))
+        vocab = _read("vocab_size", config["vocab_size"], json_integer)
+        dim = _read("hidden_dim", config["hidden_dim"], json_integer)
+        seed = _read("seed", config["seed"], json_integer)
+        max_len = _read("max_len", config.get("max_len", 512), json_integer)
         # the largest weights each dimension sizes: w1, emb and head, pos
         _fits("hidden_dim", dim, 2 * dim)
         _fits("vocab_size", vocab, dim)
@@ -637,8 +618,4 @@ def save_backend(backend: ModelBackend, path) -> None:
 
 
 def load_backend(path) -> ModelBackend:
-    try:
-        data = json.loads(read_text(path, "backend"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"backend file is not valid JSON: {exc}") from None
-    return backend_from_dict(data)
+    return backend_from_dict(read_json(path, "backend"))

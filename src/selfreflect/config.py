@@ -12,61 +12,46 @@ defaults.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 from .engine import DecodeConfig
 from .errors import ConfigError, InputError
-from .utils import read_text
+from .utils import json_flag, json_integer, json_list, json_number, json_string, read_json
 
 
 def _path(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 
 
-def _as_int(v):
-    return v if isinstance(v, int) and not isinstance(v, bool) else None
+def _finite(v) -> float:
+    v = json_number(v)
+    if not math.isfinite(v):
+        raise ValueError("must be finite")
+    return v
 
 
-def _as_float(v):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return None
-    try:
-        v = float(v)
-    except OverflowError:  # an integer literal beyond float range
-        return None
-    return v if math.isfinite(v) else None
+def _integers(v) -> list[int]:
+    if not json_list(v, int):
+        raise ValueError("must not be empty")
+    return list(v)
 
 
-def _as_int_list(v):
-    ok = isinstance(v, list) and v and all(_as_int(s) is not None for s in v)
-    return list(v) if ok else None
-
-
-def _as_bool(v):
-    return v if isinstance(v, bool) else None
-
-
-def _as_str(v):
-    return v if isinstance(v, str) else None
-
-
-# type -> (converter returning None on a bad value, what the error says it must be)
+# type -> (its reader, what the error says it must be)
 _LEAVES = {
-    int: (_as_int, "an integer"),
-    float: (_as_float, "a finite number"),
-    bool: (_as_bool, "true or false"),
-    str: (_as_str, "a string"),
-    list[int]: (_as_int_list, "a non-empty list of integers"),
+    int: (json_integer, "an integer"),
+    float: (_finite, "a finite number"),
+    bool: (json_flag, "true or false"),
+    str: (json_string, "a string"),
+    list[int]: (_integers, "a non-empty list of integers"),
 }
 
 
 class _Field(typing.NamedTuple):
     name: str
     section: type | None  # the dataclass of a nested section
-    convert: typing.Callable | None  # a leaf's converter
+    convert: typing.Callable | None  # a leaf's reader
     expected: str
     optional: bool  # null gives None
     required: bool  # no default
@@ -128,15 +113,15 @@ def _read(cls, data, where: str):
             if optional:
                 kwargs[name] = None
                 continue
-            if convert is not _as_str:
+            if convert is not json_string:
                 continue  # null means the default, except for a string key
         if section is not None:
             kwargs[name] = _read(section, v, _path(where, name))
             continue
-        value = convert(v)
-        if value is None:
-            raise ConfigError(f"config key {_path(where, name)} must be {expected}")
-        kwargs[name] = value
+        try:
+            kwargs[name] = convert(v)
+        except (TypeError, ValueError):
+            raise ConfigError(f"config key {_path(where, name)} must be {expected}") from None
     try:
         return cls(**kwargs)
     except InputError as exc:  # a range check of the dataclass: name its section
@@ -192,10 +177,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    try:
-        data = json.loads(read_text(path, "config"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    data = read_json(path, "config")
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
     return run_config_from_dict(data)

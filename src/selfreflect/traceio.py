@@ -26,6 +26,8 @@ from __future__ import annotations
 import base64
 import json
 import os
+import typing
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,8 +35,7 @@ from .config import decode_config_from_dict, decode_config_to_dict
 from .engine import (STEP_FLOATS, CorrectionSummary, DecodeConfig, DecodeTrace, StepColumns,
                      TraceTotals)
 from .errors import ConfigError
-from .optimizer import HybridLossReport
-from .utils import read_text
+from .utils import (json_flag, json_integer, json_list, json_number, json_string, read_text)
 
 TRACE_VERSION = 2
 _REPLAY_VERSION = 1  # the layout replay_form writes
@@ -43,6 +44,72 @@ _DTYPE = "<f8"
 
 # one compact encoder for every record: json.dumps would build a new one per call
 _dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=True).encode
+
+
+def _get(data, key: str, read, *args):
+    """data[key] read by a utils JSON reader, whose error names the key."""
+    value = data[key]
+    try:
+        return read(value, *args)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{key!r} {exc}") from None
+
+
+def _nullable(read):
+    return lambda value: None if value is None else read(value)
+
+
+# the reader of a field annotated with each type
+_READERS = {int: json_integer, float: json_number, bool: json_flag, str: json_string}
+_READERS |= {kind | None: _nullable(read) for kind, read in _READERS.items()}
+
+# what replay_form zeroes: timings, which a deterministic decode cannot reproduce
+_TIMINGS = {"wall_time": 0.0, "baseline_time": None, "opt_wall_time": 0.0}
+
+
+class _Record:
+    """A dataclass as a trace record: one key per field, in field order, read
+    by its annotated type; a list of dataclasses is a list of their records.
+    Fields and readers are resolved once per class. A field that the records
+    of a list share with their parent (a trajectory point's entropy_weight)
+    is written once, in the parent, and read from it."""
+
+    def __init__(self, cls, shared: tuple[str, ...] = ()):
+        hints = typing.get_type_hints(cls)
+        self.cls, self.shared = cls, shared
+        self.names = tuple(f.name for f in fields(cls) if f.name not in shared)
+        self.zeros = {k: v for k, v in _TIMINGS.items() if k in self.names}
+        self.leaves, self.lists = [], []
+        for name in self.names:
+            if typing.get_origin(hints[name]) is list:
+                (item,) = typing.get_args(hints[name])
+                self.lists.append((name, _Record(item, tuple(
+                    f.name for f in fields(item) if f.name in hints))))
+            else:
+                self.leaves.append((name, _READERS[hints[name]]))
+
+    def write(self, obj, zero_times: bool) -> dict:
+        rec = {name: getattr(obj, name) for name in self.names}
+        for name, record in self.lists:
+            rec[name] = [record.write(item, zero_times) for item in rec[name]]
+        return rec | self.zeros if zero_times else rec
+
+    def read(self, data, **shared):
+        try:
+            values = {name: read(data[name]) for name, read in self.leaves}
+        except (TypeError, ValueError):  # read again, to name the key
+            values = {name: _get(data, name, read) for name, read in self.leaves}
+        for name, record in self.lists:
+            items = data[name]
+            if type(items) is not list:
+                raise TypeError(f"{name!r} must be a list of records, got {items!r}")
+            inherited = {k: values[k] for k in record.shared}
+            values[name] = [record.read(item, **inherited) for item in items]
+        return self.cls(**values, **shared)
+
+
+_CORRECTION = _Record(CorrectionSummary)
+_TOTALS = _Record(TraceTotals)
 
 
 def _header(trace: DecodeTrace, version: int) -> str:
@@ -57,36 +124,11 @@ def _header(trace: DecodeTrace, version: int) -> str:
 
 
 def _footer(trace: DecodeTrace, zero_times: bool) -> str:
-    totals = trace.totals
     return _dumps({
         "record": "footer",
-        "totals": {
-            "n_activations": totals.n_activations,
-            "inner_steps": totals.inner_steps,
-            "wall_time": 0.0 if zero_times else totals.wall_time,
-            "baseline_time": None if zero_times else totals.baseline_time,
-        },
+        "totals": _TOTALS.write(trace.totals, zero_times),
         "output": list(trace.output),
     })
-
-
-def _correction_dict(c: CorrectionSummary, zero_times: bool) -> dict:
-    return {
-        "steps_taken": c.steps_taken,
-        "aborted": c.aborted,
-        "entropy_weight": c.entropy_weight,
-        "delta_norm": c.delta_norm,
-        "final_l_ce": c.final_l_ce,
-        "final_l_aem": c.final_l_aem,
-        "final_f_lambda": c.final_f_lambda,
-        "opt_wall_time": 0.0 if zero_times else c.opt_wall_time,
-        "trajectory": [
-            {"l_ce": r.l_ce, "l_aem": r.l_aem, "f_lambda": r.f_lambda,
-             "grad_norm": r.grad_norm, "grad_cos": r.grad_cos,
-             "step_size": r.step_size}
-            for r in c.trajectory
-        ],
-    }
 
 
 def _v1_lines(trace: DecodeTrace, zero_times: bool) -> list[str]:
@@ -101,7 +143,7 @@ def _v1_lines(trace: DecodeTrace, zero_times: bool) -> list[str]:
             "wall_time": 0.0 if zero_times else wall,
             "trigger": {"mean": m, "std": sd, "threshold": thr,
                         "fired": fired, "window_full": full},
-            "correction": None if c is None else _correction_dict(c, zero_times),
+            "correction": None if c is None else _CORRECTION.write(c, zero_times),
         }
         lines.append(_dumps(rec))
     lines.append(_footer(trace, zero_times))
@@ -124,7 +166,7 @@ def serialize_trace(trace: DecodeTrace) -> str:
     # would cost more than the rest of the record
     floats = base64.b64encode(cols.floats.astype(_DTYPE, copy=False).tobytes()).decode("ascii")
     lines = [_header(trace, TRACE_VERSION), f'{block[:-1]},"floats":"{floats}"}}']
-    lines += [_dumps({"record": "correction", "step": i, **_correction_dict(c, False)})
+    lines += [_dumps({"record": "correction", "step": i, **_CORRECTION.write(c, False)})
               for i, c in cols.corrections.items()]
     lines.append(_footer(trace, False))
     return "\n".join(lines) + "\n"
@@ -140,91 +182,22 @@ def write_trace(trace: DecodeTrace, path) -> None:
         fh.write(serialize_trace(trace))
 
 
-# Leaf readers: each returns data[key] when it has the type the writer emits
-# and raises TypeError naming the key otherwise (bool is not a number here).
-
-def _number(data, key):
-    value = data[key]
-    if type(value) is float or type(value) is int:
-        return value
-    raise TypeError(f"{key!r} must be a number, got {value!r}")
-
-
-def _number_or_none(data, key):
-    return None if data[key] is None else _number(data, key)
-
-
-def _float(data, key) -> float:
-    value = _number(data, key)
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond float range
-        raise ValueError(f"{key!r} is beyond float range") from None
-
-
-def _integer(data, key):
-    value = data[key]
-    if type(value) is int:
-        return value
-    raise TypeError(f"{key!r} must be an integer, got {value!r}")
-
-
-def _flag(data, key):
-    value = data[key]
-    if type(value) is bool:
-        return value
-    raise TypeError(f"{key!r} must be true or false, got {value!r}")
-
-
-def _list(data, key, kind: type, n: int | None = None) -> list:
-    """data[key] when it is a list of values of exactly the type kind, and
-    of n values unless n is None."""
-    value = data[key]
-    if type(value) is list and (n is None or len(value) == n) and \
-            set(map(type, value)) <= {kind}:
-        return value
-    what = "integers" if kind is int else "true/false flags"
-    raise TypeError(f"{key!r} must be a list of {what if n is None else f'{n} {what}'}, "
-                    f"got {value!r}")
-
-
-def _token_ids(data, key) -> tuple[int, ...]:
-    return tuple(_list(data, key, int))
-
-
-def _parse_correction(data) -> CorrectionSummary:
-    w = _number(data, "entropy_weight")
-    trajectory = [
-        HybridLossReport(l_ce=_number(r, "l_ce"), l_aem=_number(r, "l_aem"),
-                         f_lambda=_number(r, "f_lambda"), grad_norm=_number(r, "grad_norm"),
-                         grad_cos=_number(r, "grad_cos"), entropy_weight=w,
-                         step_size=_number(r, "step_size"))
-        for r in data["trajectory"]
-    ]
-    return CorrectionSummary(
-        steps_taken=_integer(data, "steps_taken"), aborted=_flag(data, "aborted"),
-        entropy_weight=w, delta_norm=_number(data, "delta_norm"),
-        final_l_ce=_number_or_none(data, "final_l_ce"),
-        final_l_aem=_number_or_none(data, "final_l_aem"),
-        final_f_lambda=_number_or_none(data, "final_f_lambda"),
-        opt_wall_time=_number(data, "opt_wall_time"), trajectory=trajectory)
-
-
 def _read_v1(cols: StepColumns, rec) -> None:
     """One version 1 step record, onto columns whose floats are still a flat
     list and whose tokens are still the steps' own."""
     if rec.get("record") != "step":
         raise ConfigError(f"unexpected trace record kind: {rec.get('record')!r}")
     t = rec["trigger"]
-    cols.floats += (_float(rec, "entropy"), _float(rec, "logprob"), _float(rec, "wall_time"),
-                    _float(t, "mean"), _float(t, "std"), _float(t, "threshold"))
-    cols.fired.append(_flag(t, "fired"))
-    cols.window_full.append(_flag(t, "window_full"))
-    cols.position.append(_integer(rec, "position"))
-    cols.tokens.append(_integer(rec, "token"))
+    cols.floats += (_get(rec, "entropy", json_number), _get(rec, "logprob", json_number),
+                    _get(rec, "wall_time", json_number), _get(t, "mean", json_number),
+                    _get(t, "std", json_number), _get(t, "threshold", json_number))
+    cols.fired.append(_get(t, "fired", json_flag))
+    cols.window_full.append(_get(t, "window_full", json_flag))
+    cols.position.append(_get(rec, "position", json_integer))
+    cols.tokens.append(_get(rec, "token", json_integer))
     corr = rec.get("correction")
     if corr is not None:
-        cols.corrections[len(cols.position) - 1] = _parse_correction(corr)
+        cols.corrections[len(cols.position) - 1] = _CORRECTION.read(corr)
 
 
 def _read_v2(cols: StepColumns, rec) -> None:
@@ -238,34 +211,31 @@ def _read_v2(cols: StepColumns, rec) -> None:
         return
     if kind != "correction":
         raise ConfigError(f"unexpected trace record kind: {kind!r}")
-    step, n = _integer(rec, "step"), len(cols.position)
+    step, n = _get(rec, "step", json_integer), len(cols.position)
     last = next(reversed(cols.corrections), -1)  # kept in step order
     if not last < step < n:
         raise ValueError(f"'step' must be a step index in ({last}, {n}), after the "
                          f"previous correction's, got {step}")
-    cols.corrections[step] = _parse_correction(rec)
+    cols.corrections[step] = _CORRECTION.read(rec)
 
 
 def _read_block(cols: StepColumns, rec) -> None:
-    n = _integer(rec, "n")
+    n = _get(rec, "n", json_integer)
     if n < 0:
         raise ValueError(f"'n' must not be negative, got {n}")
     for key, want in (("dtype", _DTYPE), ("columns", list(STEP_FLOATS))):
         if rec[key] != want:
             raise ValueError(f"{key!r} must be {want!r}, got {rec[key]!r}")
-    text = rec["floats"]
-    if type(text) is not str:
-        raise TypeError(f"'floats' must be a base64 string, got {text!r}")
     try:
-        raw = base64.b64decode(text, validate=True)
+        raw = base64.b64decode(_get(rec, "floats", json_string), validate=True)
     except ValueError as exc:  # binascii.Error, or text beyond ASCII
         raise ValueError(f"'floats' is not base64 text ({exc})") from None
     if len(raw) != 8 * 6 * n:
         raise ValueError(f"'floats' must hold 6 * n = {6 * n} float64 values, "
                          f"got {len(raw)} bytes")
-    cols.position = _list(rec, "position", int, n)
-    cols.fired = _list(rec, "fired", bool, n)
-    cols.window_full = _list(rec, "window_full", bool, n)
+    cols.position = _get(rec, "position", json_list, int, n)
+    cols.fired = _get(rec, "fired", json_list, bool, n)
+    cols.window_full = _get(rec, "window_full", json_list, bool, n)
     cols.floats = np.frombuffer(raw, _DTYPE).astype(np.float64).reshape(6, n)
 
 
@@ -315,7 +285,7 @@ def _load_records(numbered) -> list[dict]:
     if all(ln[0] == "{" and ln[-1] == "}" for _, ln in numbered):
         try:
             records = json.loads("[" + ",".join(ln for _, ln in numbered) + "]")
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):  # ValueError: an integer literal too long to read
             pass
     if records is not None and len(records) == len(numbered) and \
             all(type(rec) is dict for rec in records):
@@ -324,7 +294,7 @@ def _load_records(numbered) -> list[dict]:
     for i, ln in numbered:
         try:
             rec = json.loads(ln)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"trace line {i} is not valid JSON: {exc}") from None
         if not isinstance(rec, dict):
             raise ConfigError(f"trace line {i}: a record must be a JSON object")
@@ -344,7 +314,11 @@ def parse_trace(text: str) -> DecodeTrace:
     if header.get("record") != "header":
         raise ConfigError("first trace record must be the header")
     version = header.get("version")
-    if type(version) is not int or version not in (1, 2):
+    try:
+        supported = json_integer(version) in (1, 2)
+    except TypeError:
+        supported = False
+    if not supported:
         raise ConfigError(f"unsupported trace version: {version!r}")
     if footer.get("record") != "footer":
         raise ConfigError("last trace record must be the footer")
@@ -352,17 +326,12 @@ def parse_trace(text: str) -> DecodeTrace:
     line = lines[0]  # follows the record being read, for the error message
     try:
         config = decode_config_from_dict(header["config"], "config")
-        model_id = header["model_id"]
-        if type(model_id) is not str:
-            raise TypeError(f"'model_id' must be a string, got {model_id!r}")
-        prompt, seed = _token_ids(header, "prompt"), _integer(header, "seed")
+        model_id = _get(header, "model_id", json_string)
+        prompt = tuple(_get(header, "prompt", json_list, int))
+        seed = _get(header, "seed", json_integer)
         line = lines[-1]
-        output = _token_ids(footer, "output")
-        tot = footer["totals"]
-        totals = TraceTotals(n_activations=_integer(tot, "n_activations"),
-                             inner_steps=_integer(tot, "inner_steps"),
-                             wall_time=_number(tot, "wall_time"),
-                             baseline_time=_number_or_none(tot, "baseline_time"))
+        output = tuple(_get(footer, "output", json_list, int))
+        totals = _TOTALS.read(footer["totals"])
         if version == 1:
             cols, read = StepColumns([], [], [], [], [], {}), _read_v1
         else:

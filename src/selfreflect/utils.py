@@ -1,7 +1,9 @@
-"""Stable softmax / entropy helpers. All probability math runs in float64."""
+"""Stable softmax / entropy helpers (all probability math in float64), and the
+readers of config, backend and trace files."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -66,6 +68,78 @@ def read_text(path, kind: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{kind} file is not UTF-8 text: {exc}") from None
+
+
+def read_json(path, kind: str):
+    """The JSON value of a file: ConfigError naming the kind of file when it is not
+    UTF-8 text or not valid JSON (json refuses too long an integer with ValueError)."""
+    text = read_text(path, kind)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{kind} file is not valid JSON: {exc}") from None
+
+
+# The JSON value rule of config, backend and trace files. A reader returns a
+# parsed leaf as its Python value, or raises TypeError (another kind) or
+# ValueError (an integer literal beyond float range) with a message that its
+# caller prefixes with the key. An integer is a JSON integer, never true or
+# false; a number is a JSON integer or float, never a flag, a string or null,
+# and comes back as a float.
+
+def json_integer(value) -> int:
+    if type(value) is int:
+        return value
+    raise TypeError(f"must be an integer, got {value!r}")
+
+
+def json_number(value) -> float:
+    if type(value) is float:
+        return value
+    if type(value) is int or isinstance(value, float):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError("holds a number beyond float range") from None
+    raise TypeError(f"must be a number, got {value!r}")
+
+
+def json_flag(value) -> bool:
+    if type(value) is bool:
+        return value
+    raise TypeError(f"must be true or false, got {value!r}")
+
+
+def json_string(value) -> str:
+    if type(value) is str:
+        return value
+    raise TypeError(f"must be a string, got {value!r}")
+
+
+def json_list(value, kind: type, n: int | None = None) -> list:
+    """A JSON array of integers, flags or strings (kind int, bool or str, by
+    the readers above) of n items, or of any number if n is None."""
+    if type(value) is list and (n is None or len(value) == n) and \
+            set(map(type, value)) <= {kind}:
+        return value
+    what = {int: "integers", bool: "true/false flags", str: "strings"}[kind]
+    raise TypeError(f"must be a list of {what if n is None else f'{n} {what}'}, got {value!r}")
+
+
+def json_array(value) -> np.ndarray:
+    """A float64 array from a JSON array of numbers (by json_number's rule),
+    or of equal-length arrays of them nested to any depth."""
+    level = value  # a loop, not recursion: json nests about as deep as recursion can
+    while type(level) is list and set(map(type, level)) == {list}:
+        level = [x for row in level for x in row]
+    if type(level) is list and set(map(type, level)) <= {int, float}:
+        try:
+            return np.array(value, dtype=np.float64)
+        except OverflowError:
+            raise ValueError("holds a number beyond float range") from None
+        except ValueError:  # unequal lengths, or more dimensions than numpy holds
+            pass
+    raise TypeError("must be a list of numbers or of equal-length lists of them")
 
 
 def gemv_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:

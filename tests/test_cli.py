@@ -75,14 +75,18 @@ class TestTopLevel:
         (("bench", "--corpus", "copy-recall:count=1", "--config", "{deep}"), "config file"),
         (("analyze", "--traces", "{traces}", "--report", "entropy"), "trace line 1"),
     ])
-    def test_deeply_nested_json_is_a_config_error(self, capsys, tmp_path, argv, kind):
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"k": 1' + "0" * 5000 + "}"],
+                             ids=["deep", "long-integer"])
+    def test_json_python_cannot_read_is_a_config_error(self, capsys, tmp_path, argv, kind,
+                                                      text):
         # json.loads recurses once per nesting level: 100 000 levels exceed
-        # Python's recursion limit
+        # Python's recursion limit; and it refuses an integer literal of more
+        # than 4300 digits with a plain ValueError
         deep = tmp_path / "deep.json"
-        deep.write_text("[" * 100_000 + "\n")
+        deep.write_text(text + "\n")
         traces = tmp_path / "traces"
         traces.mkdir()
-        (traces / "deep.jsonl").write_text("[" * 100_000 + "\n{}\n")
+        (traces / "deep.jsonl").write_text(text + "\n{}\n")
         paths = {"deep": str(deep), "traces": str(traces)}
         code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code == 2 and out == ""
@@ -603,6 +607,68 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert message in err
         assert "Traceback" not in err
+
+
+def _bad_config(tmp_path, spike_file, key, value):
+    adaptive = {"target": value, "rate": 0.5, "min_weight": 0.01, "max_weight": 0.9}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"reflection": {"adaptive": adaptive}}))
+    return "decode", "--backend", spike_file[0], "--prompt", "0", "--config", str(path)
+
+
+def _bad_backend(tmp_path, spike_file, key, value):
+    definition = {
+        "fallback": {"kind": "scripted", "vocab_size": 2, "fallback": [value, 0]},
+        "transition": {"kind": "markov", "transition": [[0.5, value], [0.5, 0.5]]},
+        "token_names": {"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]],
+                        "token_names": ["a", value]},
+    }[key]
+    path = tmp_path / "backend.json"
+    path.write_text(json.dumps(definition))
+    return "decode", "--backend", str(path), "--prompt", "0"
+
+
+def _bad_trace(tmp_path, spike_file, key, value):
+    backend_path, length = spike_file
+    path = tmp_path / "trace.jsonl"
+    assert main(["decode", "--backend", backend_path, "--prompt", "0", "--seed", "1",
+                 "--max-tokens", str(length), "--trace", str(path)]) == 0
+    records = [json.loads(ln) for ln in path.read_text().splitlines()]
+    correction = next(r for r in records if r["record"] == "correction")
+    leaf = {"l_ce": correction["trajectory"][1], "wall_time": records[-1]["totals"],
+            "opt_wall_time": correction}[key]
+    leaf[key] = value
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    report = "pareto" if key == "l_ce" else "overhead"
+    return "analyze", "--traces", str(path), "--report", report
+
+
+# (input file, key named in the error, how the error names it); each site
+# takes each of the bad leaves below, except that "1.5" is a fine token name
+BAD_LEAF_SITES = [
+    (_bad_config, "reflection.adaptive.target", "config key reflection.adaptive.target"),
+    (_bad_backend, "fallback", "backend config key 'fallback'"),
+    (_bad_backend, "transition", "backend config key 'transition'"),
+    (_bad_backend, "token_names", "backend config key 'token_names'"),
+    (_bad_trace, "l_ce", "'l_ce'"),
+    (_bad_trace, "wall_time", "'wall_time'"),
+    (_bad_trace, "opt_wall_time", "'opt_wall_time'"),
+]
+BAD_LEAVES = {"true": True, "string": "1.5", "null": None, "huge": 10 ** 400}
+
+
+@pytest.mark.parametrize("write, key, named, value", [
+    pytest.param(write, key, named, value, id=f"{key}-{leaf}")
+    for write, key, named in BAD_LEAF_SITES for leaf, value in BAD_LEAVES.items()
+    if not (key == "token_names" and leaf == "string")])
+def test_bad_leaf_exits_2_naming_its_key(capsys, tmp_path, spike_file, write, key, named, value):
+    # one JSON value rule for config, backend and trace files
+    argv = write(tmp_path, spike_file, key, value)
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert named in err
+    assert "Traceback" not in err
 
 
 class TestMakeBackend:

@@ -10,7 +10,7 @@ import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from hashlib import sha256
 from pathlib import Path
 
@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfreflect import (TRACE_VERSION, AdaptiveWeightConfig, ConfigError, DecodeConfig,
-                         DecodeTrace, InputError, ReflectionConfig, RunConfig, SamplingConfig,
-                         StepColumns, StepRecord, TriggerConfig, TriggerDecision,
+from selfreflect import (TRACE_VERSION, AdaptiveWeightConfig, ConfigError, CorrectionSummary,
+                         DecodeConfig, DecodeTrace, HybridLossReport, InputError,
+                         ReflectionConfig, RunConfig, SamplingConfig, StepColumns, StepRecord,
+                         TraceTotals, TriggerConfig, TriggerDecision,
                          build_spike_backend, decode, decode_batch, decode_config_from_dict,
                          decode_config_to_dict, parse_trace, read_trace,
                          replay_form, run_config_from_dict, serialize_trace,
@@ -179,6 +180,24 @@ class TestTraceFormatV2:
     def test_smaller_than_version_1(self):
         trace = spike_trace(seed=3)
         assert len(serialize_trace(trace)) < len(replay_form(trace)) / 2
+
+
+@pytest.mark.parametrize("write", [serialize_trace, replay_form])
+def test_correction_and_totals_records_follow_their_dataclass_fields(write):
+    # a trajectory point's entropy_weight is its correction's, written once
+    def names(cls, leave_out=()):
+        return [f.name for f in fields(cls) if f.name not in leave_out]
+
+    records = [json.loads(ln) for ln in write(spike_trace(seed=3)).splitlines()]
+    corrections = [r for r in records if r["record"] == "correction"] + \
+        [r["correction"] for r in records if r.get("correction")]
+    assert len(corrections) == 2
+    for correction in corrections:
+        assert [k for k in correction if k not in ("record", "step")] == \
+            names(CorrectionSummary)
+        for point in correction["trajectory"]:
+            assert list(point) == names(HybridLossReport, ("entropy_weight",))
+    assert list(records[-1]["totals"]) == names(TraceTotals)
 
 
 @pytest.fixture
