@@ -138,22 +138,26 @@ class _Lineage:
     Entries below len(hidden) never change once written, so a prefix that views
     the first n of them keeps seeing the same values. `cache` holds
     backend-private per-position state (the attention backend's keys and
-    values); its rows at and beyond len(hidden) are scratch. `lock` makes
-    "is this prefix the last one? then write after it" one step when two
-    threads extend prefixes of the same lineage.
+    values); its rows at and beyond len(hidden) are scratch. `context` holds
+    the optimizer's factorized context-loss rows of positions its
+    corrections reached (optimizer._LineageRows). `lock` makes "is this
+    prefix the last one? then write after it" one step when two threads
+    extend prefixes of the same lineage, and guards `context` the same way.
     """
 
-    __slots__ = ("tokens", "hidden", "cache", "lock")
+    __slots__ = ("tokens", "hidden", "cache", "context", "lock")
 
     def __init__(self, tokens: list[int], hidden: list[np.ndarray], cache=None):
         self.tokens = tokens
         self.hidden = hidden
         self.cache = cache
+        self.context = None
         self.lock = threading.Lock()
 
     def fork(self, n: int) -> "_Lineage":
         """A private copy of the first n entries, for extending a prefix that
-        already has a child without overwriting the child's entries."""
+        already has a child without overwriting the child's entries. The
+        copy starts without context rows: siblings never share them."""
         cache = self.cache.fork(n) if self.cache is not None else None
         return _Lineage(self.tokens[:n], self.hidden[:n], cache)
 

@@ -15,7 +15,9 @@ statistics, sampling and log-probabilities are array operations over the
 rows (utils.ScaledRows, monitor.trigger_rows), each reducing every row on
 its own, so a row's trace does not depend on the rows beside it; the
 one-row helpers (softmax, entropy_from_logits, should_trigger, sample) are
-the one-row case of the same code. The rows that fired are corrected
+the one-row case of the same code. A step with one row runs that one-row
+case: its row is reduced as a vector and its values are Python scalars,
+equal to the block's bit for bit. The rows that fired are corrected
 together, one optimizer.optimize_rows call per group of rows whose prefixes
 share a |scope| length. Backend appends and random draws stay per row.
 """
@@ -146,16 +148,19 @@ def sample(logits, sampling: SamplingConfig, rng: np.random.Generator) -> int:
 
 
 def _sample_rows(z: np.ndarray, scaled: ScaledRows | None, rngs,
-                 sampling: SamplingConfig) -> np.ndarray:
+                 sampling: SamplingConfig):
     """One token per row of the logit block z: its argmax in greedy mode, else
     a nucleus draw with one uniform from the row's generator (a None generator
     draws 0.0 and consumes nothing). `scaled` is z at the sampling temperature
-    when the caller has it already."""
+    when the caller has it already. A V vector z is the one-row case
+    (ScaledRows'), whose token is an int."""
     if sampling.mode == "greedy":
-        return z.argmax(axis=1)
+        return int(z.argmax()) if z.ndim == 1 else z.argmax(axis=1)
     if scaled is None:
         scaled = ScaledRows(z, sampling.temperature)
     draws = [0.0 if rng is None else rng.random() for rng in rngs]
+    if z.ndim == 1:
+        return int(_nucleus_draw(scaled.probs()[None], sampling.top_p, draws)[0])
     return _nucleus_draw(scaled.probs(), sampling.top_p, draws)
 
 
@@ -387,6 +392,41 @@ def _correct(rows: list[_Row], head, reflection: ReflectionConfig) -> list:
     return out
 
 
+def _correct_fired(rows: list[_Row], fired: list[bool], z: np.ndarray, head,
+                   reflection: ReflectionConfig, failed: dict):
+    """Correct the rows that fired, one _correct call per group of rows whose
+    prefixes share a |scope| length. Returns the sampling logits (a copy of
+    z with each corrected row's logits), each corrected row's summary, and
+    each correcting row's share of its group's correction; a row that failed
+    enters `failed`."""
+    z = z.copy()  # the monitor keeps the uncorrected block
+    summaries: dict[int, CorrectionSummary] = {}
+    own: dict[int, float] = {}
+    groups: dict[int, list[int]] = {}
+    for i, fire in enumerate(fired):
+        if fire:
+            groups.setdefault(len(ce_positions(rows[i].acts, reflection.ce_scope)), []).append(i)
+    for group in groups.values():
+        t_corr = time.perf_counter()
+        outcomes = _correct([rows[i] for i in group], head, reflection)
+        elapsed = (time.perf_counter() - t_corr) / len(group)
+        for i, outcome in zip(group, outcomes):
+            if isinstance(outcome, Exception):
+                failed[i] = outcome
+            else:
+                summaries[i], z_fix = outcome
+                if z_fix is not None:
+                    z[i] = z_fix
+            own[i] = elapsed
+    return z, summaries, own
+
+
+def _columns(one: bool, *values) -> list[list]:
+    """Per-row kernel values as lists: the one row's Python scalars in the
+    one-row case, else each array's rows."""
+    return [[v] for v in values] if one else [v.tolist() for v in values]
+
+
 def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
     """Decode several (prompt, DecodeConfig) runs in lock-step, one row each.
 
@@ -424,60 +464,52 @@ def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
     head = backend.head
     trigger = shared.trigger
     windows = EntropyWindows(len(rows), trigger.window_size)
+    errors = np.geterr()  # the caller's settings, which corrections run under
+    temperature = 1.0 if shared.sampling.mode == "greedy" else shared.sampling.temperature
     while rows:
         t_step = time.perf_counter()
         n = len(rows)
         z = backend.step_logits([row.acts for row in rows])
-        monitored = ScaledRows(z, trigger.temperature)
-        entropy, _, _ = monitored.entropy()
-        mean, std, threshold, fired = trigger_rows(windows, entropy, trigger)
-        # tested as Python lists: a numpy any() costs about 2 us, which every
-        # reflective step would pay over the baseline arm
-        fired = fired.tolist() if shared.reflect else [False] * n
-        failed: dict[int, Exception] = {i: InputError("step entropy must be finite")
-                                        for i, good in enumerate(monitored.ok.tolist()) if not good}
-        summaries: dict[int, CorrectionSummary] = {}
-        own: dict[int, float] = {}  # each correcting row's share of its group's correction
-        if any(fired):
-            z = z.copy()  # the sampling logits; monitored keeps the uncorrected block
-            groups: dict[int, list[int]] = {}
-            for i, fire in enumerate(fired):
-                if fire:
-                    groups.setdefault(len(ce_positions(rows[i].acts, shared.reflection.ce_scope)),
-                                      []).append(i)
-            for group in groups.values():
-                t_corr = time.perf_counter()
-                outcomes = _correct([rows[i] for i in group], head, shared.reflection)
-                elapsed = (time.perf_counter() - t_corr) / len(group)
-                for i, outcome in zip(group, outcomes):
-                    if isinstance(outcome, Exception):
-                        failed[i] = outcome
-                    else:
-                        summaries[i], z_fix = outcome
-                        if z_fix is not None:
-                            z[i] = z_fix
-                    own[i] = elapsed
-        # sampling reuses the monitor's scaled block when it holds the sampling
-        # logits at the sampling temperature; failed rows are zeroed to keep
-        # the block finite and draw no randomness
-        temperature = 1.0 if shared.sampling.mode == "greedy" else shared.sampling.temperature
-        scaled = monitored
-        if failed or z is not monitored.z or temperature != monitored.temperature:
-            if failed:
-                z = z.copy()
-                z[list(failed)] = 0.0
-            scaled = ScaledRows(z, temperature)
-        rngs = [None if i in failed else row.rng for i, row in enumerate(rows)]
-        tokens = _sample_rows(z, scaled, rngs, shared.sampling)
-        logprob = scaled.log_prob(tokens).tolist()
-        tokens = tokens.tolist()
+        # one row is the kernels' one-row case: its row is reduced as a
+        # vector and its values come back as Python scalars; the step's
+        # kernels share this one errstate guard
+        one = n == 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            monitored = ScaledRows(z[0] if one else z, trigger.temperature)
+            entropy, _, _ = monitored.entropy()
+            ok, entropy, mean, std, threshold, fired = _columns(
+                one, monitored.ok, entropy, *trigger_rows(windows, entropy, trigger))
+            # tested as Python lists: a numpy any() costs about 2 us, which every
+            # reflective step would pay over the baseline arm
+            if not shared.reflect:
+                fired = [False] * n
+            failed: dict[int, Exception] = {i: InputError("step entropy must be finite")
+                                            for i, good in enumerate(ok) if not good}
+            summaries: dict[int, CorrectionSummary] = {}
+            own: dict[int, float] = {}  # each correcting row's share of its group's correction
+            corrected = any(fired)
+            if corrected:
+                with np.errstate(**errors):
+                    z, summaries, own = _correct_fired(rows, fired, z, head, shared.reflection,
+                                                       failed)
+            # sampling reuses the monitor's scaled block when it holds the sampling
+            # logits at the sampling temperature; failed rows are zeroed to keep
+            # the block finite and draw no randomness
+            scaled = monitored
+            if failed or corrected or temperature != monitored.temperature:
+                if failed:
+                    z = z.copy()
+                    z[list(failed)] = 0.0
+                scaled = ScaledRows(z[0] if one else z, temperature)
+            rngs = [None if i in failed else row.rng for i, row in enumerate(rows)]
+            tokens = _sample_rows(z[0] if one else z, scaled, rngs, shared.sampling)
+            tokens, logprob = _columns(one, tokens, scaled.log_prob(tokens))
 
         stepped = max(n - len(failed), 1)  # rows that record this step
         corrections = sum(own.values())
         share = (time.perf_counter() - t_step - corrections) / stepped
         full = windows.full
-        columns = zip(rows, tokens, logprob, entropy.tolist(), mean.tolist(), std.tolist(),
-                      threshold.tolist(), fired)
+        columns = zip(rows, tokens, logprob, entropy, mean, std, threshold, fired)
         for i, (row, token, lp, h, m, sd, thr, fire) in enumerate(columns):
             if i in failed:
                 continue

@@ -52,6 +52,12 @@ _SPIKE_TEMPERATURE = 0.6
 _SPIKE_SPACING = 30
 _SPIKE_TAIL = 10
 
+# The largest corpus difficulty: copy-recall's Markov backend holds four
+# (32 + d) x (32 + d) float64 blocks (34 MB at 1 000), modular-chain prompts
+# hold 2d + 2 tokens, and spike-fixture decodes run 30d + 10 steps with a
+# spike every 30.
+_MAX_DIFFICULTY = 1000
+
 _MOD_BASE = 10
 _MOD_ADD = 10
 _MOD_MUL = 11
@@ -148,13 +154,23 @@ def build_spike_backend(n_spikes: int, vocab_size: int = 32, base_token: int = 1
     return ScriptedBackend(vocab_size, by_position=script), length, positions
 
 
+def _check_difficulty(family: str, difficulty) -> None:
+    """InputError for a difficulty the family cannot build, raised before
+    anything is allocated or generated."""
+    if difficulty > _MAX_DIFFICULTY:
+        raise InputError(f"difficulty must be at most {_MAX_DIFFICULTY}, got {difficulty}")
+    if not (difficulty >= 0 and int(difficulty) == difficulty):
+        raise InputError("difficulty must be a non-negative integer")
+    if family == "spike-fixture" and difficulty < 1:
+        raise InputError("spike-fixture needs difficulty >= 1 (spike count)")
+
+
 def gen_corpus(family: str, seed: int, count: int, difficulty: int = 1) -> list[Task]:
     """Deterministic task list: same (family, seed, count, difficulty) in,
     same tasks out."""
     if count < 1:
         raise InputError("count must be at least 1")
-    if difficulty < 0 or int(difficulty) != difficulty:
-        raise InputError("difficulty must be a non-negative integer")
+    _check_difficulty(family, difficulty)
     if seed < 0 or int(seed) != seed:
         raise InputError("corpus seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
@@ -205,8 +221,6 @@ def gen_corpus(family: str, seed: int, count: int, difficulty: int = 1) -> list[
         return tasks
 
     if family == "spike-fixture":
-        if difficulty < 1:
-            raise InputError("spike-fixture needs difficulty >= 1 (spike count)")
         alphabet = frozenset({2})
         return [Task(f"{family}-{seed}-{i:04d}", (0,), (2,), family, alphabet,
                      max_tokens=_spike_length(difficulty)) for i in range(count)]
@@ -216,8 +230,7 @@ def gen_corpus(family: str, seed: int, count: int, difficulty: int = 1) -> list[
 
 def corpus_backend(family: str, seed: int = 0, difficulty: int = 1) -> ModelBackend:
     """The backend each family's corpus is meant to run against."""
-    if difficulty < 0 or int(difficulty) != difficulty:
-        raise InputError("difficulty must be a non-negative integer")
+    _check_difficulty(family, difficulty)
     if family == "copy-recall":
         if difficulty == 0:
             size = _RECALL_CHAIN_START + _recall_chain_length(1)
@@ -231,8 +244,6 @@ def corpus_backend(family: str, seed: int = 0, difficulty: int = 1) -> ModelBack
                                  smoothing=_RECALL_SMOOTHING)
         return MarkovBackend(np.full((_MOD_VOCAB, _MOD_VOCAB), 1.0 / _MOD_VOCAB))
     if family == "spike-fixture":
-        if difficulty < 1:
-            raise InputError("spike-fixture needs difficulty >= 1 (spike count)")
         return build_spike_backend(difficulty)[0]
     raise ConfigError(f"unknown task family: {family!r}")
 

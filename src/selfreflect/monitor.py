@@ -90,6 +90,18 @@ class EntropyWindows:
         dev *= dev
         return mean, np.sqrt(dev.sum(axis=1) / n)
 
+    def _row_moments(self) -> tuple[float, float]:
+        """moments() of a one-row block, reduced as a vector, as Python
+        floats equal to the block's bit for bit."""
+        n = self.count
+        if n == 0:
+            return math.nan, math.nan
+        window = self.block[0, -n:]
+        mean = float(np.add.reduce(window)) / n
+        dev = window - mean
+        dev *= dev
+        return mean, math.sqrt(float(np.add.reduce(dev)) / n)
+
 
 class EntropyWindow(EntropyWindows):
     """The window of one decode: a one-row EntropyWindows that checks each
@@ -113,18 +125,23 @@ class EntropyWindow(EntropyWindows):
         self.push(v)
 
     def mean(self) -> float:
-        return float(self.moments()[0][0])
+        return self._row_moments()[0]
 
     def std(self) -> float:
         # population standard deviation (divide by n), matching the trigger rule
-        return float(self.moments()[1][0])
+        return self._row_moments()[1]
 
 
-def trigger_rows(windows: EntropyWindows, entropies: np.ndarray, config: TriggerConfig):
+def trigger_rows(windows: EntropyWindows, entropies, config: TriggerConfig):
     """The trigger rule for every row of a batch at once: each row's window
     mean, std, threshold (mean + sensitivity * std) and fired flag, which is
     set only on full windows, by strict inequality (window_full is
-    windows.full)."""
+    windows.full). A float entropy is the one-row case, for a one-row
+    block: the four values are Python floats and a bool."""
+    if isinstance(entropies, float):
+        mean, std = windows._row_moments()
+        threshold = mean + config.sensitivity * std
+        return mean, std, threshold, windows.full and entropies > threshold
     mean, std = windows.moments()
     threshold = mean + config.sensitivity * std
     fired = entropies > threshold if windows.full else np.zeros(len(entropies), dtype=bool)
@@ -141,7 +158,6 @@ def should_trigger(window: EntropyWindow, step_entropy: float,
     h = float(step_entropy)
     if not math.isfinite(h):
         raise InputError("step entropy must be finite")
-    mean, std, threshold, fired = trigger_rows(window, np.array([h]), config)
-    return TriggerDecision(entropy=h, mean=float(mean[0]), std=float(std[0]),
-                           threshold=float(threshold[0]), fired=bool(fired[0]),
+    mean, std, threshold, fired = trigger_rows(window, h, config)
+    return TriggerDecision(entropy=h, mean=mean, std=std, threshold=threshold, fired=fired,
                            window_full=window.full)

@@ -30,6 +30,7 @@ verification suites check against it.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,9 +175,13 @@ def _context_terms(acts, head, scope):
     if not positions:
         return None, None
     lo, hi = positions[0], positions[-1] + 1  # a contiguous range
-    hs = np.array(acts.hidden[lo:hi])
+    hs = np.array(acts.hidden[lo:hi], dtype=np.float64)
     targets = np.array(acts.tokens[lo + 1:hi + 1])
-    return targets, head.project_block(hs)
+    if head._copies(hs):
+        hs += 0.0  # project_block's copy, made in the stacked block
+        return targets, hs
+    with np.errstate(all="ignore"):  # a non-finite state's logits are NaN (0 * inf): a NaN loss
+        return targets, head.project_block(hs)
 
 
 def _stack_terms(terms):
@@ -236,37 +241,163 @@ def _context_rows(head, terms, deltas, grad: bool):
         return l_ce, head.backproject_rows(z.sum(axis=1))
 
 
+# the factor by which a lineage's kept context rows outgrow the scope that
+# ran past their storage. Room that is never built is never resident, so a
+# large factor costs address space only and saves copies: on spike-reflect
+# (970 positions) 1.25 copied and faulted in each row about four times, ran
+# 2-6% slower than 4.0 and read 2.8 MB more peak RSS
+_ROWS_GROWTH = 4.0
+
+
+class _LineageRows:
+    """The factorized context rows of one prefix lineage under an identity
+    head, kept on it (backends._Lineage.context) so that later corrections
+    of its prefixes reuse them. Position t of [lo, hi) is at index t - lo:
+    E_t = exp(base_t - mb_t), mb_t = max base_t and picked_t =
+    base_t[tokens[t + 1]], where base_t is the identity head's copy hidden[t]
+    + 0.0; each is what _ContextFactors builds for t, bit for bit, as every
+    step is elementwise or reduces the position's own row. A row is written
+    once: corrections take views of rows below hi, and new rows go past hi
+    or into new storage. Callers hold the lineage's lock."""
+
+    __slots__ = ("lo", "hi", "exp_base", "mb", "picked")
+
+    def __init__(self, lo: int, hi: int, vocab: int, old: "_LineageRows | None" = None):
+        """Storage for the rows of positions [lo, hi), with room to grow,
+        holding the rows of that range that `old` built.
+
+        Storage that takes over `old`'s rows is an anonymous memory map of
+        its own: its unused room is never resident, and dropping it returns
+        its pages at once. From the malloc heap, storage that outlives many
+        smaller allocations and is replaced by a larger block leaves holes
+        that glibc keeps: in 28 s spike-reflect runs, heap storage read
+        51.6 MB peak RSS, building the rows per correction 49.7 MB and
+        mapped storage 47.8 MB.
+        Storage that starts empty (a lineage's first rows, or a scope past
+        the kept ones) comes from the heap, as the per-correction build's
+        block does: a fresh map faults in every page a correction writes,
+        about 0.17 ms per correction of the overhead suite's decodes
+        (last-25, V 1024, a correction every 30 positions, none reusing the
+        last one's rows)."""
+        capacity = math.ceil(_ROWS_GROWTH * (hi - lo))
+        self.lo = self.hi = lo
+        carried = old is not None and old.lo <= lo < old.hi
+        size = capacity * (vocab + 2)
+        block = (np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64) if carried
+                 else np.empty(size))
+        self.exp_base = block[:capacity * vocab].reshape(capacity, vocab)
+        self.mb = block[capacity * vocab:capacity * (vocab + 1)]
+        self.picked = block[capacity * (vocab + 1):]
+        if carried:
+            a, n = lo - old.lo, old.hi - lo
+            self.exp_base[:n] = old.exp_base[a:a + n]
+            self.mb[:n] = old.mb[a:a + n]
+            self.picked[:n] = old.picked[a:a + n]
+            self.hi = old.hi
+
+    def extend(self, line, hi: int) -> bool:
+        """Build the rows of positions [self.hi, hi); build none and return
+        False when one of their hidden states is not finite (project_block
+        then takes the dense product, which _context_terms follows)."""
+        base = np.array(line.hidden[self.hi:hi], dtype=np.float64)
+        if not np.isfinite(base).all():
+            return False
+        base += 0.0  # the identity head's copy: -0.0 becomes +0.0
+        at = slice(self.hi - self.lo, hi - self.lo)
+        self.picked[at] = base[np.arange(len(base)), line.tokens[self.hi + 1:hi + 1]]
+        mb = self.mb[at]
+        np.max(base, axis=1, out=mb)
+        exp_base = self.exp_base[at]
+        np.subtract(base, mb[:, None], out=exp_base)
+        np.exp(exp_base, out=exp_base)
+        self.hi = hi
+        return True
+
+
+def _lineage_rows(acts, lo: int, hi: int, vocab: int):
+    """Views of the kept rows of positions [lo, hi) of acts' lineage (E, mb,
+    picked), building the missing ones; None when one of their hidden states
+    is not finite. Rows before lo are never built: a scope that starts past
+    the kept rows starts new ones."""
+    line = acts._line
+    with line.lock:
+        rows = line.context
+        if rows is None or not rows.lo <= lo <= rows.hi or hi - rows.lo > len(rows.mb):
+            # no rows yet, a scope that starts outside them, or no room left
+            rows = line.context = _LineageRows(lo, hi, vocab, rows)
+        if hi > rows.hi and not rows.extend(line, hi):
+            return None
+        a, b = lo - rows.lo, hi - rows.lo
+        return rows.exp_base[a:b], rows.mb[a:b], rows.picked[a:b]
+
+
+def _kept_factors(acts_list, head, scope):
+    """The factorized terms of rows corrected together from the rows kept on
+    their lineages: the (R, |scope|) targets, and E, mb and picked stacked by
+    row (views for one row). None when the scope is empty, when the rows'
+    scopes differ in length, or when an in-scope hidden state is not
+    finite."""
+    spans = []
+    for acts in acts_list:
+        positions = ce_positions(acts, scope)
+        if not positions:
+            return None
+        spans.append((positions[0], positions[-1] + 1))
+    if len({hi - lo for lo, hi in spans}) > 1:
+        return None
+    parts = []
+    for acts, (lo, hi) in zip(acts_list, spans):
+        part = _lineage_rows(acts, lo, hi, head.vocab_size)
+        if part is None:
+            return None
+        parts.append(part)
+    targets = np.array([acts.tokens[lo + 1:hi + 1] for acts, (lo, hi) in zip(acts_list, spans)])
+    if len(parts) == 1:
+        return (targets, *(block[None] for block in parts[0]))
+    return (targets, *(np.stack(blocks) for blocks in zip(*parts)))
+
+
 class _ContextFactors:
     """The factorized context terms of rows corrected together, built once
     per correction. Per row r and in-scope position t: the target's base
     logit picked, the row max mb = max_v base[r, t] and E = exp(base - mb);
-    per row, how often each token is a target. E is built in place in the
-    stacked base block, so a correction never holds the base logits and E
-    together; a row that goes direct rebuilds its base logits with
-    _context_terms."""
+    per row, how often each token is a target.
+
+    Under an identity head these are views of the rows kept on each
+    prefix's lineage (_LineageRows), so a correction builds only the
+    positions no earlier correction of the lineage reached. Under a dense
+    head E is built in place in the stacked base block, so a correction
+    never holds the base logits and E together: a gemm's rows may round
+    differently when its block is split, so they are not kept. A row that
+    goes direct rebuilds its base logits with _context_terms."""
 
     __slots__ = ("head", "acts", "scope", "at", "picked", "mb", "counts", "exp_base",
                  "finite_base")
 
     def __init__(self, acts_list, head, scope):
         self.head, self.acts, self.scope = head, acts_list, scope
-        stacked = _stack_terms([_context_terms(acts, head, scope) for acts in acts_list])
-        if stacked is None:
-            self.exp_base = None
-            return
-        at, base = stacked
-        rows, scope_len, vocab = base.shape
-        self.picked = base.reshape(-1)[at]
-        self.mb = base.max(axis=2)
+        kept = _kept_factors(acts_list, head, scope) if head.is_identity else None
+        if kept is not None:
+            targets, self.exp_base, self.mb, self.picked = kept
+        else:
+            stacked = _stack_terms([_context_terms(acts, head, scope) for acts in acts_list])
+            if stacked is None:
+                self.exp_base = None
+                return
+            at, base = stacked
+            targets = at % base.shape[2]
+            self.picked = base.reshape(-1)[at]
+            self.mb = base.max(axis=2)
+            with np.errstate(all="ignore"):  # a row with a non-finite max goes direct
+                base -= self.mb[:, :, None]
+                np.exp(base, out=base)
+            self.exp_base = base
+        rows, vocab = len(targets), self.exp_base.shape[2]
         self.finite_base = np.isfinite(self.mb).all(axis=1)
         # the targets' offsets in the (R, V) block of s = W @ delta
-        self.at = at % vocab + np.arange(0, rows * vocab, vocab)[:, None]
+        self.at = targets + np.arange(0, rows * vocab, vocab)[:, None]
         self.counts = np.bincount(self.at.reshape(-1), minlength=rows * vocab) \
             .reshape(rows, vocab).astype(np.float64)
-        with np.errstate(all="ignore"):  # a row with a non-finite max goes direct
-            base -= self.mb[:, :, None]
-            np.exp(base, out=base)
-        self.exp_base = base
 
 
 def _factored_rows(ctx: _ContextFactors, deltas, grad: bool):

@@ -16,15 +16,32 @@ class ScaledRows:
     (rows, V) logit block: each row divided by a temperature and shifted by
     its maximum, with the exps, their row sums and math.log of those sums.
     Each row is reduced on its own along its last axis, so it does not depend
-    on the rows beside it; softmax, log_softmax and entropy_from_logits are
-    the one-row case. A row whose maximum is not finite (all -inf, a +inf or
-    a NaN) is marked not ok; its entries are undefined."""
+    on the rows beside it. A row whose maximum is not finite (all -inf, a
+    +inf or a NaN) is marked not ok; its entries are undefined.
+
+    A V vector is the one-row case: it is reduced as a vector, and its
+    per-row values (ok, sums, log_sums, its entropy and a log-probability)
+    are Python scalars, each equal to the block's value for that row, bit
+    for bit. It enters no errstate guard of its own: its caller holds one
+    with overflow and invalid operations ignored, once for all the one-row
+    kernels of a decode step. softmax, log_softmax and entropy_from_logits
+    are this one-row case."""
 
     __slots__ = ("z", "temperature", "shifted", "exp", "sums", "log_sums", "ok")
 
     def __init__(self, z: np.ndarray, temperature: float):
         self.z = z
         self.temperature = temperature
+        if z.ndim == 1:
+            shifted = z / float(temperature)
+            peak = float(np.maximum.reduce(shifted))
+            shifted -= peak
+            self.shifted = shifted
+            self.exp = np.exp(shifted)
+            self.ok = math.isfinite(peak)
+            self.sums = float(np.add.reduce(self.exp))
+            self.log_sums = math.log(self.sums) if self.sums > 0 else math.nan
+            return
         with np.errstate(over="ignore", invalid="ignore"):
             shifted = z / float(temperature)
             peak = shifted.max(axis=1)
@@ -37,21 +54,34 @@ class ScaledRows:
         self.log_sums = np.array([math.log(v) if v > 0 else math.nan
                                   for v in self.sums.tolist()])
 
+    def _per_row(self, values):
+        """values, one per row, as a column to broadcast against the block
+        (the one row's value itself)."""
+        return values if self.z.ndim == 1 else values[:, None]
+
     def probs(self) -> np.ndarray:
         """softmax of every row."""
-        return self.exp / self.sums[:, None]
+        return self.exp / self._per_row(self.sums)
 
     def log_probs(self) -> np.ndarray:
         """log_softmax of every row."""
-        return self.shifted - self.log_sums[:, None]
+        return self.shifted - self._per_row(self.log_sums)
 
-    def log_prob(self, tokens: np.ndarray) -> np.ndarray:
-        """log_softmax of every row, at one token per row."""
+    def log_prob(self, tokens):
+        """log_softmax of every row, at one token per row (an int token and a
+        float for the one row)."""
+        if self.z.ndim == 1:
+            return float(self.shifted[tokens]) - self.log_sums
         return self.shifted[np.arange(len(tokens)), tokens] - self.log_sums
 
-    def entropy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def entropy(self) -> tuple:
         """Each row's entropy in nats with 0*log(0) = 0 (NaN for rows not
         ok), with the log-probabilities and their exps it sums."""
+        if self.z.ndim == 1:
+            ls = self.shifted - self.log_sums
+            p = np.exp(ls)
+            h = -float(np.add.reduce(np.where(p > 0.0, p * ls, 0.0))) if self.ok else math.nan
+            return h, ls, p
         with np.errstate(invalid="ignore"):
             ls = self.log_probs()
             p = np.exp(ls)
@@ -153,10 +183,11 @@ def gemv_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _one_row(logits, temperature, part) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
-    scaled = ScaledRows(z.reshape(1, -1), temperature)
-    if not scaled.ok[0]:
-        return np.full_like(z, np.nan)
-    return part(scaled).reshape(z.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = ScaledRows(z.reshape(-1), temperature)
+        if not scaled.ok:
+            return np.full_like(z, np.nan)
+        return part(scaled).reshape(z.shape)
 
 
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:
@@ -176,8 +207,9 @@ def entropy_from_logits(logits, temperature: float = 1.0) -> float:
     failure is visible to abort checks rather than masked as zero entropy.
     """
     z = np.asarray(logits, dtype=np.float64)
-    h, _, _ = ScaledRows(z.reshape(1, -1), temperature).entropy()
-    return float(h[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, _, _ = ScaledRows(z.reshape(-1), temperature).entropy()
+    return h
 
 
 def two_point_logits(target_entropy: float, size: int, hot: int = 0,

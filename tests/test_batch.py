@@ -22,6 +22,7 @@ from selfreflect.engine import (CorrectionSummary, DecodeTrace, StepRecord, Trac
 from selfreflect.harness import Task
 from selfreflect.monitor import EntropyWindows, trigger_rows
 from selfreflect.optimizer import ce_positions, optimize_rows
+from selfreflect.utils import ScaledRows
 
 GREEDY = SamplingConfig(mode="greedy")
 
@@ -483,6 +484,89 @@ class TestPieces:
             for z, u, token in zip(logits, draws, got):
                 stub = type("Draw", (), {"random": lambda self, u=u: u})()
                 assert token == reference_sample(z, sampling, stub) == sample(z, sampling, stub)
+
+
+@st.composite
+def kernel_steps(draw):
+    """One decode step's kernel inputs for a block of 1-4 rows: logit rows
+    that are plain, hold a +inf, a -inf or a NaN, are all -inf, tie at their
+    top or are huge; the monitor's temperature and the sampling config; and
+    an entropy window history that leaves the windows empty, partial, full,
+    evicting, or grown past their first block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, vocab = draw(st.integers(1, 4)), draw(st.integers(2, 40))
+    z = rng.standard_normal((rows, vocab)) * draw(st.sampled_from((0.1, 1.0, 30.0)))
+    for r in range(rows):
+        kind = draw(st.sampled_from(("plain", "plain", "+inf", "-inf", "nan", "all -inf",
+                                     "ties", "huge")))
+        at = rng.integers(vocab)
+        if kind in ("+inf", "-inf", "nan"):
+            z[r, at] = {"+inf": math.inf, "-inf": -math.inf, "nan": math.nan}[kind]
+        elif kind == "all -inf":
+            z[r] = -math.inf
+        elif kind == "ties":
+            z[r, rng.choice(vocab, size=2, replace=False)] = z[r].max() + 1.0
+        elif kind == "huge":
+            z[r, at] = 1e308
+    trigger = TriggerConfig(window_size=draw(st.sampled_from((2, 5, 25, 100))),
+                            sensitivity=draw(st.sampled_from((0.0, 1.5, 4.0))),
+                            temperature=draw(st.sampled_from((0.3, 0.6, 1.0))))
+    capacity = trigger.window_size
+    steps = draw(st.sampled_from((0, 1, capacity - 1, capacity, capacity + 3, 70)))
+    history = rng.exponential(size=(steps, rows)) * draw(st.sampled_from((1e-3, 1.0)))
+    sampling = draw(st.sampled_from((GREEDY, SamplingConfig(temperature=0.6, top_p=0.9),
+                                     SamplingConfig(temperature=1.0, top_p=1.0))))
+    return z, trigger, history, sampling, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def same_float(a, b) -> bool:
+    """Bitwise equal floats; any two NaNs compare equal."""
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kernel_steps())
+def test_one_row_kernels_equal_the_batched_kernels(step):
+    """The decode loop's one-row case (a V vector through ScaledRows,
+    trigger_rows on a one-row window, _sample_rows and log_prob) equals the
+    same row of a batched block, bit for bit, and hands back Python scalars;
+    a one-row block keeps the batched kernels' arrays."""
+    z, trigger, history, sampling, seed = step
+    rows = len(z)
+    windows = EntropyWindows(rows, trigger.window_size)
+    for entropies in history:
+        windows.push(entropies)
+    monitored = ScaledRows(z, trigger.temperature)
+    entropy, _, _ = monitored.entropy()
+    mean, std, threshold, fired = trigger_rows(windows, entropy, trigger)
+    assert all(isinstance(v, np.ndarray) for v in (entropy, mean, std, threshold, fired))
+    # the loop zeroes the rows that failed and draws nothing for them
+    block = np.where(monitored.ok[:, None], z, 0.0)
+    temperature = 1.0 if sampling.mode == "greedy" else sampling.temperature
+    scaled = ScaledRows(block, temperature)
+    rngs = [np.random.default_rng([seed, r]) if monitored.ok[r] else None for r in range(rows)]
+    tokens = engine._sample_rows(block, scaled, rngs, sampling)
+    logprob = scaled.log_prob(tokens)
+    for r in range(rows):
+        window = EntropyWindows(1, trigger.window_size)
+        for entropies in history:
+            window.push(entropies[r])
+        with np.errstate(over="ignore", invalid="ignore"):
+            one = ScaledRows(z[r], trigger.temperature)
+            h, _, _ = one.entropy()
+            got = trigger_rows(window, h, trigger)
+            one_scaled = ScaledRows(block[r], temperature)
+            rng = np.random.default_rng([seed, r]) if one.ok else None
+            token = engine._sample_rows(block[r], one_scaled, [rng], sampling)
+            lp = one_scaled.log_prob(token)
+        assert type(one.ok) is bool and one.ok == monitored.ok[r]
+        assert type(h) is float and same_float(h, entropy[r])
+        for value, want in zip(got[:3], (mean[r], std[r], threshold[r])):
+            assert type(value) is float and same_float(value, want)
+        assert type(got[3]) is bool and got[3] == fired[r]
+        assert type(token) is int and token == tokens[r]
+        assert type(lp) is float and same_float(lp, logprob[r])
 
 
 # --- the benchmark harness ----------------------------------------------------

@@ -301,6 +301,18 @@ class TestBench:
             assert f"sample seed {seed} " in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spec", ["copy-recall:count=1:difficulty=100000000000000000000",
+                                      "spike-fixture:count=1:difficulty=100000000000000000000",
+                                      "modular-chain:count=1:difficulty=1001"])
+    def test_difficulty_past_the_bound(self, capsys, spec, spike_file):
+        # copy-recall's transition matrix ended in a ValueError traceback; the
+        # spike script's backend file keeps the corpus the only thing built
+        extra = ("--backend", spike_file[0]) if spec.startswith("spike") else ()
+        code, _, err = run(capsys, "bench", "--corpus", spec, "--k", "1", *extra)
+        assert code == 2
+        assert "difficulty must be at most 1000" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("seeds", ["1,x", " , ", "1.5"])
     def test_malformed_seeds_flag(self, capsys, seeds):
         code, _, err = run(capsys, "bench", "--corpus", "copy-recall:count=1", "--k", "1",

@@ -92,6 +92,17 @@ class TestCorpora:
         with pytest.raises(InputError, match="seed"):
             gen_corpus("copy-recall", seed=-1, count=1)
 
+    @pytest.mark.parametrize("family", ["copy-recall", "modular-chain", "spike-fixture"])
+    def test_difficulty_past_the_bound_is_refused(self, family):
+        # each family builds difficulty 1000; one more is refused before anything
+        # is built (copy-recall's transition matrix, modular-chain's prompt loop,
+        # spike-fixture's script)
+        assert len(gen_corpus(family, seed=0, count=1, difficulty=1000)) == 1
+        with pytest.raises(InputError, match="at most 1000"):
+            gen_corpus(family, seed=0, count=1, difficulty=1001)
+        with pytest.raises(InputError, match="at most 1000"):
+            corpus_backend(family, difficulty=1001)
+
 
 class TestCorpusSpec:
     def test_parses_options(self):

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from pin_platform import where
 import selfreflect.optimizer as optimizer
 from selfreflect import (AdaptiveWeightConfig, InputError, MarkovBackend,
-                         PrefixActivations, ProjectionHead, ReflectionConfig,
+                         PrefixActivations, ProjectionHead, ReflectionConfig, ScriptedBackend,
                          adapt_lambda, ce_positions, grad_hybrid, loss_aem,
                          loss_ce, loss_gradients, optimize_delta)
 from selfreflect.optimizer import optimize_rows
@@ -452,27 +454,47 @@ class TestSharedContextTerms:
 
     @pytest.mark.parametrize("steps", [0, 1, 5])
     def test_base_projection_once_per_correction(self, monkeypatch, steps):
-        built, trials = [], []
-        build, trial = optimizer._context_terms, optimizer._trial_rows
+        # a dense head builds its base block once per correction; an identity
+        # head builds each in-scope position's row once per lineage, so a
+        # second correction of the prefix builds none and one of its
+        # extension builds only the new position
+        built, rows_built, trials = [], [], []
+        build, extend, trial = (optimizer._context_terms, optimizer._LineageRows.extend,
+                                optimizer._trial_rows)
 
         def counting_build(*args):
             built.append(1)
             return build(*args)
+
+        def counting_extend(rows, line, hi):
+            rows_built.extend(range(rows.hi, hi))
+            return extend(rows, line, hi)
 
         def counting_trial(*args, **kwargs):
             trials.append(1)
             return trial(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "_context_terms", counting_build)
+        monkeypatch.setattr(optimizer._LineageRows, "extend", counting_extend)
         monkeypatch.setattr(optimizer, "_trial_rows", counting_trial)
         rng = np.random.default_rng(31)
-        acts, head = random_case(rng, 4, 9, 8)
         # a long first step forces backtracking to halve, so trials outnumber steps
         cfg = ReflectionConfig(steps=steps, learning_rate=50.0, backtracking=True)
+        acts, head = random_case(rng, 4, 9, 8)
         corr = optimize_delta(acts, head, cfg)
         assert not corr.aborted
-        assert len(built) == 1
+        assert len(built) == 1 and rows_built == []
         assert len(trials) > corr.steps_taken or steps == 0
+
+        built.clear()
+        backend = ScriptedBackend(9, by_position=list(rng.standard_normal((9, 9))))
+        acts = backend.forward_prefix(rng.integers(0, 9, size=8))
+        corr = optimize_delta(acts, backend.head, cfg)
+        assert not corr.aborted
+        assert built == [] and rows_built == list(range(7))
+        assert outcome(optimize_delta(acts, backend.head, cfg)) == outcome(corr)
+        optimize_delta(backend.append_token(acts, 3), backend.head, cfg)
+        assert built == [] and rows_built == list(range(8))
 
     def test_loss_gradients_validates_its_arguments(self):
         acts = make_acts(np.zeros((3, 2)), (0, 1, 0))
@@ -540,6 +562,153 @@ RECORDED_ON = "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, OpenBLAS S
 # (4 trajectory l_ce values of 3 rows, and their f_lambda, went from below 0
 # to 0.0)
 OVERFLOW_PIN = "29170c3eb8c5dcd95b45ad20d535751e5e5b536328caf21a6472614e018ca745"
+
+
+def scripted_identity(rng, vocab, length):
+    """A scripted backend under an identity head whose hidden state at each
+    of `length` positions is a random logit row."""
+    return ScriptedBackend(vocab, by_position=list(2.0 * rng.standard_normal((length, vocab))))
+
+
+def fresh(acts):
+    """acts' tokens and hidden states on a lineage of their own."""
+    return PrefixActivations(acts.tokens, acts.hidden, acts.model_id, acts.prompt_len)
+
+
+def rebuilt(monkeypatch, fn, *args):
+    """fn(*args) with every context factor built from the hidden states, as
+    for a dense head: no rows kept on a lineage."""
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_kept_factors", lambda *_: None)
+        return fn(*args)
+
+
+def factor_bytes(context):
+    return [getattr(context, name).tobytes()
+            for name in ("exp_base", "mb", "picked", "at", "counts", "finite_base")]
+
+
+class TestLineageRows:
+    """Under an identity head the factorized context rows are kept on the
+    prefix lineage and built once per position; every correction must equal
+    one whose rows are built afresh, bit for bit."""
+
+    @pytest.mark.parametrize("scope", ["full-prefix", "generated-only", "last-4"])
+    def test_corrections_of_an_extended_prefix_equal_fresh_ones(self, monkeypatch, scope):
+        rng = np.random.default_rng(41)
+        backend = scripted_identity(rng, 7, 60)
+        head = backend.head
+        config = ReflectionConfig(steps=3, learning_rate=0.5, ce_scope=scope, backtracking=True)
+        acts = backend.forward_prefix([0, 3, 1])
+        corrected = 0
+        for _ in range(50):
+            acts = backend.append_token(acts, int(rng.integers(7)))
+            if rng.random() > 0.4:  # gaps both shorter and longer than the last-4 scope
+                continue
+            corrected += 1
+            corr = optimize_delta(acts, head, config)
+            assert outcome(corr) == outcome(optimize_delta(fresh(acts), head, config))
+            assert outcome(corr) == outcome(rebuilt(monkeypatch, optimize_delta, acts, head, config))
+            context = optimizer._ContextFactors([acts], head, scope)
+            assert factor_bytes(context) == factor_bytes(
+                rebuilt(monkeypatch, optimizer._ContextFactors, [acts], head, scope))
+        assert corrected > 10
+
+    def test_no_row_outside_the_scope_is_built(self, monkeypatch):
+        built = []
+        extend = optimizer._LineageRows.extend
+
+        def recording(rows, line, hi):
+            built.extend(range(rows.hi, hi))
+            return extend(rows, line, hi)
+
+        monkeypatch.setattr(optimizer._LineageRows, "extend", recording)
+        rng = np.random.default_rng(43)
+        backend = scripted_identity(rng, 5, 80)
+        config = ReflectionConfig(steps=1, ce_scope="last-5")
+        acts = backend.forward_prefix([0])
+        for length in range(2, 80):
+            acts = backend.append_token(acts, int(rng.integers(5)))
+            if length in (12, 14, 15, 30, 33, 60, 79):
+                before = len(built)
+                optimize_delta(acts, backend.head, config)
+                positions = ce_positions(acts, config.ce_scope)
+                assert set(built[before:]) <= set(positions)
+                # the storage stays the size of the scope, however long the prefix
+                assert len(acts._line.context.mb) <= optimizer._ROWS_GROWTH * len(positions)
+        # a sliding scope reuses its overlap: no position is built twice
+        assert len(built) == len(set(built))
+        assert sorted(built) == sorted({t for n in (12, 14, 15, 30, 33, 60, 79)
+                                        for t in range(n - 6, n - 1)})
+
+    def test_siblings_do_not_share_rows(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        backend = scripted_identity(rng, 6, 30)
+        head = backend.head
+        config = ReflectionConfig(steps=2, learning_rate=0.5)
+        parent = backend.forward_prefix(rng.integers(0, 6, size=12))
+        first = backend.append_token(parent, 1)
+        want_first = optimizer._ContextFactors([first], head, config.ce_scope)
+        first_bytes = factor_bytes(want_first)
+        second = backend.append_token(parent, 2)  # parent has a child: a fork
+        assert second._line is not first._line and second._line.context is None
+        corr = optimize_delta(second, head, config)
+        assert outcome(corr) == outcome(rebuilt(monkeypatch, optimize_delta, second, head, config))
+        mine, theirs = second._line.context, first._line.context
+        assert not np.shares_memory(mine.exp_base, theirs.exp_base)
+        # the sibling's correction left the first child's rows as they were
+        assert factor_bytes(optimizer._ContextFactors([first], head, config.ce_scope)) == first_bytes
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_row_in_scope_takes_todays_build(self, monkeypatch, bad):
+        rng = np.random.default_rng(53)
+        rows = 2.0 * rng.standard_normal((20, 6))
+        rows[7, 2] = bad
+        backend = ScriptedBackend(6, by_position=list(rows))
+        head = backend.head
+        acts = backend.forward_prefix(rng.integers(0, 6, size=6))
+        for length, scope in ((6, "full-prefix"), (12, "full-prefix"), (12, "last-3"),
+                              (18, "last-3"), (18, "full-prefix")):
+            while len(acts) < length:
+                acts = backend.append_token(acts, int(rng.integers(6)))
+            config = ReflectionConfig(steps=2, learning_rate=0.5, ce_scope=scope)
+            corr = optimize_delta(acts, head, config)
+            assert outcome(corr) == outcome(rebuilt(monkeypatch, optimize_delta, acts, head, config))
+            # the non-finite row's position, 7, is never kept
+            kept = acts._line.context
+            assert not kept.lo <= 7 < kept.hi
+
+    def test_threads_correct_prefixes_of_one_lineage(self):
+        rng = np.random.default_rng(59)
+        backend = scripted_identity(rng, 16, 200)
+        head = backend.head
+        config = ReflectionConfig(steps=2, learning_rate=0.5)
+        prefixes = [backend.forward_prefix([0])]
+        for token in rng.integers(0, 16, size=150):
+            prefixes.append(backend.append_token(prefixes[-1], int(token)))
+        lengths = list(range(2, len(prefixes), 7))
+        want = {n: outcome(optimize_delta(fresh(prefixes[n]), head, config)) for n in lengths}
+        orders = [lengths, lengths[::-1], list(rng.permutation(lengths)), lengths[1::2] + lengths]
+        got, barrier = [], threading.Barrier(len(orders))
+
+        def correct(order):
+            barrier.wait()
+            for n in order:
+                got.append((n, outcome(optimize_delta(prefixes[n], head, config))))
+
+        threads = [threading.Thread(target=correct, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the row builds
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == sum(map(len, orders))
+        assert all(result == want[n] for n, result in got)
 
 
 class TestRowBatchedLoop:
