@@ -24,6 +24,7 @@ share a |scope| length. Backend appends and random draws stay per row.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from collections.abc import Sequence
@@ -472,9 +473,10 @@ def decode_batch(backend: ModelBackend, runs) -> list[DecodeTrace | Exception]:
         z = backend.step_logits([row.acts for row in rows])
         # one row is the kernels' one-row case: its row is reduced as a
         # vector and its values come back as Python scalars; the step's
-        # kernels share this one errstate guard
+        # one-row kernels share this one errstate guard, where the block
+        # kernels hold their own
         one = n == 1
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore") if one else contextlib.nullcontext():
             monitored = ScaledRows(z[0] if one else z, trigger.temperature)
             entropy, _, _ = monitored.entropy()
             ok, entropy, mean, std, threshold, fired = _columns(

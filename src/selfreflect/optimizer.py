@@ -177,11 +177,13 @@ def _context_terms(acts, head, scope):
     lo, hi = positions[0], positions[-1] + 1  # a contiguous range
     hs = np.array(acts.hidden[lo:hi], dtype=np.float64)
     targets = np.array(acts.tokens[lo + 1:hi + 1])
-    if head._copies(hs):
+    if not np.isfinite(hs).all():
+        with np.errstate(all="ignore"):  # a non-finite state's logits are NaN (0 * inf): a NaN loss
+            return targets, head.project_block(hs)
+    if head.is_identity:
         hs += 0.0  # project_block's copy, made in the stacked block
         return targets, hs
-    with np.errstate(all="ignore"):  # a non-finite state's logits are NaN (0 * inf): a NaN loss
-        return targets, head.project_block(hs)
+    return targets, head.project_block(hs)
 
 
 def _stack_terms(terms):
@@ -308,8 +310,9 @@ class _LineageRows:
         mb = self.mb[at]
         np.max(base, axis=1, out=mb)
         exp_base = self.exp_base[at]
-        np.subtract(base, mb[:, None], out=exp_base)
-        np.exp(exp_base, out=exp_base)
+        with np.errstate(all="ignore"):  # a finite row may span more than the float range
+            np.subtract(base, mb[:, None], out=exp_base)
+            np.exp(exp_base, out=exp_base)
         self.hi = hi
         return True
 
@@ -331,30 +334,19 @@ def _lineage_rows(acts, lo: int, hi: int, vocab: int):
         return rows.exp_base[a:b], rows.mb[a:b], rows.picked[a:b]
 
 
-def _kept_factors(acts_list, head, scope):
-    """The factorized terms of rows corrected together from the rows kept on
-    their lineages: the (R, |scope|) targets, and E, mb and picked stacked by
-    row (views for one row). None when the scope is empty, when the rows'
-    scopes differ in length, or when an in-scope hidden state is not
-    finite."""
-    spans = []
-    for acts in acts_list:
-        positions = ce_positions(acts, scope)
-        if not positions:
-            return None
-        spans.append((positions[0], positions[-1] + 1))
-    if len({hi - lo for lo, hi in spans}) > 1:
+def _kept_factors(acts, head, scope):
+    """The factorized terms of one row from the rows kept on its lineage:
+    the (1, |scope|) targets and views of E, mb and picked with a leading
+    row axis. None when the scope is empty or an in-scope hidden state is
+    not finite."""
+    positions = ce_positions(acts, scope)
+    if not positions:
         return None
-    parts = []
-    for acts, (lo, hi) in zip(acts_list, spans):
-        part = _lineage_rows(acts, lo, hi, head.vocab_size)
-        if part is None:
-            return None
-        parts.append(part)
-    targets = np.array([acts.tokens[lo + 1:hi + 1] for acts, (lo, hi) in zip(acts_list, spans)])
-    if len(parts) == 1:
-        return (targets, *(block[None] for block in parts[0]))
-    return (targets, *(np.stack(blocks) for blocks in zip(*parts)))
+    lo, hi = positions[0], positions[-1] + 1
+    part = _lineage_rows(acts, lo, hi, head.vocab_size)
+    if part is None:
+        return None
+    return (np.array(acts.tokens[lo + 1:hi + 1])[None], *(block[None] for block in part))
 
 
 class _ContextFactors:
@@ -363,20 +355,23 @@ class _ContextFactors:
     logit picked, the row max mb = max_v base[r, t] and E = exp(base - mb);
     per row, how often each token is a target.
 
-    Under an identity head these are views of the rows kept on each
-    prefix's lineage (_LineageRows), so a correction builds only the
-    positions no earlier correction of the lineage reached. Under a dense
-    head E is built in place in the stacked base block, so a correction
-    never holds the base logits and E together: a gemm's rows may round
-    differently when its block is split, so they are not kept. A row that
-    goes direct rebuilds its base logits with _context_terms."""
+    For one row under an identity head these are views of the rows kept on
+    its prefix's lineage (_LineageRows), so a correction builds only the
+    positions no earlier correction of the lineage reached. Otherwise E is
+    built in place in the stacked base block, so a correction never holds
+    the base logits and E together: a dense head's rows are not kept, as a
+    gemm's rows may round differently when its block is split, and a group
+    of several rows builds per correction, as stacking kept rows would copy
+    them. A row that goes direct rebuilds its base logits with
+    _context_terms."""
 
     __slots__ = ("head", "acts", "scope", "at", "picked", "mb", "counts", "exp_base",
                  "finite_base")
 
     def __init__(self, acts_list, head, scope):
         self.head, self.acts, self.scope = head, acts_list, scope
-        kept = _kept_factors(acts_list, head, scope) if head.is_identity else None
+        kept = (_kept_factors(acts_list[0], head, scope)
+                if head.is_identity and len(acts_list) == 1 else None)
         if kept is not None:
             targets, self.exp_base, self.mb, self.picked = kept
         else:

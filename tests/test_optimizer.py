@@ -678,6 +678,39 @@ class TestLineageRows:
             kept = acts._line.context
             assert not kept.lo <= 7 < kept.hi
 
+    def test_a_row_spanning_the_float_range_is_kept_silently(self, monkeypatch):
+        # base - max base overflows to -inf for a finite row such as
+        # [1e308, -1e308]: the kept build must not warn (pyproject turns a
+        # RuntimeWarning into an error) and must equal the per-correction build
+        rng = np.random.default_rng(61)
+        rows = 2.0 * rng.standard_normal((12, 4))
+        rows[5] = [1e308, -1e308, 0.0, 1.0]
+        backend = ScriptedBackend(4, by_position=list(rows))
+        head = backend.head
+        acts = backend.forward_prefix(rng.integers(0, 4, size=9))
+        config = ReflectionConfig(steps=2, learning_rate=0.5)
+        with np.errstate(all="raise"):
+            corr = optimize_delta(acts, head, config)
+        assert outcome(corr) == outcome(rebuilt(monkeypatch, optimize_delta, acts, head, config))
+        kept = acts._line.context
+        assert kept.lo <= 5 < kept.hi
+        context = optimizer._ContextFactors([acts], head, config.ce_scope)
+        assert factor_bytes(context) == factor_bytes(
+            rebuilt(monkeypatch, optimizer._ContextFactors, [acts], head, config.ce_scope))
+
+    def test_a_group_of_rows_keeps_no_rows(self):
+        # rows corrected together build their factors per correction: stacking
+        # views of kept rows would copy them
+        rng = np.random.default_rng(67)
+        backend = scripted_identity(rng, 5, 20)
+        config = ReflectionConfig(steps=2, learning_rate=0.5)
+        first = backend.forward_prefix(rng.integers(0, 5, size=10))
+        second = backend.forward_prefix(rng.integers(0, 5, size=10))
+        batched = optimize_rows([first, second], backend.head, config, [0.05, 0.05])
+        assert first._line.context is None and second._line.context is None
+        for acts, corr in zip((first, second), batched):
+            assert outcome(corr) == outcome(optimize_delta(fresh(acts), backend.head, config))
+
     def test_threads_correct_prefixes_of_one_lineage(self):
         rng = np.random.default_rng(59)
         backend = scripted_identity(rng, 16, 200)
