@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .utils import gemv_rows, json_array, json_integer, json_list, json_number, read_json, softmax
+from .utils import _read_fields, _write_fields, gemv_rows, read_json, softmax
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -130,6 +130,77 @@ def _token_id(token) -> int:
         except TypeError:
             pass
     raise InputError(f"token id must be an integer, got {token!r}")
+
+
+def _fits(key: str, *shape: int) -> None:
+    """ConfigError naming key when numpy would refuse a float64 array of this
+    shape before allocating it: one whose byte count exceeds the largest intp."""
+    if min(shape) > 0 and math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"{key} is too large: numpy cannot hold a float64 array "
+                          f"of shape {shape}")
+
+
+# The keys of each kind's backend file, in written order, read and written by
+# the utils walker. A backend's constructor takes its defaults from here.
+
+@dataclass(frozen=True, kw_only=True)
+class _ScriptedFile:
+    kind: str = "scripted"
+    vocab_size: int
+    token_names: list[str] | None = None
+    by_prefix: dict[tuple[int, ...], np.ndarray] | None = None
+    by_position: np.ndarray | None = None
+    fallback: np.ndarray | None = None
+    head: np.ndarray | None = None  # None: the identity
+
+    def __post_init__(self):
+        if self.head is None:
+            _fits("vocab_size", self.vocab_size, self.vocab_size)
+
+    def build(self) -> "ScriptedBackend":
+        rows = None if self.by_position is None else list(self.by_position)
+        return ScriptedBackend(self.vocab_size, self.by_prefix, rows, self.fallback,
+                               self.head, self.token_names)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _MarkovFile:
+    kind: str = "markov"
+    vocab_size: int | None = None  # when given, the transition's size
+    token_names: list[str] | None = None
+    transition: np.ndarray
+    smoothing: float = 0.0
+
+    def __post_init__(self):
+        if self.vocab_size not in (None, len(self.transition)):
+            raise ConfigError(f"vocab_size {self.vocab_size} is not the transition's "
+                              f"size {len(self.transition)}")
+
+    def build(self) -> "MarkovBackend":
+        return MarkovBackend(self.transition, self.smoothing, self.token_names)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _AttentionFile:
+    kind: str = "attention"
+    vocab_size: int
+    token_names: list[str] | None = None
+    hidden_dim: int
+    seed: int
+    max_len: int = 512
+
+    def __post_init__(self):
+        # the largest weights each dimension sizes: w1, emb and head, pos
+        _fits("hidden_dim", self.hidden_dim, 2 * self.hidden_dim)
+        _fits("vocab_size", self.vocab_size, self.hidden_dim)
+        _fits("max_len", self.max_len, self.hidden_dim)
+
+    def build(self) -> "AttentionBackend":
+        return AttentionBackend(self.vocab_size, self.hidden_dim, self.seed, self.max_len,
+                                self.token_names)
+
+
+_FILES = {f.kind: f for f in (_ScriptedFile, _MarkovFile, _AttentionFile)}
 
 
 class _Lineage:
@@ -316,10 +387,7 @@ class ScriptedBackend(ModelBackend):
         dims |= {v.shape for v in self.by_position}
         if self.fallback is not None:
             dims.add(self.fallback.shape)
-        if head is not None:
-            self.head = ProjectionHead(head)
-        else:
-            self.head = ProjectionHead(np.eye(self.vocab.size))
+        self.head = ProjectionHead(np.eye(self.vocab.size) if head is None else head)
         want = (self.head.hidden_dim,)
         for shape in dims:
             if shape != want:
@@ -345,7 +413,7 @@ class MarkovBackend(ModelBackend):
     """First-order Markov chain. Hidden state is the one-hot of the last token
     and the head is log(P) transposed, so logits reproduce the transition row."""
 
-    def __init__(self, transition, smoothing: float = 0.0, token_names=None):
+    def __init__(self, transition, smoothing: float = _MarkovFile.smoothing, token_names=None):
         p = np.asarray(transition, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise InputError("transition matrix must be square")
@@ -395,7 +463,8 @@ class AttentionBackend(ModelBackend):
     emb, pos, wq, wk, wv, wo, w1, w2, head, each scaled by 1/sqrt(d).
     """
 
-    def __init__(self, vocab_size, hidden_dim, seed, max_len: int = 512, token_names=None):
+    def __init__(self, vocab_size, hidden_dim, seed, max_len: int = _AttentionFile.max_len,
+                 token_names=None):
         self.vocab = VocabSpec(int(vocab_size), token_names)
         d = int(hidden_dim)
         if d < 1:
@@ -484,91 +553,16 @@ class _KeyValueRows:
         self.values[t] = value
 
 
-_BACKEND_KEYS = {
-    "scripted": {"kind", "vocab_size", "token_names", "by_prefix", "by_position",
-                 "fallback", "head"},
-    "markov": {"kind", "vocab_size", "token_names", "transition", "smoothing"},
-    "attention": {"kind", "vocab_size", "token_names", "hidden_dim", "seed", "max_len"},
-}
-
-
-def _read(key: str, value, read, *args):
-    """value read by one of the utils JSON readers: ConfigError naming the
-    backend config key otherwise."""
-    try:
-        return read(value, *args)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"backend config key {key!r} {exc}") from None
-
-
-def _fits(key: str, *shape: int) -> None:
-    """ConfigError naming key when numpy would refuse a float64 array of this
-    shape before allocating it: one whose byte count exceeds the largest intp."""
-    if min(shape) > 0 and math.prod(shape) * 8 > np.iinfo(np.intp).max:
-        raise ConfigError(f"backend config key {key!r} is too large: numpy cannot "
-                          f"hold a float64 array of shape {shape}")
-
-
-def _prefix_key(key) -> tuple:
-    """A by_prefix key: "7,3" in JSON files, a tuple of ids from Python."""
-    if isinstance(key, tuple):
-        return key
-    try:
-        return tuple(int(t) for t in str(key).split(","))
-    except ValueError:
-        raise ConfigError(f"backend config key 'by_prefix' has a malformed prefix {key!r}") from None
-
-
 def build_toy_backend(kind: str, config: dict) -> ModelBackend:
-    """Construct a backend from a plain definition dict (the JSON file schema).
-
-    Unknown keys are fatal so that typos never silently change a run, and a
-    value of the wrong type is a ConfigError naming its key.
-    """
-    if not isinstance(kind, str) or kind not in _BACKEND_KEYS:
+    """Construct a backend from a plain definition dict (the JSON file schema),
+    read by the utils walker against the kind's file keys: unknown keys are
+    fatal so that typos never silently change a run, and a value of the wrong
+    type is a ConfigError naming its key."""
+    if not isinstance(kind, str) or kind not in _FILES:
         raise ConfigError(f"unknown backend kind: {kind!r}")
-    allowed = _BACKEND_KEYS[kind]
-    for key in config:
-        if key not in allowed:
-            raise ConfigError(f"unknown backend config key: {key!r}")
-
-    def optional(key, *read):  # null or absent is None
-        value = config.get(key)
-        return None if value is None else _read(key, value, *read)
-
-    names = optional("token_names", json_list, str)
+    definition = _read_fields(_FILES[kind], config, "backend")
     try:
-        if kind == "scripted":
-            prefixes = config.get("by_prefix") or {}
-            if not isinstance(prefixes, dict):
-                raise ConfigError("backend config key 'by_prefix' must be an object")
-            rows = optional("by_position", json_array)
-            vocab = _read("vocab_size", config["vocab_size"], json_integer)
-            if config.get("head") is None:
-                _fits("vocab_size", vocab, vocab)  # the identity head
-            return ScriptedBackend(
-                vocab,
-                by_prefix={_prefix_key(k): _read("by_prefix", v, json_array)
-                           for k, v in prefixes.items()},
-                by_position=None if rows is None else list(rows),
-                fallback=optional("fallback", json_array), head=optional("head", json_array),
-                token_names=names)
-        if kind == "markov":
-            return MarkovBackend(_read("transition", config["transition"], json_array),
-                                 smoothing=_read("smoothing", config.get("smoothing", 0.0),
-                                                 json_number),
-                                 token_names=names)
-        vocab = _read("vocab_size", config["vocab_size"], json_integer)
-        dim = _read("hidden_dim", config["hidden_dim"], json_integer)
-        seed = _read("seed", config["seed"], json_integer)
-        max_len = _read("max_len", config.get("max_len", 512), json_integer)
-        # the largest weights each dimension sizes: w1, emb and head, pos
-        _fits("hidden_dim", dim, 2 * dim)
-        _fits("vocab_size", vocab, dim)
-        _fits("max_len", max_len, dim)
-        return AttentionBackend(vocab, dim, seed, max_len=max_len, token_names=names)
-    except KeyError as exc:
-        raise ConfigError(f"backend config missing key: {exc.args[0]!r}") from None
+        return definition.build()
     except MemoryError as exc:  # sizes numpy accepts but this machine cannot hold
         raise ConfigError(f"{kind} backend does not fit in memory: {exc}") from None
 
@@ -577,36 +571,21 @@ def backend_to_dict(backend: ModelBackend) -> dict:
     """Definition dict for a backend; null-valued optionals are omitted."""
     names = list(backend.vocab.token_names) if backend.vocab.token_names else None
     if isinstance(backend, ScriptedBackend):
-        data = {
-            "kind": "scripted",
-            "vocab_size": backend.vocab.size,
-            "token_names": names,
-            "by_prefix": {",".join(str(t) for t in k): v.tolist()
-                          for k, v in sorted(backend.by_prefix.items())} or None,
-            "by_position": [v.tolist() for v in backend.by_position] or None,
-            "fallback": backend.fallback.tolist() if backend.fallback is not None else None,
-            "head": None if backend.head.is_identity else backend.head.matrix.tolist(),
-        }
+        definition = _ScriptedFile(
+            vocab_size=backend.vocab.size, token_names=names, by_prefix=backend.by_prefix or None,
+            by_position=np.array(backend.by_position) if backend.by_position else None,
+            fallback=backend.fallback,
+            head=None if backend.head.is_identity else backend.head.matrix)
     elif isinstance(backend, MarkovBackend):
-        data = {
-            "kind": "markov",
-            "vocab_size": backend.vocab.size,
-            "token_names": names,
-            "transition": backend.transition_raw.tolist(),
-            "smoothing": backend.smoothing,
-        }
+        definition = _MarkovFile(vocab_size=backend.vocab.size, token_names=names,
+                                 transition=backend.transition_raw, smoothing=backend.smoothing)
     elif isinstance(backend, AttentionBackend):
-        data = {
-            "kind": "attention",
-            "vocab_size": backend.vocab.size,
-            "token_names": names,
-            "hidden_dim": backend.head.hidden_dim,
-            "seed": backend.seed,
-            "max_len": backend.max_len,
-        }
+        definition = _AttentionFile(vocab_size=backend.vocab.size, token_names=names,
+                                    hidden_dim=backend.head.hidden_dim, seed=backend.seed,
+                                    max_len=backend.max_len)
     else:
         raise InputError(f"cannot serialize backend type {type(backend).__name__}")
-    return {k: v for k, v in data.items() if v is not None}
+    return {k: v for k, v in _write_fields(definition).items() if v is not None}
 
 
 def backend_from_dict(data: dict) -> ModelBackend:

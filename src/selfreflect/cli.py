@@ -19,68 +19,57 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .backends import build_toy_backend, load_backend, save_backend
-from .config import RunConfig, load_run_config
-from .engine import decode
+from .config import RunConfig, run_config_from_dict
+from .engine import DecodeConfig, decode
 from .errors import ConfigError, InputError
 from .harness import (FAMILIES, corpus_backend, critical_tokens, gen_corpus,
                       parse_corpus_spec, run_benchmark)
 from .traceio import read_trace, trace_files, write_trace
+from .utils import read_json
 from .verify import SUITES, export_pareto, pareto_from_trace
 
 
-def _parse_prompt(text: str) -> tuple[int, ...]:
+def _int_list(flag: str, text: str) -> list[int]:
+    """The integers of a comma-separated flag value: ConfigError naming the
+    flag otherwise."""
     try:
-        toks = tuple(int(t.strip()) for t in text.split(",") if t.strip())
+        items = [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise ConfigError(f"prompt must be comma-separated token ids, got {text!r}")
-    if not toks:
-        raise ConfigError("prompt must contain at least one token id")
-    return toks
-
-
-def _parse_seeds(text: str) -> list[int]:
-    try:
-        seeds = [int(t.strip()) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise ConfigError(f"--seeds must be comma-separated integers, got {text!r}")
-    if not seeds:
-        raise ConfigError("--seeds must contain at least one integer")
-    return seeds
+        raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}") from None
+    if not items:
+        raise ConfigError(f"{flag} must contain at least one integer")
+    return items
 
 
 def _draw_seed() -> int:
     return int(np.random.SeedSequence().entropy) % (2 ** 63)
 
 
-def _run_config(path: str | None) -> RunConfig:
-    return load_run_config(path) if path else RunConfig()
+def _run_config(args, **flags) -> RunConfig:
+    """The --config file's object (or {}) with each flag given laid over it as
+    a key: a flag wins over the file and the file over the defaults. The file
+    is read on its own first, so that a flag never hides a malformed value."""
+    data = read_json(args.config, "config") if args.config else {}
+    run_config_from_dict(data)
+    return run_config_from_dict({**data, **{k: v for k, v in flags.items() if v is not None}})
 
 
 # --- decode -----------------------------------------------------------------
 
 def cmd_decode(args) -> int:
-    cfg = _run_config(args.config)
-    if args.max_tokens is not None:
-        if args.max_tokens < 1:
-            raise ConfigError("--max-tokens must be at least 1")
-        cfg.decode = replace(cfg.decode, max_tokens=args.max_tokens)
-    backend = load_backend(args.backend)
-    prompt = _parse_prompt(args.prompt)
-    if args.seed is not None:
-        seed = args.seed
-    elif cfg.seed is not None:
-        seed = cfg.seed
-    else:
-        seed = _draw_seed()
-    reflect = False if args.no_reflect else cfg.decode.reflect
-    trace = decode(backend, prompt, cfg.decode_config(seed, reflect=reflect))
-    if reflect:
+    cfg = _run_config(args, backend=args.backend, seed=args.seed, max_tokens=args.max_tokens,
+                      reflect=False if args.no_reflect else None)
+    backend = load_backend(cfg.backend)
+    prompt = tuple(_int_list("--prompt", args.prompt))
+    seed = _draw_seed() if cfg.seed is None else cfg.seed
+    trace = decode(backend, prompt, cfg.decode_config(seed))
+    if cfg.decode.reflect:
         baseline = decode(backend, prompt, cfg.decode_config(seed, reflect=False))
         trace.totals.baseline_time = baseline.totals.wall_time
 
@@ -112,27 +101,17 @@ def _bench_rows(result):
 
 
 def cmd_bench(args) -> int:
-    cfg = _run_config(args.config)
-    spec = args.corpus or cfg.corpus
-    if not spec:
+    seeds = None if args.seeds is None else _int_list("--seeds", args.seeds)
+    cfg = _run_config(args, corpus=args.corpus, backend=args.backend, k=args.k, seeds=seeds,
+                      out=args.out)
+    if not cfg.corpus:
         raise ConfigError("bench needs a corpus spec (--corpus or config)")
-    family, opts = parse_corpus_spec(spec)
+    family, opts = parse_corpus_spec(cfg.corpus)
     corpus_seed = opts.get("seed", 0)
-    count = opts.get("count", 50)
     difficulty = opts.get("difficulty", 1)
-    tasks = gen_corpus(family, corpus_seed, count, difficulty)
-
-    backend_path = args.backend or cfg.backend
-    backend = load_backend(backend_path) if backend_path \
+    tasks = gen_corpus(family, corpus_seed, opts.get("count", 50), difficulty)
+    backend = load_backend(cfg.backend) if cfg.backend \
         else corpus_backend(family, corpus_seed, difficulty)
-
-    k = args.k if args.k is not None else cfg.k
-    if args.seeds is not None:
-        seeds = _parse_seeds(args.seeds)
-    elif cfg.seeds is not None:
-        seeds = cfg.seeds
-    else:
-        seeds = list(range(k))
 
     if args.no_reflect:
         arms = ["baseline"]
@@ -141,15 +120,14 @@ def cmd_bench(args) -> int:
     else:
         arms = ["reflect"]
 
-    out_text = args.out if args.out is not None else cfg.out
-    out_dir = Path(out_text) if out_text else None
+    out_dir = Path(cfg.out) if cfg.out else None
     keep = out_dir is not None
 
     decode_cfg = cfg.decode_config(0)
     results = {}
     errors = 0
     for arm in arms:
-        result = run_benchmark(backend, tasks, decode_cfg, k, seeds=seeds,
+        result = run_benchmark(backend, tasks, decode_cfg, cfg.k, seeds=cfg.seeds,
                                reflect=arm == "reflect", keep_traces=keep)
         results[arm] = result
         m = result.metrics
@@ -167,7 +145,8 @@ def cmd_bench(args) -> int:
             for arm in arms:
                 writer.writerows(_bench_rows(results[arm]))
         summary = {
-            "corpus": spec, "family": family, "k": k, "seeds": seeds,
+            "corpus": cfg.corpus, "family": family, "k": cfg.k,
+            "seeds": list(range(cfg.k)) if cfg.seeds is None else cfg.seeds,
             "tasks": len(tasks), "arms": {}}
         for arm, result in results.items():
             m = result.metrics
@@ -327,9 +306,8 @@ def cmd_make_backend(args) -> int:
         backend = corpus_backend(args.family, args.seed, args.difficulty)
     elif args.kind == "attention":
         backend = build_toy_backend("attention", {
-            "kind": "attention", "vocab_size": args.vocab_size,
-            "hidden_dim": args.hidden_dim, "seed": args.seed,
-            "max_len": args.max_len})
+            "vocab_size": args.vocab_size, "hidden_dim": args.hidden_dim,
+            "seed": args.seed, "max_len": args.max_len})
     else:
         raise ConfigError("make-backend needs --family or --kind attention")
     save_backend(backend, args.out)
@@ -351,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="run config JSON")
     p.add_argument("--trace", help="write a JSONL trace here")
     p.add_argument("--seed", type=int, help="decode seed (default: config or drawn)")
-    p.add_argument("--max-tokens", type=int, help="generation cap (default 4096)")
+    p.add_argument("--max-tokens", type=int,
+                   help=f"generation cap (default {DecodeConfig.max_tokens})")
     p.add_argument("--no-reflect", action="store_true",
                    help="disable corrections (monitor still records)")
     p.set_defaults(func=cmd_decode)
@@ -360,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="spec like copy-recall:seed=0:count=50")
     p.add_argument("--backend", help="backend JSON (default: the family backend)")
     p.add_argument("--config", help="run config JSON")
-    p.add_argument("--k", type=int, help="samples per task (default 5)")
+    p.add_argument("--k", type=int, help=f"samples per task (default {RunConfig.k})")
     p.add_argument("--seeds", help="comma-separated per-sample base seeds")
     p.add_argument("--out", help="directory for metrics.csv, summary.json, traces/")
     p.add_argument("--both-arms", action="store_true",
@@ -390,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-size", type=int, default=32)
     p.add_argument("--hidden-dim", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=512)
+    p.add_argument("--max-len", type=int)
     p.add_argument("--difficulty", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_make_backend)

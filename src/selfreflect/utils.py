@@ -3,8 +3,11 @@ readers of config, backend and trace files."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
@@ -170,6 +173,151 @@ def json_array(value) -> np.ndarray:
         except ValueError:  # unequal lengths, or more dimensions than numpy holds
             pass
     raise TypeError("must be a list of numbers or of equal-length lists of them")
+
+
+# The config schema walker, the one strict reader of config files, backend
+# files and the CLI's flags: a JSON object becomes a dataclass, one key per
+# field by the rule above, so a key's name, type and default live only in its
+# field. A missing or null key takes the field's default (None for an optional
+# field), except that a string key must be a string and a field without a
+# default is required. An unknown key is fatal, named by its full key path.
+
+def _path(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _finite(v) -> float:
+    v = json_number(v)
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {v!r}")
+    return v
+
+
+def _integers(v) -> list[int]:
+    if not json_list(v, int):
+        raise ValueError("must not be empty")
+    return list(v)
+
+
+def _prefix_rows(v) -> dict:
+    """An object of token-id prefixes ("7,3" in a file, a tuple of ids from
+    Python) to arrays, by json_array's rule."""
+    if type(v) is not dict:
+        raise TypeError(f"must be an object of comma-separated token ids to arrays, got {v!r}")
+    out = {}
+    for key, row in v.items():
+        try:
+            prefix = key if type(key) is tuple else tuple(int(t) for t in str(key).split(","))
+        except ValueError:
+            raise ValueError(f"has a malformed prefix {key!r}") from None
+        out[prefix] = json_array(row)
+    return out
+
+
+def _prefix_json(rows: dict) -> dict:
+    return {",".join(map(str, key)): row.tolist() for key, row in sorted(rows.items())}
+
+
+# a leaf field's type -> (its reader, its writer to JSON or None for as is)
+_LEAVES = {
+    int: (json_integer, None),
+    float: (_finite, None),
+    bool: (json_flag, None),
+    str: (json_string, None),
+    list[int]: (_integers, None),
+    list[str]: (functools.partial(json_list, kind=str), None),
+    np.ndarray: (json_array, np.ndarray.tolist),
+    dict[tuple[int, ...], np.ndarray]: (_prefix_rows, _prefix_json),
+}
+
+
+class _Field(typing.NamedTuple):
+    name: str
+    section: type | None  # the dataclass of a nested section
+    convert: typing.Callable | None  # a leaf's reader
+    optional: bool  # null gives None
+    required: bool  # no default
+    flat: bool  # a section whose keys sit at this level
+
+
+class _Plan(typing.NamedTuple):
+    fields: tuple[_Field, ...]
+    own: frozenset[str]  # keys of this class's own fields
+    keys: frozenset[str]  # every key accepted at this level
+    writers: tuple[tuple[str, typing.Callable | None], ...]  # (name, to JSON) per field
+
+
+@functools.cache
+def _plan(cls) -> _Plan:
+    """The fields of a dataclass with their types resolved, built once per
+    class: resolving type hints costs far more than a parse."""
+    hints = typing.get_type_hints(cls)
+    out, keys, writers = [], set(), []
+    for f in fields(cls):
+        tp = hints[f.name]
+        args = typing.get_args(tp)
+        optional = type(None) in args
+        if optional:
+            (tp,) = [a for a in args if a is not type(None)]
+        flat = f.metadata.get("flat", False)
+        section = tp if is_dataclass(tp) else None
+        convert, write = (None, _write_fields) if section else _LEAVES[tp]
+        required = f.default is MISSING and f.default_factory is MISSING
+        out.append(_Field(f.name, section, convert, optional, required, flat))
+        keys.update(_plan(tp).keys if flat else (f.name,))
+        writers.append((f.name, write))
+    own = frozenset(f.name for f in out if not f.flat)
+    return _Plan(tuple(out), own, frozenset(keys), tuple(writers))
+
+
+def _read_fields(cls, data, where: str):
+    """Build the dataclass cls from one JSON object, checking every key
+    against its field; `where` is the object's key path, for errors."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"config section {where or '<root>'} must be an object")
+    plan = _plan(cls)
+    for key in data:
+        if key not in plan.keys:
+            raise ConfigError(f"unknown config key: {_path(where, key)}")
+    kwargs = {}
+    for name, section, convert, optional, required, flat in plan.fields:
+        if flat:  # its keys share this level; the outer class's own keys win
+            kwargs[name] = _read_fields(section, {k: v for k, v in data.items()
+                                                  if k not in plan.own}, where)
+            continue
+        v = data.get(name)
+        if v is None:
+            if required:
+                raise ConfigError(f"config key {_path(where, name)} is required")
+            if name not in data:
+                continue
+            if optional:
+                kwargs[name] = None
+                continue
+            if convert is not json_string:
+                continue  # null means the default, except for a string key
+        if section is not None:
+            kwargs[name] = _read_fields(section, v, _path(where, name))
+            continue
+        try:
+            kwargs[name] = convert(v)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {_path(where, name)} {exc}") from None
+    try:
+        return cls(**kwargs)
+    except InputError as exc:  # a range check of the dataclass: name its section
+        if not where:
+            raise
+        raise type(exc)(f"{where}: {exc}") from None
+
+
+def _write_fields(obj) -> dict:
+    """A dataclass as a JSON object, in field order."""
+    out = {}
+    for name, write in _plan(type(obj)).writers:
+        v = getattr(obj, name)
+        out[name] = v if v is None or write is None else write(v)
+    return out
 
 
 def gemv_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:

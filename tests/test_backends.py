@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 import threading
 import warnings
@@ -548,8 +549,52 @@ class TestSerialization:
     ])
     def test_dimension_numpy_cannot_hold(self, key, definition):
         # sizes whose arrays numpy refuses before allocating anything
-        with pytest.raises(ConfigError, match=f"backend config key {key!r} is too large"):
+        with pytest.raises(ConfigError, match=f"backend: {key} is too large"):
             backend_from_dict(definition)
+
+    def test_files_keep_their_key_order_and_values(self, tmp_path):
+        backends = {
+            "scripted": (ScriptedBackend(
+                2, by_prefix={(1, 0): [0.5, -1.0, 0.0], (0,): [2.0, 0.25, 1.0]},
+                by_position=[[1.0, 0.0, 0.5], [0.0, 1.0, -0.5]], fallback=[0.125, 3.0, 0.0],
+                head=[[1.0, 2.0, 0.0], [0.5, 0.0, -1.0]], token_names=["a", "b"]),
+                '{"kind": "scripted", "vocab_size": 2, "token_names": ["a", "b"], '
+                '"by_prefix": {"0": [2.0, 0.25, 1.0], "1,0": [0.5, -1.0, 0.0]}, '
+                '"by_position": [[1.0, 0.0, 0.5], [0.0, 1.0, -0.5]], '
+                '"fallback": [0.125, 3.0, 0.0], "head": [[1.0, 2.0, 0.0], [0.5, 0.0, -1.0]]}'),
+            "markov": (MarkovBackend([[0.5, 0.5], [0.25, 0.75]], smoothing=0.125),
+                       '{"kind": "markov", "vocab_size": 2, '
+                       '"transition": [[0.5, 0.5], [0.25, 0.75]], "smoothing": 0.125}'),
+            "attention": (AttentionBackend(3, 2, 7, max_len=8),
+                          '{"kind": "attention", "vocab_size": 3, "hidden_dim": 2, "seed": 7, '
+                          '"max_len": 8}'),
+        }
+        for kind, (backend, want) in backends.items():
+            path = tmp_path / f"{kind}.json"
+            save_backend(backend, path)
+            text = path.read_text()
+            assert text == json.dumps(json.loads(want), indent=1) + "\n", kind
+            assert backend_to_dict(load_backend(path)) == json.loads(want), kind
+
+    def test_null_smoothing_and_max_len_take_their_defaults(self):
+        markov = backend_from_dict({"kind": "markov", "transition": [[0.5, 0.5], [0.25, 0.75]],
+                                    "smoothing": None})
+        assert markov.smoothing == MarkovBackend([[0.5, 0.5], [0.25, 0.75]]).smoothing == 0.0
+        attention = backend_from_dict({"kind": "attention", "vocab_size": 4, "hidden_dim": 2,
+                                       "seed": 0, "max_len": None})
+        assert attention.max_len == AttentionBackend(4, 2, 0).max_len == 512
+
+    @pytest.mark.parametrize("vocab_size, message", [
+        (99, "backend: vocab_size 99 is not the transition's size 2"),
+        (1, "backend: vocab_size 1 is not the transition's size 2"),
+        ("x", "config key backend.vocab_size must be an integer, got 'x'"),
+        (2.0, "config key backend.vocab_size must be an integer, got 2.0")])
+    def test_markov_vocab_size_must_be_the_transition_size(self, vocab_size, message):
+        definition = {"kind": "markov", "vocab_size": vocab_size,
+                      "transition": [[0.5, 0.5], [0.5, 0.5]]}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            backend_from_dict(definition)
+        assert backend_from_dict(dict(definition, vocab_size=2)).model_id == "markov-v2"
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "bad.json"

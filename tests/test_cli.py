@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfreflect import (AdaptiveWeightConfig, ConfigError, DecodeConfig, InputError,
-                         ReflectionConfig, build_spike_backend, build_toy_backend, decode,
+from selfreflect import (AdaptiveWeightConfig, AttentionBackend, ConfigError, DecodeConfig,
+                         InputError, ReflectionConfig, build_spike_backend, build_toy_backend, decode,
                          decode_config_from_dict, decode_config_to_dict, load_backend,
                          parse_trace, read_trace, replay_form, save_backend, serialize_trace)
 from selfreflect.cli import main
@@ -221,7 +221,7 @@ class TestDecode:
         path.write_text(json.dumps(definition))
         code, out, err = run(capsys, "decode", "--backend", str(path), "--prompt", "0")
         assert code == 2 and out == ""
-        assert f"backend config key {key!r} holds a number beyond float range" in err
+        assert f"config key backend.{key} holds a number beyond float range" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("key,definition", [
@@ -235,7 +235,7 @@ class TestDecode:
         path.write_text(json.dumps(definition))
         code, out, err = run(capsys, "decode", "--backend", str(path), "--prompt", "0")
         assert code == 2 and out == ""
-        assert f"backend config key {key!r} is too large" in err
+        assert f"backend: {key} is too large" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("definition", [
@@ -265,6 +265,26 @@ class TestDecode:
                              "--config", str(config))
         assert code == 0, err
         assert stdout_line(out, "steps:") == f"steps: {length}  activations: 0  inner_steps: 0"
+
+    def test_a_flag_does_not_hide_a_malformed_config_value(self, capsys, tmp_path, spike_file):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"max_tokens": "many"}')
+        code, _, err = run(capsys, "decode", "--backend", spike_file[0], "--prompt", "0",
+                           "--config", str(cfg), "--max-tokens", "2")
+        assert code == 2
+        assert "config key max_tokens must be an integer" in err
+
+    @pytest.mark.parametrize("vocab_size, message", [
+        (99, "backend: vocab_size 99 is not the transition's size 2"),
+        ('"x"', "config key backend.vocab_size must be an integer")])
+    def test_markov_vocab_size_is_read(self, capsys, tmp_path, vocab_size, message):
+        # the key was accepted and never read, so both decoded as markov-v2
+        path = tmp_path / "backend.json"
+        path.write_text(f'{{"kind": "markov", "vocab_size": {vocab_size}, '
+                        '"transition": [[0.5, 0.5], [0.5, 0.5]]}')
+        code, out, err = run(capsys, "decode", "--backend", str(path), "--prompt", "0")
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_max_tokens_validated(self, capsys, spike_file):
         backend_path, _ = spike_file
@@ -659,9 +679,9 @@ def _bad_trace(tmp_path, spike_file, key, value):
 # takes each of the bad leaves below, except that "1.5" is a fine token name
 BAD_LEAF_SITES = [
     (_bad_config, "reflection.adaptive.target", "config key reflection.adaptive.target"),
-    (_bad_backend, "fallback", "backend config key 'fallback'"),
-    (_bad_backend, "transition", "backend config key 'transition'"),
-    (_bad_backend, "token_names", "backend config key 'token_names'"),
+    (_bad_backend, "fallback", "config key backend.fallback"),
+    (_bad_backend, "transition", "config key backend.transition"),
+    (_bad_backend, "token_names", "config key backend.token_names"),
     (_bad_trace, "l_ce", "'l_ce'"),
     (_bad_trace, "wall_time", "'wall_time'"),
     (_bad_trace, "opt_wall_time", "'opt_wall_time'"),
@@ -709,8 +729,13 @@ class TestMakeBackend:
         code, out, err = run(capsys, "make-backend", "--kind", "attention",
                              flag, str(10 ** 23), "--out", str(path))
         assert code == 2 and out == ""
-        assert f"backend config key {key!r} is too large" in err
+        assert f"backend: {key} is too large" in err
         assert not path.exists()
+
+    def test_max_len_defaults_to_the_backend_default(self, capsys, tmp_path):
+        path = tmp_path / "attn.json"
+        assert run(capsys, "make-backend", "--kind", "attention", "--out", str(path))[0] == 0
+        assert json.loads(path.read_text())["max_len"] == AttentionBackend(4, 2, 0).max_len
 
     def test_needs_family_or_kind(self, capsys, tmp_path):
         code, _, err = run(capsys, "make-backend", "--out",
