@@ -37,7 +37,7 @@ from .errors import InputError
 from .monitor import EntropyWindows, TriggerConfig, TriggerDecision, trigger_rows
 from .optimizer import (Correction, HybridLossReport, ReflectionConfig,
                         adapt_lambda, ce_positions, optimize_rows)
-from .utils import ScaledRows
+from .utils import ScaledRows, _integer_fields, _number_fields
 # The decode loop computes these on row blocks; the one-row functions stay
 # importable from here because perfbench/tracing.py wraps these names.
 from .backends import logits_at  # noqa: F401
@@ -57,6 +57,7 @@ class SamplingConfig:
     top_p: float = 0.95
 
     def __post_init__(self):
+        _number_fields(self, "temperature", "top_p")
         if self.mode not in ("greedy", "temperature"):
             raise InputError(f"unknown sampling mode: {self.mode!r}")
         if not self.temperature > 0:
@@ -76,6 +77,9 @@ class DecodeConfig:
     reflect: bool = True
 
     def __post_init__(self):
+        _integer_fields(self, "max_tokens", "seed")
+        if self.eos_token is not None:
+            _integer_fields(self, "eos_token")
         if self.max_tokens < 1:
             raise InputError("max_tokens must be at least 1")
         if self.seed < 0:

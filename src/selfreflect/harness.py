@@ -58,6 +58,12 @@ _SPIKE_TAIL = 10
 # spike every 30.
 _MAX_DIFFICULTY = 1000
 
+# The most decodes one benchmark makes, tasks x k, and so the largest corpus
+# count: gen_corpus builds every task (about 0.4 KB) and run_benchmark a decode
+# config for every decode (about 0.3 KB) before the first decode runs, 70 MB at
+# the bound.
+_MAX_DECODES = 100_000
+
 _MOD_BASE = 10
 _MOD_ADD = 10
 _MOD_MUL = 11
@@ -168,8 +174,8 @@ def _check_difficulty(family: str, difficulty) -> None:
 def gen_corpus(family: str, seed: int, count: int, difficulty: int = 1) -> list[Task]:
     """Deterministic task list: same (family, seed, count, difficulty) in,
     same tasks out."""
-    if count < 1:
-        raise InputError("count must be at least 1")
+    if not 1 <= count <= _MAX_DECODES:
+        raise InputError(f"count must lie in [1, {_MAX_DECODES}], got {count}")
     _check_difficulty(family, difficulty)
     if seed < 0 or int(seed) != seed:
         raise InputError("corpus seed must be a non-negative integer")
@@ -385,6 +391,8 @@ def run_benchmark(backend: ModelBackend, tasks, config: DecodeConfig, k: int,
         raise InputError("benchmark needs at least one task")
     if k < 1:
         raise InputError("k must be at least 1")
+    if len(tasks) * k > _MAX_DECODES:
+        raise InputError(f"{len(tasks)} tasks x k = {k} is more than {_MAX_DECODES} decodes")
     if seeds is None:
         seeds = list(range(k))
     seeds = list(seeds)

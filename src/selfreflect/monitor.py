@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .utils import _integer_fields, _number_fields
 
 
 @dataclass(frozen=True)
@@ -23,6 +24,8 @@ class TriggerConfig:
     temperature: float = 0.6
 
     def __post_init__(self):
+        _integer_fields(self, "window_size")
+        _number_fields(self, "sensitivity", "temperature")
         if self.window_size < 2:
             raise InputError("window_size must be at least 2")
         if not self.sensitivity >= 0:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .backends import PrefixActivations, ProjectionHead
 from .errors import InputError
-from .utils import ScaledRows
+from .utils import ScaledRows, _integer_fields, _number_fields
 
 _EARLY_STOP = 1e-12
 _MAX_HALVINGS = 20
@@ -58,10 +58,9 @@ class AdaptiveWeightConfig:
     max_weight: float
 
     def __post_init__(self):
+        _number_fields(self, "target", "rate", "min_weight", "max_weight")
         if not self.target > 0:
             raise InputError("adaptive target must be positive")
-        if not math.isfinite(self.rate):
-            raise InputError("adaptive rate must be finite")
         if not (0 < self.min_weight <= self.max_weight < 1):
             raise InputError("adaptive bounds must satisfy 0 < min <= max < 1")
 
@@ -80,9 +79,12 @@ class ReflectionConfig:
     adaptive: AdaptiveWeightConfig | None = None
 
     def __post_init__(self):
+        _integer_fields(self, "steps")
+        _number_fields(self, "entropy_weight", "learning_rate", "loss_temperature",
+                       "trust_radius", "reg_gamma", "grad_clip")
         if not 0.0 <= self.entropy_weight <= 1.0:
             raise InputError("entropy_weight must lie in [0, 1]")
-        if self.steps < 0 or int(self.steps) != self.steps:
+        if self.steps < 0:
             raise InputError("steps must be a non-negative integer")
         if not self.learning_rate > 0:
             raise InputError("learning_rate must be positive")

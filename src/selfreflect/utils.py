@@ -320,6 +320,34 @@ def _write_fields(obj) -> dict:
     return out
 
 
+# The construction checks of the config dataclasses, by the same rule: an
+# integer field takes a Python or numpy integer and keeps it as an int; a
+# number field takes a Python or numpy real and keeps it as a float, which
+# must be finite (None stays None); neither takes a flag. Each refusal names
+# the field.
+
+def _integer_fields(obj, *names: str) -> None:
+    for name in names:
+        v = getattr(obj, name)
+        if type(v) is int:
+            continue
+        if not isinstance(v, np.integer):
+            raise InputError(f"{name} must be an integer, got {v!r}")
+        object.__setattr__(obj, name, int(v))
+
+
+def _number_fields(obj, *names: str) -> None:
+    for name in names:
+        v = getattr(obj, name)
+        if type(v) is not float and v is not None:
+            if type(v) is bool or not isinstance(v, (int, float, np.integer, np.floating)):
+                raise InputError(f"{name} must be a number, got {v!r}")
+            v = float(v)
+            object.__setattr__(obj, name, v)
+        if v is not None and not math.isfinite(v):
+            raise InputError(f"{name} must be finite, got {v!r}")
+
+
 def gemv_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """matrix @ rows[r] for every row r of an (R, d) block, as an (R, V) block.
 
@@ -384,10 +412,10 @@ def two_point_logits(target_entropy: float, size: int, hot: int = 0,
             raise InputError("entropy target unreachable")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if h(mid) > target_entropy:
-            lo = mid
-        else:
-            hi = mid
+        bounds = (mid, hi) if h(mid) > target_entropy else (lo, mid)
+        if bounds == (lo, hi):  # a fixed point: every later halving repeats this one
+            break
+        lo, hi = bounds
     z = np.zeros(size)
     z[hot] = 0.5 * (lo + hi)
     return z

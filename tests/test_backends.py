@@ -18,6 +18,7 @@ from selfreflect import (AttentionBackend, ConfigError, InputError,
                          backend_to_dict, build_toy_backend, entropy_from_logits,
                          load_backend, logits_at, save_backend, softmax,
                          two_point_logits)
+from selfreflect import utils
 from selfreflect.utils import gemv_rows
 
 
@@ -488,6 +489,39 @@ class TestTwoPointLogits:
         z = two_point_logits(target, 32, hot=2, temperature=temp)
         assert entropy_from_logits(z, temp) == pytest.approx(target, abs=1e-9)
         assert int(np.argmax(z)) == 2
+
+    def test_early_exit_is_the_200_halving_bisection_bit_for_bit(self, monkeypatch):
+        def bisect_200(target, size, temperature):
+            def h(gap):
+                z = np.zeros(size)
+                z[0] = gap
+                return entropy_from_logits(z, temperature)
+
+            lo, hi = 0.0, 1.0
+            while h(hi) > target:
+                hi *= 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if h(mid) > target:
+                    lo = mid
+                else:
+                    hi = mid
+            z = np.zeros(size)
+            z[0] = 0.5 * (lo + hi)
+            return z
+
+        calls = []
+        counted = utils.entropy_from_logits
+        monkeypatch.setattr(utils, "entropy_from_logits",
+                            lambda *args: calls.append(1) or counted(*args))
+        for size in (2, 3, 32, 512):
+            for temperature in (0.25, 0.6, 1.0, 3.0):
+                for share in (0.02, 0.3, 0.7, 0.98):
+                    target = share * math.log(size)
+                    calls.clear()
+                    z = two_point_logits(target, size, temperature=temperature)
+                    assert len(calls) < 100  # it stops at the fixed point, not after 200
+                    assert z.tobytes() == bisect_200(target, size, temperature).tobytes()
 
     def test_target_range_validated(self):
         with pytest.raises(InputError):

@@ -333,6 +333,17 @@ class TestBench:
         assert "difficulty must be at most 1000" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spec, k, message", [
+        ("copy-recall:count=100000000000", "1", "count must lie in [1, 100000]"),
+        ("copy-recall:count=1", "10000000000", "1 tasks x k = 10000000000 is more than 100000")])
+    def test_count_and_k_past_the_bound(self, capsys, spec, k, message):
+        # the count ran past a 20 s timeout, and the k ended in a MemoryError
+        # traceback, before the bound
+        code, out, err = run(capsys, "bench", "--corpus", spec, "--k", k)
+        assert code == 2 and out == ""
+        assert message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("seeds", ["1,x", " , ", "1.5"])
     def test_malformed_seeds_flag(self, capsys, seeds):
         code, _, err = run(capsys, "bench", "--corpus", "copy-recall:count=1", "--k", "1",

@@ -11,6 +11,7 @@ from selfreflect import (ConfigError, DecodeConfig, InputError, ReflectionConfig
                          critical_tokens, decode, derive_seed, extract_answer,
                          gen_corpus, parse_corpus_spec, pass_at_k,
                          plurality_vote, run_benchmark)
+from selfreflect import backend_to_dict, harness
 from selfreflect.harness import build_spike_backend
 
 ALPHABET = frozenset(range(4))
@@ -92,6 +93,26 @@ class TestCorpora:
         with pytest.raises(InputError, match="seed"):
             gen_corpus("copy-recall", seed=-1, count=1)
 
+    def test_count_past_the_bound_is_refused(self):
+        # a benchmark makes at most _MAX_DECODES decodes, so no corpus is larger
+        bound = harness._MAX_DECODES
+        with pytest.raises(InputError, match=f"count must lie in \\[1, {bound}\\]"):
+            gen_corpus("copy-recall", seed=0, count=bound + 1)
+
+    def test_copy_recall_difficulty_0_backend(self):
+        # every token follows itself: the difficulty-1 chain's 33 tokens, which
+        # the difficulty-0 prompts and answers are drawn from
+        backend = corpus_backend("copy-recall", difficulty=0)
+        assert np.array_equal(backend.transition_raw, np.eye(33))
+        tasks = gen_corpus("copy-recall", seed=0, count=20, difficulty=0)
+        assert max(max(t.prompt) for t in tasks) < backend.vocab.size
+
+    def test_spike_fixture_backend(self):
+        backend, length, _ = build_spike_backend(2)
+        assert backend_to_dict(corpus_backend("spike-fixture", seed=5, difficulty=2)) == \
+            backend_to_dict(backend)
+        assert gen_corpus("spike-fixture", seed=5, count=1, difficulty=2)[0].max_tokens == length
+
     @pytest.mark.parametrize("family", ["copy-recall", "modular-chain", "spike-fixture"])
     def test_difficulty_past_the_bound_is_refused(self, family):
         # each family builds difficulty 1000; one more is refused before anything
@@ -111,6 +132,9 @@ class TestCorpusSpec:
         assert parse_corpus_spec("modular-chain") == ("modular-chain", {})
         assert parse_corpus_spec("spike-fixture:difficulty=2") == \
             ("spike-fixture", {"difficulty": 2})
+
+    def test_empty_chunks_are_skipped(self):
+        assert parse_corpus_spec("copy-recall::count=2:") == ("copy-recall", {"count": 2})
 
     def test_rejects_malformed_specs(self):
         with pytest.raises(ConfigError):
@@ -187,6 +211,16 @@ class TestBenchmark:
             run_benchmark(backend, tasks, DecodeConfig(), k=0)
         with pytest.raises(InputError):
             run_benchmark(backend, tasks, DecodeConfig(), k=2, seeds=[1])
+
+    def test_decodes_past_the_bound_are_refused(self):
+        # checked before the default seeds or any decode config are built
+        backend = corpus_backend("modular-chain")
+        tasks = gen_corpus("modular-chain", seed=0, count=3)
+        bound = harness._MAX_DECODES
+        with pytest.raises(InputError, match=f"3 tasks x k = {bound // 3 + 1} is more than"):
+            run_benchmark(backend, tasks, DecodeConfig(), k=bound // 3 + 1)
+        with pytest.raises(InputError, match="is more than"):
+            run_benchmark(backend, tasks[:1], DecodeConfig(), k=10 ** 10)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0), "1", None])
     def test_sample_seeds_must_be_non_negative_integers(self, seed):

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from selfreflect import (TRACE_VERSION, AdaptiveWeightConfig, ConfigError, CorrectionSummary,
                          DecodeConfig, DecodeTrace, HybridLossReport, InputError,
-                         ReflectionConfig, RunConfig, SamplingConfig, StepColumns, StepRecord,
+                         ReflectionConfig, RunConfig, SamplingConfig, ScriptedBackend,
+                         StepColumns, StepRecord,
                          TraceTotals, TriggerConfig, TriggerDecision,
                          build_spike_backend, decode, decode_batch, decode_config_from_dict,
                          decode_config_to_dict, parse_trace, read_trace,
@@ -833,6 +834,57 @@ class TestRunConfigDicts:
             run_config_from_dict({"reflection": {"adaptive": dict(ADAPTIVE, x=1)}})
         with pytest.raises(ConfigError, match="seedz"):
             run_config_from_dict({"seedz": [1]})
+
+
+# each config dataclass refuses at construction what its file form refuses,
+# and takes a numpy integer as an int, so every trace a decode writes reads back
+FIELD_VALUES = [
+    (DecodeConfig, "max_tokens", 2.5), (TriggerConfig, "window_size", 2.5),
+    (DecodeConfig, "seed", True), (ReflectionConfig, "steps", True),
+    (TriggerConfig, "sensitivity", math.inf), (ReflectionConfig, "learning_rate", math.inf),
+    (SamplingConfig, "temperature", math.inf),
+    (DecodeConfig, "seed", np.int64(3)), (DecodeConfig, "max_tokens", np.int64(3))]
+
+
+def _decodes_and_reads_back(cfg: DecodeConfig) -> None:
+    script = build_spike_backend(1)[0].by_position  # a spike at step 29, then flat
+    backend = ScriptedBackend(32, by_position=script, fallback=script[0])
+    text = serialize_trace(decode(backend, (0,), cfg))
+    assert serialize_trace(parse_trace(text)) == text
+
+
+@pytest.mark.parametrize("cls, name, value", FIELD_VALUES,
+                         ids=[f"{name}={value!r}" for _, name, value in FIELD_VALUES])
+def test_config_field_takes_what_its_file_form_takes(cls, name, value):
+    if not isinstance(value, np.integer):
+        with pytest.raises(InputError, match=f"^{name} must be "):
+            cls(**{name: value})
+        return
+    cfg = cls(**{name: value})
+    assert type(getattr(cfg, name)) is int and getattr(cfg, name) == value
+    _decodes_and_reads_back(cfg)
+
+
+INTEGERS = st.sampled_from([1, 2, 3, 30, np.int64(2), np.int32(30), 2.5, True, np.float64(2.0)])
+NUMBERS = st.sampled_from([0.01, 0.5, 2, np.float64(0.3), math.inf, math.nan, -math.inf])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({"max_tokens": INTEGERS}, optional={
+    "seed": INTEGERS, "window_size": INTEGERS, "steps": INTEGERS, "sensitivity": NUMBERS,
+    "temperature": NUMBERS, "learning_rate": NUMBERS, "reg_gamma": NUMBERS}))
+def test_every_accepted_decode_config_decodes_and_reads_back(v):
+    sections = {"trigger": ("window_size", "sensitivity"),
+                "reflection": ("steps", "learning_rate", "reg_gamma"), "sampling": ("temperature",)}
+    try:
+        cfg = DecodeConfig(
+            trigger=TriggerConfig(**{k: v[k] for k in sections["trigger"] if k in v}),
+            reflection=ReflectionConfig(**{k: v[k] for k in sections["reflection"] if k in v}),
+            sampling=SamplingConfig(**{k: v[k] for k in sections["sampling"] if k in v}),
+            **{k: v[k] for k in ("max_tokens", "seed") if k in v})
+    except InputError:
+        return
+    _decodes_and_reads_back(cfg)
 
 
 def test_readme_config_block_is_the_defaults():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from selfreflect import (DecodeConfig, GridSpec, InputError, ParetoPoint,
                          random_prefix_instance, run_gradient_suite,
                          run_joint_descent_suite, run_theorem1_suite,
                          run_tradeoff_suite)
-from selfreflect.verify import LossInstance
+from selfreflect.verify import JointDescentReport, LossInstance
 
 
 def small_prefix_instance(seed=0, dim=2, vocab=5, prefix_len=3):
@@ -334,6 +335,23 @@ class TestTradeoff:
             with pytest.raises(InputError):
                 check_tradeoff_bounds(inst, w1, w2)
 
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_a_minimizer_beaten_at_its_own_weight_is_swapped(self, monkeypatch, which):
+        # the blend minimizers of these anchors are (0.8, 0.2) at w1 = 0.2 and
+        # (0.2, 0.8) at w2 = 0.8; hand the check a poor point in place of one of
+        # them, and the cross-check puts the other in its place
+        inst = quadratic_instance((1.0, 0.0), (0.0, 1.0))
+        best = [np.array([0.8, 0.2]), np.array([0.2, 0.8])]
+        found = list(best)
+        found[which] = np.array([5.0, 5.0])
+        monkeypatch.setattr(verify, "_minimizers",
+                            lambda rows, grid, sweeps: [(tuple(found), grid) for _ in rows])
+        rep = check_tradeoff_bounds(inst, 0.2, 0.8)
+        other = best[1 - which]
+        assert (rep.l_ce_1, rep.l_aem_1) == (rep.l_ce_2, rep.l_aem_2) == \
+            (inst.ce(other), inst.aem(other))
+        assert rep.passed
+
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-6, "1e-6"])
     def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
         inst = random_prefix_instance(np.random.default_rng(0), 2, 4, 3)
@@ -373,6 +391,21 @@ class TestJointDescent:
         rep = check_joint_descent(inst, (1.0, 0.0))
         assert not rep.applicable and rep.passed
 
+    def test_an_overshooting_step_is_halved_until_both_losses_drop(self):
+        # from (-1, -1) the blended direction is (-3.5, -2.5): steps 10, 5, 2.5
+        # and 1.25 overshoot the anchors, 0.625 lowers both losses
+        inst = quadratic_instance((1.0, 0.0), (0.5, 0.5))
+        rep = check_joint_descent(inst, (-1.0, -1.0), learning_rate=10.0)
+        assert rep.applicable and rep.passed
+        assert rep.step_size == 0.625
+        assert rep.ce_drop > 0.0 and rep.aem_drop > 0.0
+
+    def test_no_descent_within_the_halvings_fails(self):
+        inst = quadratic_instance((1.0, 0.0), (0.5, 0.5))
+        rep = check_joint_descent(inst, (-1.0, -1.0), learning_rate=10.0, max_halvings=3)
+        assert rep.applicable and not rep.passed
+        assert (rep.step_size, rep.ce_drop, rep.aem_drop) == (0.0, 0.0, 0.0)
+
     @pytest.mark.parametrize("kwargs", [dict(learning_rate=0.0),
                                         dict(learning_rate=-0.01),
                                         dict(max_halvings=-1)])
@@ -404,6 +437,25 @@ class TestSuitesSmoke:
         assert rep.passed
         assert rep.details["applicable"] > 0
         assert rep.details["opposed_case_not_applicable"] is True
+
+    def test_a_failed_tradeoff_report_fails_the_suite(self, monkeypatch):
+        exact = verify._tradeoff_reports
+        monkeypatch.setattr(verify, "_tradeoff_reports", lambda *args: [
+            replace(r, passed=i != 1) for i, r in enumerate(exact(*args))])
+        rep = run_tradeoff_suite(seed=3, count=4)
+        assert not rep.passed
+        assert rep.details["failures"] == 1
+
+    @pytest.mark.parametrize("report, counts", [
+        (JointDescentReport(False, 0.0, 0.0, 0.0, 0.0, True),
+         {"applicable": 0, "failures": 0, "skipped": 3}),
+        (JointDescentReport(True, 1.0, 0.0, 0.0, 0.0, False),
+         {"applicable": 3, "failures": 3, "skipped": 0})], ids=["skipped", "failed"])
+    def test_joint_descent_suite_counts_skips_and_failures(self, monkeypatch, report, counts):
+        monkeypatch.setattr(verify, "check_joint_descent", lambda *args: report)
+        rep = run_joint_descent_suite(seed=0, count=3)
+        assert not rep.passed
+        assert {key: rep.details[key] for key in counts} == counts
 
     @pytest.mark.parametrize("suite", [run_gradient_suite, run_theorem1_suite,
                                        run_tradeoff_suite, run_joint_descent_suite])
