@@ -102,8 +102,9 @@ def _bench_rows(result):
 
 def cmd_bench(args) -> int:
     seeds = None if args.seeds is None else _int_list("--seeds", args.seeds)
-    cfg = _run_config(args, corpus=args.corpus, backend=args.backend, k=args.k, seeds=seeds,
-                      out=args.out)
+    # an empty --corpus or --backend leaves the file's value
+    cfg = _run_config(args, corpus=args.corpus or None, backend=args.backend or None, k=args.k,
+                      seeds=seeds, out=args.out)
     if not cfg.corpus:
         raise ConfigError("bench needs a corpus spec (--corpus or config)")
     family, opts = parse_corpus_spec(cfg.corpus)

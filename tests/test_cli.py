@@ -360,6 +360,21 @@ class TestBench:
             assert code == 0
             assert json.loads((out_dir / "summary.json").read_text())["seeds"] == want
 
+    def test_empty_corpus_and_backend_flags_leave_the_config_values(self, capsys, tmp_path):
+        backend = tmp_path / "backend.json"
+        save_backend(AttentionBackend(64, 4, 0), backend)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"corpus": "copy-recall:count=1", "k": 1,
+                                   "backend": str(backend)}))
+        out_dir = tmp_path / "results"
+        code, _, err = run(capsys, "bench", "--config", str(cfg), "--corpus", "",
+                           "--backend", "", "--out", str(out_dir))
+        assert code == 0, err
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["corpus"] == "copy-recall:count=1"
+        trace = read_trace(next((out_dir / "traces" / "reflect").iterdir()))
+        assert trace.model_id == "attention-v64-d4-s0"
+
     def test_writes_metrics_summary_traces(self, capsys, tmp_path):
         out_dir = tmp_path / "results"
         args = ("bench", "--corpus", "copy-recall:seed=1:count=3", "--k", "2",
